@@ -38,11 +38,9 @@ from .evaluation import (
     linkpred_split,
 )
 from .graph import (
-    AdjacencyMatrix,
     AttributedGraph,
     DistanceMetric,
     GraphFormatError,
-    NeighborhoodIndex,
     adjacency,
     hop_neighborhoods,
     knn_graph,
@@ -61,6 +59,7 @@ from .network import (
     LayerSpec,
     NetworkParams,
     StaleTapeError,
+    aggregation_matrix,
     backward,
     default_stack,
     fc_forward,
@@ -99,7 +98,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AdjacencyMatrix",
     "AttributedGraph",
     "AugmentationConfig",
     "AugmentationWarning",
@@ -119,7 +117,6 @@ __all__ = [
     "LinkPredReport",
     "LinkPredSplit",
     "LossTerms",
-    "NeighborhoodIndex",
     "NetworkParams",
     "SimilarityMatrix",
     "StaleTapeError",
@@ -127,6 +124,7 @@ __all__ = [
     "TrainResult",
     "TrainingDivergedError",
     "adjacency",
+    "aggregation_matrix",
     "auc_ap",
     "augment",
     "backward",

@@ -30,6 +30,7 @@ from .graph import GraphFormatError, load_graph
 from .training import (
     TrainConfig,
     TrainingDivergedError,
+    _cache_dir as _training_cache_dir,
     precompute,
     train,
     read_embeddings,
@@ -148,9 +149,7 @@ def _write_manifest(out_dir, command, cfg, data, extras, outputs, timings, prese
 
 
 def _cache_dir(args, out_dir):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("DMAGE_CACHE_DIR") or os.path.join(out_dir, "cache")
+    return _training_cache_dir(args.cache_dir or None) or os.path.join(out_dir, "cache")
 
 
 def cmd_precompute(args):

@@ -1,25 +1,29 @@
-"""Attributed-graph data model, file ingestion and neighborhood indices.
+"""Attributed-graph data model, file ingestion and the array graph core.
 
 An attributed graph is a set of ``n`` nodes carrying feature vectors, an
 undirected edge set stored as ``(i, j)`` pairs with ``i < j``, and optional
-integer class labels.  Everything downstream (geodesic distances, the
-aggregation layer, augmentation) works off this representation.
+integer class labels.  The frozenset ``edges`` is the graph's identity; all
+computation uses its canonical form, the sorted read-only ``(m, 2)`` int64
+array from :meth:`AttributedGraph.edge_array`, built once on first use.  Every
+adjacency is a canonical ``scipy.sparse`` CSR (0/1 float64, symmetric, sorted
+indices, no duplicates) built from such an array, and the hop-2 pairs that
+augmentation samples are a sorted ``(h, 2)`` array read off ``A @ A``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
+import scipy.sparse as sp
 
 __all__ = [
     "DistanceMetric",
     "AttributedGraph",
-    "AdjacencyMatrix",
-    "NeighborhoodIndex",
     "GraphFormatError",
     "load_graph",
     "adjacency",
@@ -109,54 +113,24 @@ class AttributedGraph:
         return int(self.labels.max()) + 1
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an ``(m, 2)`` int array in sorted order (deterministic)."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
+        """Edges as a read-only ``(m, 2)`` int64 array in sorted order."""
+        return self._edge_array
+
+    @functools.cached_property
+    def _edge_array(self) -> np.ndarray:
+        # built on first use, so constructing a graph costs no more than the
+        # range check; since 0 <= i < j < n, the key i*n + j sorts rows as
+        # sorted(edges) does
+        m = len(self.edges)
+        edges = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64, count=2 * m)
+        edges = edges.reshape(m, 2)
+        edges = edges[np.argsort(edges[:, 0] * self.n + edges[:, 1])]
+        edges.flags.writeable = False
+        return edges
 
     def with_edges(self, edges) -> "AttributedGraph":
         """Copy of this graph with a different edge set (features/labels shared)."""
         return AttributedGraph(self.n, normalize_edges(edges), self.features, self.labels)
-
-
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Binary symmetric adjacency, stored as sorted per-row neighbor lists."""
-
-    n: int
-    neighbors: tuple
-
-    def to_csr(self) -> csr_matrix:
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, nb in enumerate(self.neighbors):
-            indptr[i + 1] = indptr[i] + len(nb)
-        indices = np.concatenate(self.neighbors) if indptr[-1] else np.zeros(0, dtype=np.int64)
-        data = np.ones(indptr[-1], dtype=np.float64)
-        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for i, nb in enumerate(self.neighbors):
-            a[i, nb] = 1.0
-        return a
-
-    def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class NeighborhoodIndex:
-    """Per-node 1-hop and exactly-2-hop neighborhoods (sorted, disjoint)."""
-
-    hop1: tuple
-    hop2: tuple
-
-    def hop2_pairs(self) -> np.ndarray:
-        """All unordered ``(i, j)`` pairs at graph distance exactly 2, sorted."""
-        pairs = [(i, int(j)) for i, nb in enumerate(self.hop2) for j in nb if i < j]
-        if not pairs:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array(sorted(pairs), dtype=np.int64)
 
 
 def _parse_edge_file(path: Path):
@@ -266,6 +240,8 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     Node ids need not be dense: arbitrary ids are remapped (in ascending
     order) to ``0 .. n-1``, and the mapping is written to ``id_map_path``
     when given.  Feature and label rows are indexed by the remapped id.
+    When the edge ids are already dense, ``n`` is the number of feature rows,
+    which may exceed the largest id + 1 when the last nodes have no edges.
     """
     edge_path, feature_path = Path(edge_path), Path(feature_path)
     edges, ids, max_id = _parse_edge_file(edge_path)
@@ -289,6 +265,8 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
         features = _parse_triplet_features(feature_path)
     else:
         features = _parse_dense_features(feature_path)
+    if id_map is None and features.shape[0] > n_nodes:
+        n_nodes = features.shape[0]  # the last nodes have no edges
     if features.shape[0] != n_nodes:
         raise GraphFormatError(
             f"{feature_path}: {features.shape[0]} feature rows but edge file "
@@ -308,39 +286,38 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     return AttributedGraph(n_nodes, frozenset(edges), features, labels)
 
 
-def adjacency(g: AttributedGraph) -> AdjacencyMatrix:
-    """Symmetric 0/1 adjacency with zero diagonal."""
-    return adjacency_from_edges(g.n, g.edges)
+def adjacency(g: AttributedGraph) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency CSR of ``g`` with zero diagonal."""
+    return adjacency_from_edges(g.n, g.edge_array())
 
 
-def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
-    nbrs = [[] for _ in range(n)]
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    return AdjacencyMatrix(
-        n, tuple(np.array(sorted(nb), dtype=np.int64) for nb in nbrs)
-    )
+def adjacency_from_edges(n: int, edges) -> sp.csr_matrix:
+    """Symmetric 0/1 float64 CSR over ``n`` nodes from an ``(m, 2)`` edge array.
 
-
-def hop_neighborhoods(g: AttributedGraph) -> NeighborhoodIndex:
-    """1-hop neighbors and exactly-2-hop neighbors of every node.
-
-    A node j is in ``hop2[i]`` iff it is reachable from i in two edges but is
-    neither i itself nor a direct neighbor of i.
+    Rows may come in any order but must be distinct undirected edges; the
+    result has sorted indices and no duplicate entries.
     """
-    adj = adjacency(g)
-    hop1 = adj.neighbors
-    hop1_sets = [set(nb.tolist()) for nb in hop1]
-    hop2 = []
-    for i in range(g.n):
-        two = set()
-        for k in hop1_sets[i]:
-            two.update(hop1_sets[k])
-        two.discard(i)
-        two -= hop1_sets[i]
-        hop2.append(np.array(sorted(two), dtype=np.int64))
-    return NeighborhoodIndex(hop1, tuple(hop2))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    row = np.concatenate([edges[:, 0], edges[:, 1]])
+    col = np.concatenate([edges[:, 1], edges[:, 0]])
+    a = sp.csr_matrix((np.ones(row.size), (row, col)), shape=(n, n))
+    a.sort_indices()
+    return a
+
+
+def hop_neighborhoods(g: AttributedGraph) -> np.ndarray:
+    """Sorted ``(h, 2)`` int64 array of the pairs ``i < j`` at distance exactly 2.
+
+    A pair qualifies iff it is joined by a path of two edges but is not
+    itself an edge: the pattern of ``A @ A`` minus ``A`` and the diagonal.
+    """
+    a = adjacency(g)
+    reach = sp.triu(a @ a, k=1, format="csr")
+    reach = (reach - reach.multiply(a)).tocsr()
+    reach.eliminate_zeros()
+    reach.sort_indices()
+    pairs = reach.tocoo()
+    return np.column_stack([pairs.row, pairs.col]).astype(np.int64)
 
 
 def knn_graph(features, k: int, metric=DistanceMetric.EUCLIDEAN) -> AttributedGraph:

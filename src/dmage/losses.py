@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .distances import pairwise_distance
-from .similarity import SimilarityMatrix, symmetrize, t_kernel
+from .similarity import SimilarityMatrix, t_kernel
 
 __all__ = [
     "BregmanKind",
@@ -58,14 +58,16 @@ def _offdiag_mask(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
-def bregman_sed(P, Q) -> float:
-    """Squared-distance divergence: mean over off-diagonal pairs of (p - q)^2."""
+def _divergence(P, Q, kind: BregmanKind, eps: float = LOGI_EPS) -> float:
     p, q = _as_matrix(P), _as_matrix(Q)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    mask = _offdiag_mask(p.shape[0])
-    diff = p[mask] - q[mask]
-    return float(np.mean(diff * diff))
+    return _value_and_dq(p, q, kind, _offdiag_mask(p.shape[0]), eps)[0]
+
+
+def bregman_sed(P, Q) -> float:
+    """Squared-distance divergence: mean over off-diagonal pairs of (p - q)^2."""
+    return _divergence(P, Q, BregmanKind.SED)
 
 
 def bregman_logistic(P, Q, eps: float = LOGI_EPS) -> float:
@@ -74,30 +76,25 @@ def bregman_logistic(P, Q, eps: float = LOGI_EPS) -> float:
     ``q`` is clamped into [eps, 1-eps]; terms with p in {0, 1} follow the
     convention 0 log 0 = 0.
     """
-    p, q = _as_matrix(P), _as_matrix(Q)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    mask = _offdiag_mask(p.shape[0])
-    pv = p[mask]
-    qv = np.clip(q[mask], eps, 1.0 - eps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_a = np.where(pv > 0, pv * np.log(pv / qv), 0.0)
-        term_b = np.where(pv < 1, (1.0 - pv) * np.log((1.0 - pv) / (1.0 - qv)), 0.0)
-    return float(np.mean(term_a + term_b))
+    return _divergence(P, Q, BregmanKind.LOGI, eps)
 
 
-def latent_similarity(Z, nu_latent: float) -> SimilarityMatrix:
-    """Joint similarity of latent rows: Euclidean distance through the kernel.
+def _latent_kernel(Z, nu_latent: float):
+    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of latent rows.
 
     In latent space the normalization is fixed (shift 0, bandwidth 1), so the
-    conditional matrix is already symmetric and the joint form reduces to
-    2k - 2k^2 per pair.
+    conditional matrix ``k`` is already symmetric and the joint form reduces
+    to ``Q = 2k - 2k^2`` per pair.  ``k`` and ``Q`` have zero diagonals.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     d = pairwise_distance(Z, "euclidean")
     k = t_kernel(d, nu_latent)
     np.fill_diagonal(k, 0.0)
-    return symmetrize(SimilarityMatrix(k, "conditional"))
+    return d, k, 2.0 * k - 2.0 * k * k
+
+
+def latent_similarity(Z, nu_latent: float) -> SimilarityMatrix:
+    """Joint similarity of latent rows: Euclidean distance through the kernel."""
+    return SimilarityMatrix(_latent_kernel(np.asarray(Z, dtype=np.float64), nu_latent)[2], "joint")
 
 
 def _value_and_dq(P, Q, kind: BregmanKind, mask, eps: float = LOGI_EPS):
@@ -157,11 +154,7 @@ def fused_loss(
     Zb = Z[batch]
     m = batch.size
 
-    d = pairwise_distance(Zb, "euclidean")
-    k = t_kernel(d, nu_latent)
-    np.fill_diagonal(k, 0.0)
-    Q = 2.0 * k - 2.0 * k * k
-    np.fill_diagonal(Q, 0.0)
+    d, k, Q = _latent_kernel(Zb, nu_latent)
 
     mask = _offdiag_mask(m)
     feat, g_feat = _value_and_dq(Pc, Q, kind, mask, eps)

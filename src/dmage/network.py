@@ -6,6 +6,11 @@ symmetric-normalized neighbor aggregation, i.e. a GCN layer without an
 activation), and a final linear FC layer.  Forward passes can record a
 gradient tape; ``backward`` replays it in reverse to produce exact
 reverse-mode gradients for every weight and bias.
+
+The FCA layer consumes only the normalized aggregation operator that
+:func:`aggregation_matrix` builds from an adjacency; ``forward`` and
+``fca_forward`` never see a raw adjacency, so each epoch's operator is built
+exactly once by the caller.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-from .graph import AdjacencyMatrix
 
 __all__ = [
     "LayerSpec",
@@ -179,12 +182,12 @@ def aggregation_matrix(
 ) -> sp.csr_matrix:
     """Sparse symmetric aggregation operator for an FCA layer.
 
-    With self-loops the base matrix is A + I and its degree D; "gcn" returns
-    D^(-1/2) (A+I) D^(-1/2), "verbatim" multiplies by the square-root degrees
-    instead of dividing.  Zero-degree rows (only possible without self-loops)
-    normalize to zero.
+    ``A`` is a sparse or dense symmetric adjacency.  With self-loops the base
+    matrix is A + I and its degree D; "gcn" returns D^(-1/2) (A+I) D^(-1/2),
+    "verbatim" multiplies by the square-root degrees instead of dividing.
+    Zero-degree rows (only possible without self-loops) normalize to zero.
     """
-    base = A.to_csr() if isinstance(A, AdjacencyMatrix) else sp.csr_matrix(A, dtype=np.float64)
+    base = sp.csr_matrix(A, dtype=np.float64)
     n = base.shape[0]
     if self_loops:
         base = (base + sp.identity(n, format="csr")).tocsr()
@@ -206,21 +209,23 @@ def fc_forward(Z, W, B, activation: str = "linear"):
     return _activate(Z @ W + B, activation)
 
 
-def fca_forward(Z, A, W, B, variant: str = "gcn", self_loops: bool = True):
-    """Linear map followed by symmetric-normalized neighbor aggregation."""
+def fca_forward(Z, N, W, B):
+    """Linear map followed by aggregation with the operator ``N``.
+
+    ``N`` is the normalized operator from :func:`aggregation_matrix`.
+    """
     Z = np.asarray(Z, dtype=np.float64)
-    N = A if sp.issparse(A) else aggregation_matrix(A, variant, self_loops)
     if N.shape[0] != Z.shape[0]:
-        raise ValueError(f"adjacency is {N.shape} but input has {Z.shape[0]} rows")
+        raise ValueError(f"operator is {N.shape} but input has {Z.shape[0]} rows")
     return N @ (Z @ W + B)
 
 
-def forward(X, A, params: NetworkParams, tape: GradientTape | None = None):
+def forward(X, N, params: NetworkParams, tape: GradientTape | None = None):
     """Run the layer chain; record intermediates into ``tape`` if given.
 
-    ``A`` may be an AdjacencyMatrix, a dense/sparse matrix, or a
-    pre-normalized sparse aggregation operator; it is only consulted by fca
-    layers and may be None for pure-FC stacks.
+    ``N`` is the normalized aggregation operator from
+    :func:`aggregation_matrix`, not a raw adjacency; only fca layers use it,
+    and it may be None for stacks without one.
     """
     Z = np.asarray(X, dtype=np.float64)
     if tape is not None:
@@ -229,7 +234,6 @@ def forward(X, A, params: NetworkParams, tape: GradientTape | None = None):
         tape.inputs = []
         tape.preacts = []
         tape.aggregations = []
-    N_cache = None
     for spec, W, B in zip(params.specs, params.weights, params.biases):
         if tape is not None:
             tape.inputs.append(Z)
@@ -240,18 +244,13 @@ def forward(X, A, params: NetworkParams, tape: GradientTape | None = None):
                 tape.aggregations.append(None)
             Z = _activate(pre, spec.activation)
         else:
-            if A is None:
-                raise ValueError("fca layer requires an adjacency")
-            if N_cache is None:
-                if sp.issparse(A) and not isinstance(A, AdjacencyMatrix):
-                    N_cache = A.tocsr()
-                else:
-                    N_cache = aggregation_matrix(A, spec.fca_variant, spec.self_loops)
+            if N is None:
+                raise ValueError("fca layer requires an aggregation operator")
             pre = Z @ W + B
             if tape is not None:
                 tape.preacts.append(pre)
-                tape.aggregations.append(N_cache)
-            Z = N_cache @ pre
+                tape.aggregations.append(N)
+            Z = N @ pre
     if tape is not None:
         tape.output = Z
     return Z

@@ -111,7 +111,6 @@ class TrainConfig:
     fca_variant: str = "gcn"
     self_loops: bool = True
     symmetrize_variant: str = "paper"
-    augment_per_batch: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -283,7 +282,7 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
         )
 
     if cfg.hard_similarity:
-        p_prior = SimilarityMatrix(adjacency(g).to_dense(), "joint")
+        p_prior = SimilarityMatrix(adjacency(g).toarray(), "joint")
     else:
         prior_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
         p_prior = sim_from(
@@ -315,6 +314,14 @@ def _build_specs(g: AttributedGraph, cfg: TrainConfig):
     )
 
 
+def _aggregation_operator(n: int, edges, specs):
+    """The FCA layer's operator over an ``(m, 2)`` edge array; None without one."""
+    fca = next((s for s in specs if s.kind == "fca"), None)
+    if fca is None:
+        return None
+    return aggregation_matrix(adjacency_from_edges(n, edges), fca.fca_variant, fca.self_loops)
+
+
 def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     """Fit the embedding network on one graph; deterministic given cfg.seed.
 
@@ -336,36 +343,24 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     optimizer = _make_optimizer(cfg)
     kind = BregmanKind(cfg.bregman)
 
-    augmenting = not cfg.no_augment and cfg.p_minus > 0 and g.num_edges > 0
-    hoods = hop_neighborhoods(g) if augmenting else None
+    # augmentation only perturbs the operator of the FCA layer
+    augmenting = not (cfg.no_augment or cfg.no_fca) and cfg.p_minus > 0 and g.num_edges > 0
+    hop2 = hop_neighborhoods(g) if augmenting else None
     aug_cfg = AugmentationConfig(cfg.p_minus, 4 * cfg.seed + _AUGMENT_STREAM) if augmenting else None
-    needs_aggregation = not cfg.no_fca
 
-    prior_adj = adjacency(g)
     X = g.features
-
-    def aggregation_for(edges):
-        if not needs_aggregation:
-            return None
-        adj = adjacency_from_edges(n, edges)
-        return aggregation_matrix(adj, cfg.fca_variant, cfg.self_loops)
-
-    N_prior = aggregation_for(g.edges)
+    N_prior = _aggregation_operator(n, g.edge_array(), specs)
     history = []
     last_finite = -1
-    step = 0
     for epoch in range(cfg.epochs):
-        if augmenting and not cfg.augment_per_batch:
-            N_epoch = aggregation_for(augment(g, hoods, aug_cfg, epoch).result)
+        if augmenting:
+            N_epoch = _aggregation_operator(n, augment(g, hop2, aug_cfg, epoch).result, specs)
         else:
             N_epoch = N_prior
         perm = np.random.default_rng([4 * cfg.seed + _SHUFFLE_STREAM, epoch]).permutation(n)
         sums = np.zeros(3)
         chunks = _batches(perm, batch_size)
         for batch in chunks:
-            if augmenting and cfg.augment_per_batch:
-                N_epoch = aggregation_for(augment(g, hoods, aug_cfg, step).result)
-            step += 1
             tape = GradientTape()
             Z = forward(X, N_epoch, params, tape)
             if not np.isfinite(Z).all():
@@ -395,12 +390,7 @@ def embed(g: AttributedGraph, params: NetworkParams) -> np.ndarray:
         raise ValueError(
             f"features have {g.features.shape[1]} dims but network expects {in_dim}"
         )
-    needs_aggregation = any(s.kind == "fca" for s in params.specs)
-    A = None
-    if needs_aggregation:
-        fca = next(s for s in params.specs if s.kind == "fca")
-        A = aggregation_matrix(adjacency(g), fca.fca_variant, fca.self_loops)
-    return forward(g.features, A, params)
+    return forward(g.features, _aggregation_operator(g.n, g.edge_array(), params.specs), params)
 
 
 def write_embeddings(path, Z: np.ndarray, node_ids=None):

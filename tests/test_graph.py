@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dmage.augmentation import AugmentationConfig, AugmentationWarning, augment
 from dmage.graph import (
     AttributedGraph,
     DistanceMetric,
@@ -13,6 +16,10 @@ from dmage.graph import (
     load_graph,
     normalize_edges,
 )
+from dmage.network import aggregation_matrix, default_stack
+from dmage.training import TrainConfig, _aggregation_operator, train
+
+from conftest import random_graph
 
 
 def make_graph(n, edges, dims=3, labels=None):
@@ -61,6 +68,8 @@ class TestAttributedGraph:
     def test_edge_array_sorted(self):
         g = make_graph(4, [(2, 3), (0, 1), (1, 3)])
         assert g.edge_array().tolist() == [[0, 1], [1, 3], [2, 3]]
+        assert g.edge_array() is g.edge_array()  # built once per graph
+        assert not g.edge_array().flags.writeable
 
     def test_with_edges_swaps_structure_only(self):
         g = make_graph(4, [(0, 1)])
@@ -69,36 +78,48 @@ class TestAttributedGraph:
         assert h.features is g.features
 
 
+def dense_adjacency(n, edges):
+    """Loop-built 0/1 reference adjacency."""
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def row_neighbors(adj, i):
+    return adj.indices[adj.indptr[i] : adj.indptr[i + 1]].tolist()
+
+
 class TestAdjacency:
     def test_neighbors_sorted_and_symmetric(self):
         g = make_graph(4, [(0, 2), (0, 1), (2, 3)])
         adj = adjacency(g)
-        assert adj.neighbors[0].tolist() == [1, 2]
-        assert adj.neighbors[2].tolist() == [0, 3]
-        dense = adj.to_dense()
+        assert row_neighbors(adj, 0) == [1, 2]
+        assert row_neighbors(adj, 2) == [0, 3]
+        dense = adj.toarray()
         assert (dense == dense.T).all()
         assert dense.sum() == 2 * g.num_edges
 
     def test_csr_matches_dense(self):
         g = make_graph(5, [(0, 1), (1, 4), (2, 3)])
         adj = adjacency(g)
-        assert (adj.to_csr().toarray() == adj.to_dense()).all()
+        assert adj.has_canonical_format and adj.dtype == np.float64
+        assert (adj.toarray() == dense_adjacency(5, g.edges)).all()
 
     def test_degrees(self):
         g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert adjacency(g).degrees().tolist() == [3, 1, 1, 1]
+        assert np.diff(adjacency(g).indptr).tolist() == [3, 1, 1, 1]
 
 
 class TestHopNeighborhoods:
     def test_path_graph(self):
         # 0-1-2-3: hop-2 pairs are (0,2) and (1,3)
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        hoods = hop_neighborhoods(g)
-        assert hoods.hop2_pairs().tolist() == [[0, 2], [1, 3]]
+        assert hop_neighborhoods(g).tolist() == [[0, 2], [1, 3]]
 
     def test_triangle_has_no_hop2(self):
         g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert hop_neighborhoods(g).hop2_pairs().size == 0
+        assert hop_neighborhoods(g).size == 0
 
     def test_hop2_excludes_direct_edges_and_self(self):
         rng = np.random.default_rng(3)
@@ -107,12 +128,42 @@ class TestHopNeighborhoods:
             iu, ju = np.triu_indices(n, k=1)
             keep = rng.random(iu.size) < 0.3
             g = make_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
-            dense = adjacency(g).to_dense()
+            dense = adjacency(g).toarray()
             two_step = (dense @ dense > 0)
-            for i, j in hop_neighborhoods(g).hop2_pairs():
+            for i, j in hop_neighborhoods(g):
                 assert i < j
                 assert (i, j) not in g.edges
                 assert two_step[i, j]
+
+
+class TestArrayCoreCompleteness:
+    def test_matches_dense_reference(self):
+        """Hop-2 pairs, adjacency and the per-epoch training operator all equal
+        their loop-built dense references, on 20 random graphs."""
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            g = random_graph(rng, n=int(rng.integers(4, 30)), density=float(rng.uniform(0.05, 0.5)))
+            ref = dense_adjacency(g.n, g.edges)
+            assert (adjacency(g).toarray() == ref).all()
+
+            two = ref @ ref
+            want = sorted(
+                [i, j] for i in range(g.n) for j in range(i + 1, g.n) if two[i, j] > 0 and ref[i, j] == 0
+            )
+            hop2 = hop_neighborhoods(g)
+            assert hop2.dtype == np.int64 and hop2.shape == (len(want), 2)
+            assert hop2.tolist() == want
+
+            variant, loops = ("gcn", "verbatim")[trial % 2], trial % 3 != 0
+            specs = default_stack(g.features.shape[1], (5, 4), 3, fca_variant=variant, self_loops=loops)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AugmentationWarning)
+                out = augment(g, hop2, AugmentationConfig(0.3, rng_seed=trial), epoch=trial)
+            removed = set(map(tuple, out.removed.tolist()))
+            added = set(map(tuple, out.added.tolist()))
+            perturbed = dense_adjacency(g.n, (g.edges - removed) | added)
+            got = _aggregation_operator(g.n, out.result, specs).toarray()
+            assert np.array_equal(got, aggregation_matrix(perturbed, variant, loops).toarray())
 
 
 class TestKnnGraph:
@@ -126,7 +177,7 @@ class TestKnnGraph:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 3))
         g = knn_graph(x, 3)
-        degs = adjacency(g).degrees()
+        degs = np.diff(adjacency(g).indptr)
         assert (degs >= 3).all()
 
     def test_union_symmetrization_superset_of_out_edges(self):
@@ -186,6 +237,16 @@ class TestLoadGraph:
         e, f, _ = self.write(tmp_path, "0\t1\n1\t1\n", "1\n2\n")
         with pytest.raises(GraphFormatError, match=":2"):
             load_graph(e, f)
+
+    def test_trailing_isolated_nodes_load_and_train(self, tmp_path):
+        # node 3 has no edges, so only the feature rows reveal it
+        e, f, _ = self.write(tmp_path, "0 1\n1 2\n", "1 0\n0 1\n1 1\n0 0\n")
+        g = load_graph(e, f)
+        assert g.n == 4
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        result = train(g, TrainConfig(epochs=2))
+        assert result.embeddings.shape[0] == 4
+        assert np.isfinite(result.embeddings).all()
 
     def test_feature_row_count_mismatch(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0\t1\n1\t2\n", "1\n2\n")

@@ -141,7 +141,7 @@ class TestPrecompute:
     def test_hard_similarity_uses_adjacency(self):
         g = small_graph()
         _, pp = precompute(g, TrainConfig(hard_similarity=True))
-        assert np.array_equal(pp.matrix, adjacency(g).to_dense())
+        assert np.array_equal(pp.matrix, adjacency(g).toarray())
         assert set(np.unique(pp.matrix)) <= {0.0, 1.0}
 
     def test_knn_substitution_changes_complete_matrix(self):
