@@ -121,7 +121,8 @@ def geodesic_distances(
     if not lambda_ > 1.0:
         raise ValueError(f"lambda_ must be > 1, got {lambda_}")
     graph = _edge_weight_graph(g, metric, hop_count)
-    dist = dijkstra(graph, directed=False)
+    # the weight graph stores both directions of every edge
+    dist = dijkstra(graph, directed=True)
 
     off_diag = ~np.eye(g.n, dtype=bool)
     finite = np.isfinite(dist) & off_diag

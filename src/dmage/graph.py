@@ -237,41 +237,34 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     instead parsed as sparse ``i j value`` triplets.  The optional label file
     holds one integer class id per line.
 
-    Node ids need not be dense: arbitrary ids are remapped (in ascending
-    order) to ``0 .. n-1``, and the mapping is written to ``id_map_path``
-    when given.  Feature and label rows are indexed by the remapped id.
-    When the edge ids are already dense, ``n`` is the number of feature rows,
-    which may exceed the largest id + 1 when the last nodes have no edges.
+    When the feature file has at least largest id + 1 rows, node ids are
+    row indices and ``n`` is the number of rows, so nodes without edges
+    (anywhere in the id range) load.  Otherwise the ids are remapped in
+    ascending order to ``0 .. n-1``, which needs exactly one feature row per
+    distinct id; the mapping is written to ``id_map_path`` when given, and
+    feature and label rows are indexed by the remapped id.
     """
     edge_path, feature_path = Path(edge_path), Path(feature_path)
     edges, ids, max_id = _parse_edge_file(edge_path)
-
-    dense_ids = bool(ids) and max_id == len(ids) - 1
-    if dense_ids or not ids:
-        n_nodes = max_id + 1
-        id_map = None
-    else:
-        ordered = sorted(ids)
-        id_map = {orig: k for k, orig in enumerate(ordered)}
-        edges = {(id_map[i], id_map[j]) for i, j in edges}
-        edges = {(i, j) if i < j else (j, i) for i, j in edges}
-        n_nodes = len(ordered)
-        if id_map_path is not None:
-            with open(id_map_path, "w", encoding="utf-8") as fh:
-                for orig, dense in sorted(id_map.items()):
-                    fh.write(f"{orig}\t{dense}\n")
-
     if feature_path.suffix == ".coo":
         features = _parse_triplet_features(feature_path)
     else:
         features = _parse_dense_features(feature_path)
-    if id_map is None and features.shape[0] > n_nodes:
-        n_nodes = features.shape[0]  # the last nodes have no edges
-    if features.shape[0] != n_nodes:
-        raise GraphFormatError(
-            f"{feature_path}: {features.shape[0]} feature rows but edge file "
-            f"implies {n_nodes} nodes (max node id + 1)"
-        )
+
+    n_nodes = features.shape[0]
+    if n_nodes < max_id + 1:
+        if n_nodes != len(ids):
+            raise GraphFormatError(
+                f"{feature_path}: {n_nodes} feature rows, but the edge file has "
+                f"{len(ids)} distinct node ids and its largest id is {max_id}"
+            )
+        id_map = {orig: k for k, orig in enumerate(sorted(ids))}
+        edges = {(id_map[i], id_map[j]) for i, j in edges}
+        edges = {(i, j) if i < j else (j, i) for i, j in edges}
+        if id_map_path is not None:
+            with open(id_map_path, "w", encoding="utf-8") as fh:
+                for orig, dense in sorted(id_map.items()):
+                    fh.write(f"{orig}\t{dense}\n")
 
     labels = None
     if label_path is not None:
@@ -338,11 +331,24 @@ def knn_graph(features, k: int, metric=DistanceMetric.EUCLIDEAN) -> AttributedGr
 
     dist = pairwise_distance(features, metric)
     np.fill_diagonal(dist, np.inf)
-    # stable sort: equal distances keep ascending index order
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    edges = set()
-    for i in range(n):
-        for j in order[i]:
-            j = int(j)
-            edges.add((i, j) if i < j else (j, i))
-    return AttributedGraph(n, frozenset(edges), features, None)
+    # row i takes every distance below its k-th smallest, then the
+    # smallest-index columns at exactly that distance until it has k
+    rows, cols = [], []
+    step = max(1, (1 << 20) // n)
+    for a in range(0, n, step):
+        block = dist[a : a + step]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        below = block < kth
+        bi, bj = np.nonzero(below)
+        ti, tj = np.nonzero(block == kth)
+        rank = np.arange(ti.size) - np.searchsorted(ti, ti)
+        take = rank < (k - below.sum(axis=1))[ti]
+        rows += [bi + a, ti[take] + a]
+        cols += [bj, tj[take]]
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    lo, hi = np.divmod(np.unique(np.minimum(i, j) * n + np.maximum(i, j)), n)
+    # one int object per node, shared by all its edges, and no temporary int
+    # lists: the set takes no more memory than one built pair by pair
+    ids = list(range(n))
+    edges = frozenset(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
+    return AttributedGraph(n, edges, features, None)

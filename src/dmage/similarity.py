@@ -8,6 +8,19 @@ normalized distance 0.  The bandwidth is calibrated by binary search so that
 ``q_p`` — larger targets pull more neighbors into the high-similarity range.
 The normalized distances then pass through a Student-t kernel and the
 resulting conditional similarities are symmetrized into a joint form.
+
+All rows are calibrated at once, each on its ``_NEAREST`` (128) nearest
+distances rather than on all n - 1, as UMAP's and Barnes-Hut t-SNE's
+bandwidth searches do.  The kernel falls with distance, so the left-out
+distances, none nearer than the row's 128th nearest, add at most that many
+times its squared kernel to the exponent: the truncated sum and this tail
+bound bracket the objective.  Widened by a rounding margin of
+``1e-9 * q_p``, far above the ~1e-14 by which another summation order moves
+the objective and far below the tolerance, the bracket decides each
+comparison of the search (within ``tol``, below or above the target)
+unless it straddles -tol, 0 or +tol; only then is that row summed in full,
+exactly as the one-row search sums it.  Every decision therefore goes the
+way the row-at-a-time search goes, and sigma is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +53,12 @@ SIGMA_LO = 1e-4
 MAX_DOUBLINGS = 64
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 100
+# rows are searched on this many nearest distances, the rest bounded
+_NEAREST = 128
+# rounding margin on the objective, relative to q_p
+_MARGIN = 1e-9
+# matrix elements per row block when partitioning or gathering full rows
+_BLOCK = 1 << 20
 
 
 class CalibrationWarning(UserWarning):
@@ -132,10 +151,189 @@ def normalize_row(d_row, rho_i: float, sigma_i: float) -> np.ndarray:
     return (np.asarray(d_row, dtype=np.float64) - rho_i) / sigma_i
 
 
-def _compactness(d_row, rho_i, nu, sigma):
-    k = t_kernel((d_row - rho_i) / sigma, nu)
+def _kernel_mass(rows, rho, nu, sigma):
+    """``sum_j kernel((d_j - rho)/sigma)^2`` along the last axis, one value per row.
+
+    Row by row this is bit-identical to the sum over a 1-D array of the same
+    row, as long as ``rows`` is C-contiguous.
+    """
+    k = t_kernel((rows - rho[:, None]) / sigma[:, None], nu)
+    return np.sum(k * k, axis=-1)
+
+
+def _exp2(x):
     with np.errstate(over="ignore"):
-        return float(np.exp2(np.sum(k * k)))
+        return np.exp2(x)
+
+
+def _off_diagonal(d, idx):
+    """Rows ``idx`` of a square matrix without their diagonal entries, in index order."""
+    n = d.shape[0]
+    return d[idx][np.arange(n) != idx[:, None]].reshape(idx.size, n - 1)
+
+
+def _block_rows(n):
+    return max(1, _BLOCK // n)
+
+
+class _Rows:
+    """The calibration input: each row's nearest distances, bounds on the rest.
+
+    ``near[i]`` holds the ``_NEAREST`` smallest off-diagonal distances of row
+    i of the square matrix ``d``, in any order, and the other ``count`` are
+    at least ``d_k[i]``.  With ``count == 0``, ``near[i]`` is the whole
+    off-diagonal row in index order and ``d`` is not needed.
+    """
+
+    def __init__(self, near, rho, count=0, d_k=None, d=None):
+        self.near, self.rho, self.count, self.d_k, self.d = near, rho, count, d_k, d
+
+    @classmethod
+    def of_matrix(cls, d):
+        n = d.shape[0]
+        if n - 1 <= _NEAREST:
+            near = _off_diagonal(d, np.arange(n))
+            return cls(near, near.min(axis=1))
+        near = np.empty((n, _NEAREST))
+        rho, d_k = np.empty(n), np.empty(n)
+        step = _block_rows(n)
+        for a in range(0, n, step):
+            block = d[a : a + step].copy()
+            b = slice(a, a + block.shape[0])
+            block[np.arange(block.shape[0]), np.arange(b.start, b.stop)] = np.inf
+            # the minimum over the whole row, so that a NaN anywhere in it
+            # gives rho = NaN, as the one-row search does
+            rho[b] = block.min(axis=1)
+            block.partition(_NEAREST - 1, axis=1)
+            near[b] = block[:, :_NEAREST]
+            d_k[b] = block[:, _NEAREST - 1]
+        return cls(near, rho, n - 1 - _NEAREST, d_k, d)
+
+    def full_mass(self, idx, sigma, nu):
+        """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
+        mass = np.empty(idx.size)
+        step = _block_rows(self.d.shape[0])
+        for a in range(0, idx.size, step):
+            b = slice(a, a + step)
+            rows = _off_diagonal(self.d, idx[b])
+            mass[b] = _kernel_mass(rows, self.rho[idx[b]], nu, sigma[b])
+        return mass
+
+    def objective(self, idx, sigma, q_p, nu, tol):
+        """Stand-ins for ``compactness - q_p`` of rows ``idx`` at ``sigma``.
+
+        Each value takes the same side of -tol, 0 and +tol as the objective
+        computed on the full row in index order, so every decision of the
+        search goes the same way.
+        """
+        rho = self.rho[idx]
+        mass = _kernel_mass(self.near[idx], rho, nu, sigma)
+        if self.count == 0:
+            return _exp2(mass) - q_p
+        # the kernel falls with distance, so each left-out distance adds at
+        # most kernel(d_k)^2 to the exponent
+        k = t_kernel((self.d_k[idx] - rho) / sigma, nu)
+        margin = _MARGIN * q_p
+        low = _exp2(mass) - q_p - margin
+        high = _exp2(mass + self.count * (k * k)) - q_p + margin
+        open_ = np.isnan(low) | np.isnan(high)
+        for t in (-tol, 0.0, tol):
+            open_ |= (low <= t) & (t <= high)
+        if open_.any():
+            low[open_] = _exp2(self.full_mass(idx[open_], sigma[open_], nu)) - q_p
+        return low
+
+
+# per-row outcome of the search
+_FOUND, _BELOW, _ABOVE, _STALLED = range(4)
+
+
+def _search(rows: _Rows, q_p, nu, tol, max_iter):
+    """The bandwidth search of :func:`calibrate_sigma`, on every row at once.
+
+    Each row takes the scalar steps: check ``SIGMA_LO``, double from 1 until
+    the objective is non-negative, then bisect.  Returns the bandwidths and
+    a per-row outcome (``_FOUND`` .. ``_STALLED``).
+    """
+    if not q_p > 1:
+        raise ValueError(f"q_p must be > 1, got {q_p}")
+    r = rows.rho.size
+    sigma = np.full(r, SIGMA_LO)
+    lo = np.full(r, SIGMA_LO)
+    hi = np.ones(r)
+    phase = np.zeros(r, dtype=np.int8)  # 0: SIGMA_LO, 1: doubling, 2: bisection
+    steps = np.zeros(r, dtype=np.int64)
+    outcome = np.full(r, _FOUND, dtype=np.int8)
+    live = np.arange(r)
+    while live.size:
+        p = phase[live]
+        x = np.where(p == 0, SIGMA_LO, np.where(p == 1, hi[live], 0.5 * (lo[live] + hi[live])))
+        f = rows.objective(live, x, q_p, nu, tol)
+        hit, neg = np.abs(f) <= tol, f < 0
+        done = np.zeros(live.size, dtype=bool)
+
+        # at SIGMA_LO: a hit, an overshoot (no root below), or start doubling
+        at0 = p == 0
+        below = at0 & ~hit & (f > 0)
+        done |= at0 & (hit | below)
+        outcome[live[below]] = _BELOW
+        start = at0 & ~done
+        phase[live[start]] = 1
+
+        # doubling: bisect once the objective is non-negative (or NaN after
+        # the last doubling), stop at the last doubling, otherwise double
+        at1, up = p == 1, f >= 0
+        last = steps[live] == MAX_DOUBLINGS
+        stop = at1 & ~up & last & neg
+        bisect = at1 & (up | last & ~neg)
+        double = at1 & ~up & ~last
+        sigma[live[stop]] = x[stop]
+        outcome[live[stop & ~hit]] = _ABOVE
+        done |= stop
+        grow = live[double]
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        steps[grow] += 1
+        entering = live[bisect]
+        phase[entering] = 2
+        steps[entering] = 0
+        if max_iter <= 0:
+            sigma[entering] = hi[entering]
+            outcome[entering] = _STALLED
+            done |= bisect
+
+        # bisection: a hit, or move the bracket end on the objective's side
+        at2 = p == 2
+        idx = live[at2]
+        steps[idx] += 1
+        sigma[idx] = x[at2]
+        found = at2 & hit
+        done |= found
+        move = at2 & ~hit
+        lo[live[move & neg]] = x[move & neg]
+        hi[live[move & ~neg]] = x[move & ~neg]
+        stalled = move & (steps[live] >= max_iter)
+        outcome[live[stalled]] = _STALLED
+        done |= stalled
+
+        live = live[~done]
+    return sigma, outcome
+
+
+def _warn_outcomes(sigma, outcome, q_p, tol, max_iter):
+    """One :class:`CalibrationWarning` summing up every row that missed the target."""
+    counts = np.bincount(outcome, minlength=4)
+    if counts[_FOUND] == sigma.size:
+        return
+    warnings.warn(
+        f"compactness target {q_p} missed on {sigma.size - counts[_FOUND]} of "
+        f"{sigma.size} rows: {counts[_BELOW]} unreachable from below "
+        f"(sigma={SIGMA_LO}), {counts[_ABOVE]} unreachable from above, "
+        f"{counts[_STALLED]} not within tol={tol} after {max_iter} bisections; "
+        f"sigma min {sigma.min():.6g}, median {np.median(sigma):.6g}, max {sigma.max():.6g}",
+        CalibrationWarning,
+        stacklevel=3,
+    )
 
 
 def calibrate_sigma(
@@ -160,55 +358,10 @@ def calibrate_sigma(
     d_row = np.asarray(d_row, dtype=np.float64)
     if d_row.size < 2:
         raise ValueError("distance row needs at least 2 entries")
-    if not q_p > 1:
-        raise ValueError(f"q_p must be > 1, got {q_p}")
-
-    def objective(sigma):
-        return _compactness(d_row, rho_i, nu, sigma) - q_p
-
-    f_lo = objective(SIGMA_LO)
-    if abs(f_lo) <= tol:
-        return SIGMA_LO
-    if f_lo > 0:
-        # even the sharpest kernel overshoots the target (e.g. all neighbors
-        # sit exactly at rho): no root below, return the lower boundary
-        warnings.warn(
-            f"compactness target {q_p} unreachable from below; returning sigma={SIGMA_LO}",
-            CalibrationWarning,
-        )
-        return SIGMA_LO
-
-    lo, hi = SIGMA_LO, 1.0
-    f_hi = objective(hi)
-    for _ in range(MAX_DOUBLINGS):
-        if f_hi >= 0:
-            break
-        lo, hi = hi, hi * 2.0
-        f_hi = objective(hi)
-    if f_hi < 0:
-        if abs(f_hi) <= tol:
-            return hi
-        warnings.warn(
-            f"compactness target {q_p} unreachable from above; returning sigma={hi}",
-            CalibrationWarning,
-        )
-        return hi
-
-    mid = hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if abs(f_mid) <= tol:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    warnings.warn(
-        f"bisection did not reach tol={tol} within {max_iter} iterations",
-        CalibrationWarning,
-    )
-    return mid
+    rows = _Rows(d_row.reshape(1, -1), np.array([rho_i], dtype=np.float64))
+    sigma, outcome = _search(rows, q_p, nu, tol, max_iter)
+    _warn_outcomes(sigma, outcome, q_p, tol, max_iter)
+    return float(sigma[0])
 
 
 def calibrate_all(
@@ -221,20 +374,30 @@ def calibrate_all(
     """Row-wise rho and calibrated sigma for a full distance matrix.
 
     The diagonal is excluded both from ``rho`` (min over j != i) and from
-    the calibration sum.
+    the calibration sum.  Every row runs the search of
+    :func:`calibrate_sigma` at once, and the result is the same bit for bit.
+    A row longer than ``_NEAREST`` is searched on its ``_NEAREST`` nearest
+    distances, whose kernel mass ``S`` is the exponent's lower end.  The
+    kernel falls with distance, so the ``c`` left-out distances, each at
+    least the ``_NEAREST``-th nearest ``d_k``, add at most
+    ``B = c * kernel((d_k - rho) / sigma)^2``: the objective lies in
+    ``[2^S - q_p - m, 2^(S+B) - q_p + m]``, where the rounding margin
+    ``m = 1e-9 * q_p`` is far above the ~1e-14 by which another summation
+    order moves it and far below ``tol``.  When that interval holds none of
+    -tol, 0 and +tol, it settles every comparison the search makes; only
+    otherwise is the row summed over its full off-diagonal row, in index
+    order, exactly as the one-row search sums it.  The matrix is read in row
+    blocks, so no second n x n array is allocated.  At most one warning is
+    issued, counting the rows that missed the target.
     """
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     n = d_matrix.shape[0]
     if n < 3:
         raise ValueError("calibration needs at least 3 nodes")
-    rho = np.empty(n)
-    sigma = np.empty(n)
-    idx = np.arange(n)
-    for i in range(n):
-        row = d_matrix[i, idx != i]
-        rho[i] = row.min()
-        sigma[i] = calibrate_sigma(row, rho[i], nu, q_p, tol, max_iter)
-    return CalibrationParams(rho, sigma, q_p, tol, max_iter)
+    rows = _Rows.of_matrix(d_matrix)
+    sigma, outcome = _search(rows, q_p, nu, tol, max_iter)
+    _warn_outcomes(sigma, outcome, q_p, tol, max_iter)
+    return CalibrationParams(rows.rho, sigma, q_p, tol, max_iter)
 
 
 def conditional_similarity(

@@ -266,11 +266,13 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
         return SimilarityMatrix(s, "joint")
 
     if cfg.knn_k > 0:
-        knn_g = knn_graph(g.features, cfg.knn_k, cfg.metric)
+        # the key does not depend on the kNN graph, so it is built on a miss only
         complete_key = content_hash(base, "knn", cfg.knn_k, cfg.metric, cfg.lambda_)
         p_complete = sim_from(
             complete_key,
-            lambda: geodesic_distances(knn_g, cfg.metric, cfg.lambda_).matrix,
+            lambda: geodesic_distances(
+                knn_graph(g.features, cfg.knn_k, cfg.metric), cfg.metric, cfg.lambda_
+            ).matrix,
             "complete",
         )
     else:

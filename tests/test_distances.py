@@ -116,6 +116,15 @@ class TestGeodesicDistances:
         assert got.matrix[0, 2] == 12.0  # 3 * 4
         assert got.connected_max == 4.0
 
+    def test_zero_weight_edge_stays_an_edge(self):
+        # nodes 0 and 1 share features: their edge weighs 0 but still joins them
+        feats = np.array([[0.0], [0.0], [5.0], [9.0]])
+        g = AttributedGraph(4, normalize_edges([(0, 1), (2, 3)]), feats, None)
+        got = geodesic_distances(g, "euclidean", lambda_=3.0)
+        assert got.matrix[0, 1] == 0.0
+        assert got.matrix[2, 3] == 4.0
+        assert got.matrix[0, 2] == 12.0
+
     def test_lambda_must_exceed_one(self):
         g = random_graph(np.random.default_rng(0), n=5)
         with pytest.raises(ValueError):

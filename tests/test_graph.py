@@ -192,6 +192,23 @@ class TestKnnGraph:
                 pair = (i, j) if i < j else (j, i)
                 assert pair in g.edges
 
+    def test_matches_stable_argsort_reference_on_ties(self):
+        # binary features give cosine distances with many exact ties; the
+        # reference takes each row's first k columns in a stable sort
+        from dmage.distances import pairwise_distance
+
+        rng = np.random.default_rng(3)
+        for trial in range(30):
+            n = int(rng.integers(2, 120))
+            k = int(rng.integers(1, n))
+            x = (rng.random((n, int(rng.integers(1, 10)))) < 0.3).astype(float)
+            metric = ("cosine", "euclidean", "manhattan")[trial % 3]
+            d = pairwise_distance(x, metric)
+            np.fill_diagonal(d, np.inf)
+            order = np.argsort(d, axis=1, kind="stable")[:, :k]
+            expect = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in order[i]}
+            assert knn_graph(x, k, metric).edges == expect, f"trial {trial}"
+
     def test_rejects_bad_k(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError):
@@ -247,6 +264,21 @@ class TestLoadGraph:
         result = train(g, TrainConfig(epochs=2))
         assert result.embeddings.shape[0] == 4
         assert np.isfinite(result.embeddings).all()
+
+    def test_isolated_node_inside_id_range_loads_and_trains(self, tmp_path):
+        # node 2 has no edges; the ids {0, 1, 3} are row indices, not remapped
+        e, f, _ = self.write(tmp_path, "0 1\n1 3\n", "1 0\n0 1\n1 1\n0 2\n")
+        g = load_graph(e, f)
+        assert g.n == 4
+        assert g.edges == frozenset({(0, 1), (1, 3)})
+        result = train(g, TrainConfig(epochs=2))
+        assert result.embeddings.shape[0] == 4
+        assert np.isfinite(result.embeddings).all()
+
+    def test_row_count_matching_neither_ids_nor_range_names_both(self, tmp_path):
+        e, f, _ = self.write(tmp_path, "10 30\n20 30\n", "1\n2\n")
+        with pytest.raises(GraphFormatError, match="2 feature rows.*3 distinct node ids.*30"):
+            load_graph(e, f)
 
     def test_feature_row_count_mismatch(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0\t1\n1\t2\n", "1\n2\n")

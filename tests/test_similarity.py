@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from dmage.similarity import (
     symmetrize,
     t_kernel,
 )
-from dmage.similarity import t_kernel_grad
+from dmage.distances import geodesic_distances, pairwise_distance
+from dmage.similarity import MAX_DOUBLINGS, t_kernel_grad
 
 from conftest import random_graph
 
@@ -52,6 +55,96 @@ def grid_achievable(d_row, rho, nu, q_p, points=2000):
     sigmas = np.logspace(-4, 4, points)
     vals = np.array([compactness_ref(d_row, rho, nu, s) for s in sigmas])
     return vals.min() <= q_p <= vals.max()
+
+
+# ------------------------------------------------------------------ oracle
+# The row-at-a-time search as it stood before the calibration ran all rows
+# at once on their nearest distances, frozen as the reference: calibrate_all
+# must give the same rho and sigma bit for bit.
+
+
+def oracle_compactness(d_row, rho_i, nu, sigma):
+    k = t_kernel((d_row - rho_i) / sigma, nu)
+    with np.errstate(over="ignore"):
+        return float(np.exp2(np.sum(k * k)))
+
+
+def oracle_calibrate_sigma(d_row, rho_i, nu, q_p, tol=1e-5, max_iter=100):
+    def objective(sigma):
+        return oracle_compactness(d_row, rho_i, nu, sigma) - q_p
+
+    f_lo = objective(SIGMA_LO)
+    if abs(f_lo) <= tol or f_lo > 0:
+        return SIGMA_LO
+    lo, hi = SIGMA_LO, 1.0
+    f_hi = objective(hi)
+    for _ in range(MAX_DOUBLINGS):
+        if f_hi >= 0:
+            break
+        lo, hi = hi, hi * 2.0
+        f_hi = objective(hi)
+    if f_hi < 0:
+        return hi
+    mid = hi
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = objective(mid)
+        if abs(f_mid) <= tol:
+            return mid
+        if f_mid < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def oracle_calibrate_all(d, nu, q_p, tol=1e-5, max_iter=100):
+    n = d.shape[0]
+    rho, sigma = np.empty(n), np.empty(n)
+    idx = np.arange(n)
+    for i in range(n):
+        row = d[i, idx != i]
+        rho[i] = row.min()
+        sigma[i] = oracle_calibrate_sigma(row, rho[i], nu, q_p, tol, max_iter)
+    return rho, sigma
+
+
+def symmetric(m):
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def oracle_case(case):
+    """Distance matrix, nu and q_p of one case; every n is above 129, so rows are truncated."""
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(130, 200))
+    nu, q_p = 100.0, 16.0
+    kind = case % 6
+    if kind == 0:  # rounded uniform distances: many ties
+        d = symmetric(np.round(rng.uniform(0.1, 3.0, (n, n)), 1))
+    elif kind == 1:  # a band of rows with every distance equal
+        d = rng.uniform(0.1, 3.0, (n, n))
+        d[: n // 3] = 2.0
+        d = symmetric(d)
+    elif kind == 2:  # nodes in isolated pairs cannot reach the target
+        d = rng.uniform(0.1, 3.0, (n, n))
+        m = 2 * (n // 6)
+        d[:m] = d[:, :m] = np.inf
+        pair = np.arange(m) ^ 1
+        d[np.arange(m), pair] = rng.uniform(0.1, 3.0, m)
+        d = symmetric(d)
+        q_p = 4.0
+    elif kind == 3:  # geodesics of a sparse graph with many components
+        g = random_graph(rng, n=n, density=float(rng.uniform(0.5, 2.0)) / n)
+        d = geodesic_distances(g, "euclidean", 10.0).matrix
+    elif kind == 4:  # cosine distances of sparse binary features
+        d = pairwise_distance((rng.random((n, 12)) < 0.15).astype(float), "cosine")
+        nu = 1.0
+    else:  # scaled distances and a large target
+        d = symmetric(np.abs(rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-3, 3))
+        q_p = float(10.0 ** rng.uniform(1, 3))
+    return d, nu, q_p
 
 
 class TestTKernel:
@@ -154,6 +247,19 @@ class TestCalibrateSigma:
             sigma = calibrate_sigma(row, 1.0, 100.0, 8.0)
         assert sigma > 1e15  # doubled far past any useful bandwidth
 
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            row = rng.uniform(0.1, 3.0, int(rng.integers(2, 60))) * 10.0 ** rng.uniform(-2, 2)
+            if rng.random() < 0.3:
+                row = np.round(row, 1)
+            rho, q_p = float(row.min()), float(10.0 ** rng.uniform(0.05, 3.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CalibrationWarning)
+                got = calibrate_sigma(row, rho, 100.0, q_p)
+            assert got == oracle_calibrate_sigma(row, rho, 100.0, q_p)
+            assert isinstance(got, float)
+
     def test_rejects_tiny_row(self):
         with pytest.raises(ValueError):
             calibrate_sigma(np.array([1.0]), 1.0, 100.0, 4.0)
@@ -179,9 +285,58 @@ class TestCalibrateAll:
         calib = calibrate_all(d, nu=100.0, q_p=4.0)
         assert (calib.sigma > 0).all()
 
+    @pytest.mark.parametrize("case", range(30))
+    def test_matches_row_by_row_oracle_bit_for_bit(self, case):
+        d, nu, q_p = oracle_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            calib = calibrate_all(d, nu, q_p)
+        rho, sigma = oracle_calibrate_all(d, nu, q_p)
+        assert calib.rho.tobytes() == rho.tobytes()
+        assert calib.sigma.tobytes() == sigma.tobytes()
+
+    def test_oracle_cases_reach_every_outcome(self):
+        # the cases above must hit the boundary and search paths they claim
+        seen = set()
+        for case in range(6):
+            d, nu, q_p = oracle_case(case)
+            rho, sigma = oracle_calibrate_all(d, nu, q_p)
+            seen |= {"low"} if (sigma == SIGMA_LO).any() else set()
+            seen |= {"high"} if (sigma == 2.0**MAX_DOUBLINGS).any() else set()
+            seen |= {"found"} if ((sigma > SIGMA_LO) & (sigma < 1e6)).any() else set()
+        assert seen == {"low", "high", "found"}
+
+    def test_short_searches_match_oracle(self):
+        # few or no bisection steps, a loose and a tight tolerance
+        d, nu, q_p = oracle_case(0)
+        for tol, max_iter in ((1e-5, 0), (1e-5, 7), (1e-3, 100), (1e-9, 100)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CalibrationWarning)
+                calib = calibrate_all(d, nu, q_p, tol, max_iter)
+            _, sigma = oracle_calibrate_all(d, nu, q_p, tol, max_iter)
+            assert calib.sigma.tobytes() == sigma.tobytes()
+
+    def test_one_warning_sums_up_the_misses(self):
+        d = np.full((140, 140), 2.0)
+        d[:40] = np.arange(140.0)
+        d = symmetric(d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calib = calibrate_all(d, 100.0, 16.0)
+        messages = [str(w.message) for w in caught if issubclass(w.category, CalibrationWarning)]
+        assert len(messages) == 1
+        low = int((calib.sigma == SIGMA_LO).sum())
+        assert low > 0
+        assert f"{low} unreachable from below" in messages[0]
+        assert "sigma min" in messages[0] and "median" in messages[0]
+
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
             calibrate_all(np.zeros((2, 2)), 100.0, 4.0)
+
+    def test_rejects_target_at_or_below_one(self):
+        with pytest.raises(ValueError):
+            calibrate_all(np.ones((3, 3)), 100.0, 1.0)
 
 
 class TestConditionalSimilarity:

@@ -138,6 +138,19 @@ class TestPrecompute:
         assert len(files) == n_before + 2  # one new .dmgs per matrix
         assert sum(p.suffix == ".dmgd" for p in files) == 2
 
+    def test_warm_cache_builds_no_knn_graph(self, tmp_path, monkeypatch):
+        g = small_graph()
+        cfg = TrainConfig(knn_k=3)
+        first = precompute(g, cfg, cache_dir=str(tmp_path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("knn_graph called on a cache hit")
+
+        monkeypatch.setattr("dmage.training.knn_graph", refuse)
+        second = precompute(g, cfg, cache_dir=str(tmp_path))
+        for a, b in zip(first, second):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
     def test_hard_similarity_uses_adjacency(self):
         g = small_graph()
         _, pp = precompute(g, TrainConfig(hard_similarity=True))
