@@ -46,14 +46,15 @@ class ContainerFormatError(ValueError):
     """File does not conform to the expected binary layout."""
 
 
-def atomic_write_bytes(path, data: bytes):
-    """Write bytes so the destination is either absent or complete."""
+def atomic_write_bytes(path, *chunks):
+    """Write byte chunks (any C-contiguous buffers) so the destination is either absent or complete."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,29 +73,34 @@ def save_matrix(path, matrix: np.ndarray, magic: bytes = MAGIC_DISTANCE):
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    payload = magic + struct.pack("<Q", n) + matrix.tobytes(order="C")
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, magic + struct.pack("<Q", matrix.shape[0]), matrix)
 
 
 def load_matrix(path, expect_magic: bytes | None = None):
-    """Load a matrix container; returns ``(matrix, magic)``."""
+    """Load a matrix container; returns ``(matrix, magic)``.
+
+    The header is checked before the payload is read, straight into the
+    returned array.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 12:
-        raise ContainerFormatError(f"{path}: truncated header")
-    magic, data = data[:4], data[4:]
-    if magic not in (MAGIC_DISTANCE, MAGIC_SIMILARITY):
-        raise ContainerFormatError(f"{path}: unknown magic {magic!r}")
-    if expect_magic is not None and magic != expect_magic:
-        raise ContainerFormatError(f"{path}: expected magic {expect_magic!r}, found {magic!r}")
-    (n,) = struct.unpack("<Q", data[:8])
-    body = data[8:]
-    if len(body) != n * n * 8:
-        raise ContainerFormatError(
-            f"{path}: expected {n * n * 8} payload bytes for n={n}, found {len(body)}"
-        )
-    matrix = np.frombuffer(body, dtype="<f8").reshape(n, n).copy()
+        head = f.read(12)
+        if len(head) < 12:
+            raise ContainerFormatError(f"{path}: truncated header")
+        magic = head[:4]
+        if magic not in (MAGIC_DISTANCE, MAGIC_SIMILARITY):
+            raise ContainerFormatError(f"{path}: unknown magic {magic!r}")
+        if expect_magic is not None and magic != expect_magic:
+            raise ContainerFormatError(f"{path}: expected magic {expect_magic!r}, found {magic!r}")
+        (n,) = struct.unpack("<Q", head[4:])
+        size = os.fstat(f.fileno()).st_size - 12
+        if size != n * n * 8:
+            raise ContainerFormatError(
+                f"{path}: expected {n * n * 8} payload bytes for n={n}, found {size}"
+            )
+        matrix = np.empty((n, n), dtype="<f8")
+        read = f.readinto(memoryview(matrix.reshape(-1)).cast("B")) if n else 0
+    if read != size:
+        raise ContainerFormatError(f"{path}: expected {size} payload bytes, read {read}")
     return matrix, magic
 
 
@@ -115,7 +121,7 @@ def save_checkpoint(path, params: NetworkParams):
         )
         parts.append(np.ascontiguousarray(W, dtype=np.float64).tobytes(order="C"))
         parts.append(np.ascontiguousarray(B, dtype=np.float64).tobytes(order="C"))
-    atomic_write_bytes(path, b"".join(parts))
+    atomic_write_bytes(path, *parts)
 
 
 def load_checkpoint(path) -> NetworkParams:

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+# matrix elements per row block of the Euclidean distance pass: a block's
+# buffers stay in cache
+_BLOCK = 1 << 16
+
+
 class DegenerateGraphWarning(UserWarning):
     """A distance computation hit a degenerate input (e.g. edgeless graph)."""
 
@@ -56,18 +61,14 @@ def pairwise_distance(features, metric) -> np.ndarray:
     exactly symmetric with a zero diagonal and no negative entries.
     """
     metric = DistanceMetric(metric)
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-
+    x = _feature_rows(features)
     if metric is DistanceMetric.EUCLIDEAN:
-        sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.clip(d2, 0.0, None, out=d2)
-        dist = np.sqrt(d2)
-    elif metric is DistanceMetric.MANHATTAN:
+        sq, gram = _gram(x)
+        dist = np.empty(gram.shape)
+        for rows in _row_blocks(len(sq), len(sq), _BLOCK):
+            dist[rows] = _euclidean_rows(sq, gram, rows)
+        return dist
+    if metric is DistanceMetric.MANHATTAN:
         from scipy.spatial.distance import cdist
 
         dist = cdist(x, x, metric="cityblock")
@@ -85,6 +86,56 @@ def pairwise_distance(features, metric) -> np.ndarray:
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def _row_blocks(count, width, elements):
+    """Slices over ``count`` rows of ``width`` elements, about ``elements`` elements each."""
+    step = max(1, elements // max(width, 1))
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+def _feature_rows(features):
+    """``features`` as a float64 array, checked to be 2-D and finite."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    return x
+
+
+def _gram(x):
+    """Squared row norms and Gram matrix of finite 2-D rows ``x``."""
+    return np.sum(x * x, axis=1), x @ x.T
+
+
+def _euclidean_rows(sq, gram, rows):
+    """Rows ``rows`` (a slice) of the Euclidean distance matrix from :func:`_gram`.
+
+    Entry (i, j) is the mean of the distances computed from ``gram[i, j]``
+    and ``gram[j, i]``, so the matrix is exactly symmetric even where BLAS
+    rounds the Gram matrix asymmetrically; the diagonal is zero.  Each entry
+    depends only on its own pair, so a row block equals the same rows of the
+    whole matrix bit for bit.
+    """
+
+    def from_gram(g):
+        d2 = sq[rows, None] + sq[None, :]
+        d2 -= 2.0 * g
+        np.clip(d2, 0.0, None, out=d2)
+        return np.sqrt(d2, out=d2)
+
+    dist = from_gram(gram[rows])
+    dist += from_gram(gram.T[rows])
+    dist /= 2.0
+    dist[_diagonal(rows)] = 0.0
+    return dist
+
+
+def _diagonal(rows):
+    """Index of the square matrix's diagonal inside its block of rows ``rows`` (a slice)."""
+    i = np.arange(rows.stop - rows.start)
+    return i, i + rows.start
 
 
 def _edge_weight_graph(g: AttributedGraph, metric, hop_count: bool) -> csr_matrix:

@@ -73,42 +73,43 @@ class LinkPredReport:
     seed: int
 
 
-def _sq_dists_to(Z, centers):
-    # (n, k) squared Euclidean distances
+def _sq_dists_to(Z, z2, centers):
+    # (n, k) squared Euclidean distances; z2 holds the squared norms of Z's rows
     cross = Z @ centers.T
-    return np.maximum(
-        (Z * Z).sum(axis=1)[:, None] - 2.0 * cross + (centers * centers).sum(axis=1), 0.0
-    )
+    return np.maximum(z2[:, None] - 2.0 * cross + (centers * centers).sum(axis=1), 0.0)
 
 
-def _plus_plus_init(Z, k, rng):
+def _plus_plus_init(Z, z2, k, rng):
     n = Z.shape[0]
     centers = np.empty((k, Z.shape[1]))
     centers[0] = Z[rng.integers(n)]
-    closest = _sq_dists_to(Z, centers[:1]).ravel()
+    closest = _sq_dists_to(Z, z2, centers[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
             centers[c] = Z[rng.integers(n)]
         else:
             centers[c] = Z[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, _sq_dists_to(Z, centers[c : c + 1]).ravel())
+        closest = np.minimum(closest, _sq_dists_to(Z, z2, centers[c : c + 1]).ravel())
     return centers
 
 
-def _lloyd(Z, k, rng):
-    centers = _plus_plus_init(Z, k, rng)
+def _lloyd(Z, z2, k, rng):
+    centers = _plus_plus_init(Z, z2, k, rng)
     assign = np.full(Z.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists_to(Z, centers)
+        d2 = _sq_dists_to(Z, z2, centers)
         new_assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(Z.shape[0]), new_assign]
+        # taken before the first re-seed changes new_assign, and only if one is needed
+        point_d2 = None
         for c in range(k):
             members = new_assign == c
             if members.any():
                 centers[c] = Z[members].mean(axis=0)
             else:
                 # re-seed an empty cluster at the point farthest from its center
+                if point_d2 is None:
+                    point_d2 = d2[np.arange(Z.shape[0]), new_assign]
                 far = point_d2.argmax()
                 centers[c] = Z[far]
                 new_assign[far] = c
@@ -116,7 +117,7 @@ def _lloyd(Z, k, rng):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    inertia = float(_sq_dists_to(Z, centers)[np.arange(Z.shape[0]), assign].sum())
+    inertia = float(_sq_dists_to(Z, z2, centers)[np.arange(Z.shape[0]), assign].sum())
     return assign, inertia
 
 
@@ -125,9 +126,10 @@ def kmeans(Z, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if not 1 <= k <= Z.shape[0]:
         raise ValueError(f"k must be in [1, {Z.shape[0]}], got {k}")
+    z2 = (Z * Z).sum(axis=1)
     best_assign, best_inertia = None, np.inf
     for r in range(restarts):
-        assign, inertia = _lloyd(Z, k, np.random.default_rng([seed, r]))
+        assign, inertia = _lloyd(Z, z2, k, np.random.default_rng([seed, r]))
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
     return best_assign

@@ -6,6 +6,18 @@ embedding, each restricted to a minibatch.  Divergences average over ordered
 off-diagonal pairs so the balance parameter alpha is batch-size independent.
 ``fused_loss`` also returns the exact analytic gradient with respect to the
 batch rows of the embedding.
+
+Every divergence, and ``fused_loss`` with its gradient, runs as one loop over
+row blocks of about 64k pairs (``_BLOCK``).  The loss takes some forty
+elementwise passes; on a block they read buffers that stay in cache, where
+on whole (m, m) arrays each pass streams from memory.  Each element goes
+through the same floating-point operations in the same order as the
+whole-array expressions, and the three reductions whose result depends on
+how they are split stay on full arrays: the two divergence sums (numpy's
+pairwise summation over each (m, m) term array) and ``coef @ Z`` (BLAS
+blocking).  Row sums are taken per block, because numpy sums each row on its
+own.  Values and gradients are therefore bit-identical to the unblocked
+computation.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distances import pairwise_distance
+from .distances import _diagonal, _euclidean_rows, _feature_rows, _gram, _row_blocks
 from .similarity import SimilarityMatrix, t_kernel
 
 __all__ = [
@@ -29,6 +41,8 @@ __all__ = [
 ]
 
 LOGI_EPS = 1e-7
+# pairs per row block of the batch: a block's buffers stay in cache
+_BLOCK = 1 << 16
 
 
 class BregmanKind(str, Enum):
@@ -54,15 +68,17 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
-
-
 def _divergence(P, Q, kind: BregmanKind, eps: float = LOGI_EPS) -> float:
     p, q = _as_matrix(P), _as_matrix(Q)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return _value_and_dq(p, q, kind, _offdiag_mask(p.shape[0]), eps)[0]
+    kind = BregmanKind(kind)
+    n = p.shape[0]
+    terms = _term_arrays(1, kind, n)
+    for rows in _row_blocks(n, n, _BLOCK):
+        Qb = q[rows]
+        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind, eps), kind, n * n - n, rows, terms[0, :, rows])
+    return _value(terms[0], n * n - n)
 
 
 def bregman_sed(P, Q) -> float:
@@ -79,44 +95,96 @@ def bregman_logistic(P, Q, eps: float = LOGI_EPS) -> float:
     return _divergence(P, Q, BregmanKind.LOGI, eps)
 
 
-def _latent_kernel(Z, nu_latent: float):
-    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of latent rows.
+def _latent_rows(sq, gram, rows: slice, nu_latent: float):
+    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of latent rows ``rows``.
 
     In latent space the normalization is fixed (shift 0, bandwidth 1), so the
     conditional matrix ``k`` is already symmetric and the joint form reduces
     to ``Q = 2k - 2k^2`` per pair.  ``k`` and ``Q`` have zero diagonals.
     """
-    d = pairwise_distance(Z, "euclidean")
+    d = _euclidean_rows(sq, gram, rows)
     k = t_kernel(d, nu_latent)
-    np.fill_diagonal(k, 0.0)
-    return d, k, 2.0 * k - 2.0 * k * k
+    k[_diagonal(rows)] = 0.0
+    two_k = 2.0 * k
+    return d, k, np.subtract(two_k, two_k * k, out=two_k)
 
 
 def latent_similarity(Z, nu_latent: float) -> SimilarityMatrix:
     """Joint similarity of latent rows: Euclidean distance through the kernel."""
-    return SimilarityMatrix(_latent_kernel(np.asarray(Z, dtype=np.float64), nu_latent)[2], "joint")
+    Z = _feature_rows(Z)
+    sq, gram = _gram(Z)
+    Q = np.empty(gram.shape)
+    for rows in _row_blocks(Z.shape[0], Z.shape[0], _BLOCK):
+        Q[rows] = _latent_rows(sq, gram, rows, nu_latent)[2]
+    return SimilarityMatrix(Q, "joint")
 
 
-def _value_and_dq(P, Q, kind: BregmanKind, mask, eps: float = LOGI_EPS):
-    """One divergence over off-diagonal entries plus its dLoss/dQ matrix."""
-    M = mask.sum()
+def _term_arrays(count: int, kind: BregmanKind, m: int):
+    """Per-pair term arrays: ``count`` inputs, one (m, m) array per part of ``kind``."""
+    return np.empty((count, 2 if kind == BregmanKind.SED_PLUS_LOGI else 1, m, m))
+
+
+def _value(terms, M: int) -> float:
+    """A divergence value from its full term arrays, one mean per part, added up."""
+    value = float(np.sum(terms[0]) / M)
+    for t in terms[1:]:
+        value += float(np.sum(t) / M)
+    return value
+
+
+def _q_side(Q, kind: BregmanKind, eps: float):
+    """What the logistic divergence needs of a Q block, shared by every P.
+
+    The clamped ``q`` and ``1 - q``, and where the clamp is not flat.
+    """
     if kind == BregmanKind.SED:
-        diff = np.where(mask, Q - P, 0.0)
-        return float(np.sum(diff * diff) / M), 2.0 * diff / M
+        return None
+    q_tilde = np.clip(Q, eps, 1.0 - eps)
+    return q_tilde, 1.0 - q_tilde, (Q > eps) & (Q < 1.0 - eps)
+
+
+def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms):
+    """One divergence on the row block ``rows``: terms into ``terms``, returns dLoss/dQ.
+
+    ``P`` and ``Q`` hold the block's rows and ``terms`` one block of rows per
+    part of ``kind``.  Divergences average over the ``M`` off-diagonal
+    pairs, so diagonal terms and gradients are zero.
+    """
+    diag = _diagonal(rows)
+    if kind == BregmanKind.SED:
+        diff = np.subtract(Q, P)
+        diff[diag] = 0.0
+        np.multiply(diff, diff, out=terms[0])
+        diff *= 2.0
+        diff /= M
+        return diff
     if kind == BregmanKind.LOGI:
-        q_tilde = np.clip(Q, eps, 1.0 - eps)
+        q_tilde, one_minus_q, inside = q_side
+        # -p/q~ == -(p/q~) and s - r == -r + s bit for bit, so the ratios
+        # serve both the terms and the gradient
         with np.errstate(divide="ignore", invalid="ignore"):
-            term_a = np.where(P > 0, P * np.log(P / q_tilde), 0.0)
-            term_b = np.where(P < 1, (1.0 - P) * np.log((1.0 - P) / (1.0 - q_tilde)), 0.0)
-        value = float(np.sum(np.where(mask, term_a + term_b, 0.0)) / M)
+            ratio = P / q_tilde
+            one_minus_p = 1.0 - P
+            ratio_c = one_minus_p / one_minus_q
+            term_a = np.log(ratio)
+            term_a *= P
+            term_b = np.log(ratio_c)
+            term_b *= one_minus_p
+        # the convention 0 log 0 = 0 at p = 0 and at p = 1
+        term_a[~(P > 0)] = 0.0
+        term_b[~(P < 1)] = 0.0
+        np.add(term_a, term_b, out=terms[0])
+        terms[0][diag] = 0.0
+        grad = np.subtract(ratio_c, ratio, out=ratio_c)
+        grad /= M
         # the clamp is flat outside (eps, 1-eps), so the derivative is zero there
-        inside = mask & (Q > eps) & (Q < 1.0 - eps)
-        grad = np.where(inside, (-P / q_tilde + (1.0 - P) / (1.0 - q_tilde)) / M, 0.0)
-        return value, grad
+        grad[~inside] = 0.0
+        grad[diag] = 0.0
+        return grad
     if kind == BregmanKind.SED_PLUS_LOGI:
-        v1, g1 = _value_and_dq(P, Q, BregmanKind.SED, mask, eps)
-        v2, g2 = _value_and_dq(P, Q, BregmanKind.LOGI, mask, eps)
-        return v1 + v2, g1 + g2
+        grad = _terms_and_dq(P, Q, q_side, BregmanKind.SED, M, rows, terms[:1])
+        grad += _terms_and_dq(P, Q, q_side, BregmanKind.LOGI, M, rows, terms[1:])
+        return grad
     raise ValueError(f"unknown Bregman kind {kind!r}")
 
 
@@ -149,26 +217,42 @@ def fused_loss(
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size < 2:
         raise ValueError("batch needs at least 2 nodes to form a pair")
-    Pc = Pc_full[np.ix_(batch, batch)]
-    Pp = Pp_full[np.ix_(batch, batch)]
-    Zb = Z[batch]
+    Zb = _feature_rows(Z[batch])
     m = batch.size
+    M = m * m - m
 
-    d, k, Q = _latent_kernel(Zb, nu_latent)
+    sq, gram = _gram(Zb)
+    terms = _term_arrays(2, kind, m)
+    coef = np.empty((m, m))
+    coef_sums = np.empty(m)
+    for rows in _row_blocks(m, m, _BLOCK):
+        d, k, Q = _latent_rows(sq, gram, rows, nu_latent)
+        q_side = _q_side(Q, kind, eps)
+        # the same rows as P[np.ix_(batch[rows], batch)], gathered faster
+        Pc, Pp = Pc_full[batch[rows]][:, batch], Pp_full[batch[rows]][:, batch]
+        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, :, rows])
+        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, :, rows])
+        # In place, in the operand order of the whole-array expressions:
+        # g_q = g_feat + alpha * g_struct
+        g_struct *= alpha
+        g_q += g_struct
+        # chain: dL/dQ -> dQ/dk = 2 - 4k -> dk/dd = -k (nu + 1) d / (nu + d^2)
+        work = 4.0 * k
+        g_q *= np.subtract(2.0, work, out=work)
+        dk_dd = np.negative(k, out=k)
+        dk_dd *= nu_latent + 1.0
+        dk_dd *= d
+        dk_dd /= np.add(d * d, nu_latent, out=work)
+        g_q *= dk_dd
+        # dd_ij/dz_i = (z_i - z_j)/d_ij; zero subgradient at coincident rows.
+        # Each unordered pair appears twice in the ordered sums, hence the 2.
+        g_q *= 2.0
+        block = coef[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(g_q, d, out=block)
+        block[~(d > 0)] = 0.0
+        coef_sums[rows] = block.sum(axis=1)
 
-    mask = _offdiag_mask(m)
-    feat, g_feat = _value_and_dq(Pc, Q, kind, mask, eps)
-    struct, g_struct = _value_and_dq(Pp, Q, kind, mask, eps)
-    terms = LossTerms(feat, struct, alpha, feat + alpha * struct)
-
-    # chain: dL/dQ -> dQ/dk = 2 - 4k -> dk/dd -> dd/dZ
-    g_q = g_feat + alpha * g_struct
-    g_k = g_q * (2.0 - 4.0 * k)
-    dk_dd = -k * (nu_latent + 1.0) * d / (nu_latent + d * d)
-    g_d = g_k * dk_dd
-    # dd_ij/dz_i = (z_i - z_j)/d_ij; zero subgradient at coincident rows.
-    # Each unordered pair appears twice in the ordered sums, hence the 2.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(d > 0, 2.0 * g_d / d, 0.0)
-    grad = coef.sum(axis=1)[:, None] * Zb - coef @ Zb
-    return terms, grad
+    feat, struct = _value(terms[0], M), _value(terms[1], M)
+    grad = coef_sums[:, None] * Zb - coef @ Zb
+    return LossTerms(feat, struct, alpha, feat + alpha * struct), grad

@@ -284,5 +284,6 @@ def backward(tape: GradientTape, dLoss_dZ):
             g_pre = g * _activate_grad(tape.preacts[l], spec.activation)
         dW[l] = Z_in.T @ g_pre
         dB[l] = g_pre.sum(axis=0)
-        g = g_pre @ params.weights[l].T
+        if l > 0:  # nothing uses the gradient of the input features
+            g = g_pre @ params.weights[l].T
     return dW, dB

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import GeodesicDistanceMatrix, geodesic_distances
+from .distances import GeodesicDistanceMatrix, _row_blocks, geodesic_distances
 from .graph import AttributedGraph
 
 __all__ = [
@@ -59,6 +59,8 @@ _NEAREST = 128
 _MARGIN = 1e-9
 # matrix elements per row block when partitioning or gathering full rows
 _BLOCK = 1 << 20
+# matrix elements per row block of the kernel and symmetrization passes
+_KERNEL_BLOCK = 1 << 16
 
 
 class CalibrationWarning(UserWarning):
@@ -122,18 +124,25 @@ def _kernel_log_const(nu: float) -> float:
     )
 
 
-def t_kernel(d, nu: float):
+def t_kernel(d, nu: float, out=None):
     """Student-t similarity kernel, strictly decreasing in |d|.
 
     Evaluates ``C(nu) * (1 + d^2/nu) ** (-(nu+1)/2)`` elementwise, where the
     constant is computed through log-gamma so very large ``nu`` stays finite.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; an array result is written into ``out`` when
+    given (a float64 array of ``d``'s shape, which may be ``d`` itself).
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
     d = np.asarray(d, dtype=np.float64)
-    log_k = _kernel_log_const(nu) - 0.5 * (nu + 1.0) * np.log1p(d * d / nu)
-    out = np.exp(log_k)
+    if out is None:
+        out = np.empty(d.shape)
+    np.multiply(d, d, out=out)
+    out /= nu
+    np.log1p(out, out=out)
+    out *= 0.5 * (nu + 1.0)
+    np.subtract(_kernel_log_const(nu), out, out=out)
+    np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,10 +181,6 @@ def _off_diagonal(d, idx):
     return d[idx][np.arange(n) != idx[:, None]].reshape(idx.size, n - 1)
 
 
-def _block_rows(n):
-    return max(1, _BLOCK // n)
-
-
 class _Rows:
     """The calibration input: each row's nearest distances, bounds on the rest.
 
@@ -196,10 +201,8 @@ class _Rows:
             return cls(near, near.min(axis=1))
         near = np.empty((n, _NEAREST))
         rho, d_k = np.empty(n), np.empty(n)
-        step = _block_rows(n)
-        for a in range(0, n, step):
-            block = d[a : a + step].copy()
-            b = slice(a, a + block.shape[0])
+        for b in _row_blocks(n, n, _BLOCK):
+            block = d[b].copy()
             block[np.arange(block.shape[0]), np.arange(b.start, b.stop)] = np.inf
             # the minimum over the whole row, so that a NaN anywhere in it
             # gives rho = NaN, as the one-row search does
@@ -212,9 +215,7 @@ class _Rows:
     def full_mass(self, idx, sigma, nu):
         """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
         mass = np.empty(idx.size)
-        step = _block_rows(self.d.shape[0])
-        for a in range(0, idx.size, step):
-            b = slice(a, a + step)
+        for b in _row_blocks(idx.size, self.d.shape[0], _BLOCK):
             rows = _off_diagonal(self.d, idx[b])
             mass[b] = _kernel_mass(rows, self.rho[idx[b]], nu, sigma[b])
         return mass
@@ -409,8 +410,12 @@ def conditional_similarity(
     diagonal is zeroed by convention.
     """
     d = distances.matrix if isinstance(distances, GeodesicDistanceMatrix) else np.asarray(distances)
-    norm = (d - calib.rho[:, None]) / calib.sigma[:, None]
-    p = t_kernel(norm, kernel.nu)
+    p = np.empty(d.shape)
+    for rows in _row_blocks(d.shape[0], d.shape[0], _KERNEL_BLOCK):
+        block = p[rows]
+        np.subtract(d[rows], calib.rho[rows, None], out=block)
+        block /= calib.sigma[rows, None]
+        t_kernel(block, kernel.nu, out=block)
     np.fill_diagonal(p, 0.0)
     return SimilarityMatrix(p, "conditional")
 
@@ -423,13 +428,16 @@ def symmetrize(p: SimilarityMatrix, variant: str = "paper") -> SimilarityMatrix:
     """
     if p.kind != "conditional":
         raise ValueError("symmetrize expects a conditional similarity matrix")
-    m = p.matrix
-    if variant == "paper":
-        joint = m + m.T - 2.0 * m * m.T
-    elif variant == "fuzzy":
-        joint = m + m.T - m * m.T
-    else:
+    if variant not in ("paper", "fuzzy"):
         raise ValueError(f"unknown symmetrize variant {variant!r}")
+    m = p.matrix
+    joint = np.empty(m.shape, np.result_type(m, 2.0))
+    for rows in _row_blocks(m.shape[0], m.shape[0], _KERNEL_BLOCK):
+        # the transposed rows, copied once so the passes below read them in order
+        a, b = m[rows], np.ascontiguousarray(m[:, rows].T)
+        block = np.add(a, b, out=joint[rows])
+        b *= 2.0 * a if variant == "paper" else a
+        block -= b
     np.fill_diagonal(joint, 0.0)
     return SimilarityMatrix(joint, "joint")
 

@@ -251,18 +251,16 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     base = content_hash(g.n, g.edge_array(), g.features)
 
     def sim_from(dist_key, dist_fn, tag):
-        d = _cached_matrix(cache, f"{tag}-{dist_key[:32]}.dmgd", MAGIC_DISTANCE, dist_fn)
-        sim_key = content_hash(
-            dist_key, cfg.nu_input, cfg.q_p, cfg.symmetrize_variant
-        )
-        s = _cached_matrix(
-            cache,
-            f"{tag}-{sim_key[:32]}.dmgs",
-            MAGIC_SIMILARITY,
-            lambda: similarity_from_distances(
+        # the similarity key depends on the distances only through their key,
+        # so the distances are loaded or computed on a similarity miss only
+        def similarity():
+            d = _cached_matrix(cache, f"{tag}-{dist_key[:32]}.dmgd", MAGIC_DISTANCE, dist_fn)
+            return similarity_from_distances(
                 d, cfg.nu_input, cfg.q_p, symmetrize_variant=cfg.symmetrize_variant
-            ).matrix,
-        )
+            ).matrix
+
+        sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, cfg.symmetrize_variant)
+        s = _cached_matrix(cache, f"{tag}-{sim_key[:32]}.dmgs", MAGIC_SIMILARITY, similarity)
         return SimilarityMatrix(s, "joint")
 
     if cfg.knn_k > 0:

@@ -49,6 +49,18 @@ class TestMatrixContainer:
         assert back.tobytes() == m.tobytes()
         assert back.dtype == np.float64
 
+    def test_round_trip_of_non_contiguous_input(self, tmp_path):
+        base = np.random.default_rng(1).standard_normal((6, 12))
+        m = base[:, ::2]  # a strided view
+        assert not m.flags.c_contiguous
+        path = str(tmp_path / "m.dmgs")
+        save_matrix(path, m, MAGIC_SIMILARITY)
+        with open(path, "rb") as f:
+            assert f.read() == MAGIC_SIMILARITY + struct.pack("<Q", 6) + m.tobytes(order="C")
+        back, _ = load_matrix(path, expect_magic=MAGIC_SIMILARITY)
+        assert back.tobytes() == m.tobytes(order="C")
+        assert back.flags.c_contiguous and back.flags.writeable
+
     def test_similarity_magic(self, tmp_path):
         path = str(tmp_path / "m.dmgs")
         save_matrix(path, np.eye(3), MAGIC_SIMILARITY)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmage import distances
 from dmage.distances import (
     DegenerateGraphWarning,
     complete_graph_distances,
@@ -73,6 +74,23 @@ class TestPairwiseDistance:
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
         assert (d >= 0).all()
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("n", [2, 23, 300])
+    def test_euclidean_row_blocks_match_whole_array(self, n, block, monkeypatch):
+        # default blocks: 300 rows go 218 + 82; blocks of 64: 23 rows go 2 at a time
+        if block is not None:
+            monkeypatch.setattr(distances, "_BLOCK", block)
+        x = np.random.default_rng(n).standard_normal((n, 7))
+        x[1] = x[0]
+        # frozen copy of the whole-array computation the row blocks replaced
+        sq = np.sum(x * x, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.clip(d2, 0.0, None, out=d2)
+        want = np.sqrt(d2)
+        want = (want + want.T) / 2.0
+        np.fill_diagonal(want, 0.0)
+        assert pairwise_distance(x, "euclidean").tobytes() == want.tobytes()
 
     def test_cosine_zero_norm_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dmage.evaluation import (
+    KMEANS_MAX_ITER,
     ClusteringReport,
     LinkPredReport,
     auc_ap,
@@ -150,6 +151,79 @@ class TestKmeans:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError):
             kmeans(np.zeros((6, 2)), k)
+
+
+# Frozen copy of k-means before the squared norms were hoisted out of the
+# distance helper and the re-seed distances were taken lazily.  It also
+# counts re-seeds, so the tests can tell the path was taken.
+
+
+def _oracle_sq_dists_to(Z, centers):
+    cross = Z @ centers.T
+    return np.maximum(
+        (Z * Z).sum(axis=1)[:, None] - 2.0 * cross + (centers * centers).sum(axis=1), 0.0
+    )
+
+
+def _oracle_lloyd(Z, k, rng, reseeds):
+    n = Z.shape[0]
+    centers = np.empty((k, Z.shape[1]))
+    centers[0] = Z[rng.integers(n)]
+    closest = _oracle_sq_dists_to(Z, centers[:1]).ravel()
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[c] = Z[rng.integers(n)]
+        else:
+            centers[c] = Z[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, _oracle_sq_dists_to(Z, centers[c : c + 1]).ravel())
+    assign = np.full(n, -1)
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = _oracle_sq_dists_to(Z, centers)
+        new_assign = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), new_assign]
+        for c in range(k):
+            members = new_assign == c
+            if members.any():
+                centers[c] = Z[members].mean(axis=0)
+            else:
+                reseeds.append(c)
+                far = point_d2.argmax()
+                centers[c] = Z[far]
+                new_assign[far] = c
+                point_d2[far] = 0.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    inertia = float(_oracle_sq_dists_to(Z, centers)[np.arange(n), assign].sum())
+    return assign, inertia
+
+
+def _oracle_kmeans(Z, k, seed, restarts=10):
+    best_assign, best_inertia, reseeds = None, np.inf, []
+    for r in range(restarts):
+        assign, inertia = _oracle_lloyd(Z, k, np.random.default_rng([seed, r]), reseeds)
+        if inertia < best_inertia:
+            best_assign, best_inertia = assign, inertia
+    return best_assign, len(reseeds)
+
+
+class TestKmeansMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_assignments(self, seed):
+        Z, _ = blobs(np.random.default_rng(seed), k=5, per=40, sep=1.5, dim=6)
+        want, _ = _oracle_kmeans(Z, 5, seed)
+        assert np.array_equal(kmeans(Z, 5, seed=seed), want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_assignments_through_reseeds(self, seed):
+        # four distinct points for six clusters: k-means++ repeats centers,
+        # so clusters come out empty and are re-seeded, some in one iteration
+        rng = np.random.default_rng(seed)
+        Z = np.repeat(rng.standard_normal((4, 3)), rng.integers(1, 9, 4), axis=0)
+        want, reseeds = _oracle_kmeans(Z, 6, seed)
+        assert reseeds > 0
+        assert np.array_equal(kmeans(Z, 6, seed=seed), want)
 
 
 class TestClusteringMetrics:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmage import losses
 from dmage.losses import (
     LOGI_EPS,
     BregmanKind,
@@ -240,3 +241,163 @@ class TestFusedLoss:
             terms, grad = fused_loss(self.Pc, self.Pp, Z, 1.0, 0.5, kind)
             assert np.isfinite(terms.total)
             assert np.isfinite(grad).all()
+
+
+# Frozen copy of the whole-array loss that the row-block loop replaced: the
+# blocked code must give the same bits for values and gradients.
+
+
+def _oracle_latent_kernel(Z, nu):
+    sq = np.sum(Z * Z, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
+    np.clip(d2, 0.0, None, out=d2)
+    d = np.sqrt(d2)
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    log_c = (
+        0.5 * math.log(2.0 * math.pi)
+        + math.lgamma((nu + 1.0) / 2.0)
+        - 0.5 * math.log(nu * math.pi)
+        - math.lgamma(nu / 2.0)
+    )
+    k = np.exp(log_c - 0.5 * (nu + 1.0) * np.log1p(d * d / nu))
+    np.fill_diagonal(k, 0.0)
+    return d, k, 2.0 * k - 2.0 * k * k
+
+
+def _oracle_value_and_dq(P, Q, kind, mask, eps=LOGI_EPS):
+    M = mask.sum()
+    if kind == BregmanKind.SED:
+        diff = np.where(mask, Q - P, 0.0)
+        return float(np.sum(diff * diff) / M), 2.0 * diff / M
+    if kind == BregmanKind.LOGI:
+        q_tilde = np.clip(Q, eps, 1.0 - eps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term_a = np.where(P > 0, P * np.log(P / q_tilde), 0.0)
+            term_b = np.where(P < 1, (1.0 - P) * np.log((1.0 - P) / (1.0 - q_tilde)), 0.0)
+        value = float(np.sum(np.where(mask, term_a + term_b, 0.0)) / M)
+        inside = mask & (Q > eps) & (Q < 1.0 - eps)
+        grad = np.where(inside, (-P / q_tilde + (1.0 - P) / (1.0 - q_tilde)) / M, 0.0)
+        return value, grad
+    v1, g1 = _oracle_value_and_dq(P, Q, BregmanKind.SED, mask, eps)
+    v2, g2 = _oracle_value_and_dq(P, Q, BregmanKind.LOGI, mask, eps)
+    return v1 + v2, g1 + g2
+
+
+def _oracle_fused_loss(Pc_full, Pp_full, Z, nu, alpha, kind, batch, eps=LOGI_EPS):
+    Pc = Pc_full[np.ix_(batch, batch)]
+    Pp = Pp_full[np.ix_(batch, batch)]
+    Zb = Z[batch]
+    d, k, Q = _oracle_latent_kernel(Zb, nu)
+    mask = ~np.eye(batch.size, dtype=bool)
+    feat, g_feat = _oracle_value_and_dq(Pc, Q, kind, mask, eps)
+    struct, g_struct = _oracle_value_and_dq(Pp, Q, kind, mask, eps)
+    g_q = g_feat + alpha * g_struct
+    g_k = g_q * (2.0 - 4.0 * k)
+    dk_dd = -k * (nu + 1.0) * d / (nu + d * d)
+    g_d = g_k * dk_dd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(d > 0, 2.0 * g_d / d, 0.0)
+    grad = coef.sum(axis=1)[:, None] * Zb - coef @ Zb
+    return (feat, struct, feat + alpha * struct), grad
+
+
+def _edge_case_inputs(rng, n, m):
+    """Similarities with exact 0s and 1s, and an embedding whose batch has
+    coincident rows and rows far enough apart that Q falls below the clamp."""
+    Pc, Pp = rand_similarity(rng, n), rand_similarity(rng, n)
+    for P in (Pc, Pp):
+        P[rng.random((n, n)) < 0.15] = 0.0
+        P[rng.random((n, n)) < 0.05] = 1.0
+    Z = rng.standard_normal((n, 3))
+    batch = rng.permutation(n)[:m]
+    if m >= 3:
+        # integer entries keep the Gram arithmetic exact, so d is exactly 0
+        Z[batch[0]] = Z[batch[1]] = (1.0, 2.0, -1.0)
+        Z[batch[2]] *= 1e5
+    return Pc, Pp, Z, batch
+
+
+def _assert_fused_matches_oracle(Pc, Pp, Z, batch, kind, alpha, nu=1.0):
+    want_terms, want_grad = _oracle_fused_loss(Pc, Pp, Z, nu, alpha, kind, batch)
+    terms, grad = fused_loss(Pc, Pp, Z, nu, alpha, kind, batch)
+    assert (terms.feature_term, terms.structure_term, terms.total) == want_terms
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestRowBlocksMatchWholeArrays:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    @pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 600])
+    def test_fused_loss_bit_for_bit(self, m, kind, alpha):
+        # one block holds 256 rows of 256; 257 rows take blocks of 255 and 2,
+        # 600 rows blocks of 109 (five) and 55
+        Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(m), m + 5, m)
+        _assert_fused_matches_oracle(Pc, Pp, Z, batch, kind, alpha)
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 20])
+    def test_small_blocks_bit_for_bit(self, m, kind, monkeypatch):
+        # blocks of 64 pairs: 8 rows fill one block, 9 rows take 7 + 2, 20 rows 3 at a time
+        monkeypatch.setattr(losses, "_BLOCK", 64)
+        Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(100 + m), m + 3, m)
+        for alpha in (0.0, 0.5, 1.0):
+            # nu + 1 = 3.5 is no power of two, so products in another order round differently
+            _assert_fused_matches_oracle(Pc, Pp, Z, batch, kind, alpha, nu=2.5)
+
+    def test_edge_cases_are_reached(self):
+        Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(257), 262, 257)
+        d, _, Q = _oracle_latent_kernel(Z[batch], 1.0)
+        off = ~np.eye(batch.size, dtype=bool)
+        P = Pc[np.ix_(batch, batch)][off]
+        assert (P == 0).any() and (P == 1).any()
+        assert (Q[off] < LOGI_EPS).any()
+        assert d[0, 1] == 0.0  # coincident rows
+
+    def test_whole_node_set_when_batch_is_none(self):
+        rng = np.random.default_rng(9)
+        Pc, Pp = rand_similarity(rng, 300), rand_similarity(rng, 300)
+        Z = rng.standard_normal((300, 4))
+        terms, grad = fused_loss(Pc, Pp, Z, 1.0, 0.5, BregmanKind.LOGI)
+        want_terms, want_grad = _oracle_fused_loss(
+            Pc, Pp, Z, 1.0, 0.5, BregmanKind.LOGI, np.arange(300)
+        )
+        assert (terms.feature_term, terms.structure_term, terms.total) == want_terms
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    @pytest.mark.parametrize("n", [2, 9, 300])
+    def test_divergences_bit_for_bit(self, n, kind, monkeypatch):
+        if n == 9:
+            monkeypatch.setattr(losses, "_BLOCK", 64)
+        rng = np.random.default_rng(n)
+        P, Q = rand_similarity(rng, n), rand_similarity(rng, n)
+        P[rng.random((n, n)) < 0.2] = 0.0
+        P[rng.random((n, n)) < 0.1] = 1.0
+        Q[rng.random((n, n)) < 0.1] = 0.0
+        Q[rng.random((n, n)) < 0.1] = 1.0
+        np.fill_diagonal(P, 0.3)  # the diagonal must not count
+        np.fill_diagonal(Q, 0.6)
+        want = _oracle_value_and_dq(P, Q, kind, ~np.eye(n, dtype=bool))[0]
+        assert losses._divergence(P, Q, kind) == want
+        if kind == BregmanKind.SED:
+            assert bregman_sed(P, Q) == want
+        if kind == BregmanKind.LOGI:
+            assert bregman_logistic(P, Q) == want
+
+    @pytest.mark.parametrize("n", [2, 9, 300])
+    def test_latent_similarity_bit_for_bit(self, n, monkeypatch):
+        if n == 9:
+            monkeypatch.setattr(losses, "_BLOCK", 64)
+        Z = np.random.default_rng(n).standard_normal((n, 5))
+        Z[1] = Z[0]
+        want = _oracle_latent_kernel(Z, 1.0)[2]
+        assert latent_similarity(Z, 1.0).matrix.tobytes() == want.tobytes()
+
+    def test_non_finite_embedding_rejected(self):
+        rng = np.random.default_rng(10)
+        P = rand_similarity(rng, 4)
+        Z = rng.standard_normal((4, 2))
+        Z[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fused_loss(P, P, Z, 1.0, 0.5, BregmanKind.LOGI)

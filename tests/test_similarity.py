@@ -20,6 +20,7 @@ from dmage.similarity import (
     symmetrize,
     t_kernel,
 )
+from dmage import similarity
 from dmage.distances import geodesic_distances, pairwise_distance
 from dmage.similarity import MAX_DOUBLINGS, t_kernel_grad
 
@@ -407,6 +408,64 @@ class TestSymmetrize:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_paper_variant_stays_in_unit_interval(self, a, b):
         assert 0.0 <= self.joint_of(a, b) <= 1.0
+
+
+# Frozen copy of the whole-array kernel and symmetrization that the row
+# blocks replaced: the blocked code must give the same bits.
+
+
+def _oracle_t_kernel(d, nu):
+    log_k = similarity._kernel_log_const(nu) - 0.5 * (nu + 1.0) * np.log1p(d * d / nu)
+    return np.exp(log_k)
+
+
+def _oracle_conditional(d, nu, rho, sigma):
+    p = _oracle_t_kernel((d - rho[:, None]) / sigma[:, None], nu)
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
+def _oracle_symmetrize(m, variant):
+    joint = m + m.T - 2.0 * m * m.T if variant == "paper" else m + m.T - m * m.T
+    np.fill_diagonal(joint, 0.0)
+    return joint
+
+
+class TestRowBlocksMatchWholeArrays:
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("n", [3, 23, 300])
+    def test_conditional_and_symmetrize_bit_for_bit(self, n, block, monkeypatch):
+        # default blocks: 300 rows go 218 + 82; blocks of 64: 23 rows go 2 at a time
+        if block is not None:
+            monkeypatch.setattr(similarity, "_KERNEL_BLOCK", block)
+        rng = np.random.default_rng(n)
+        d = np.abs(rng.standard_normal((n, n))) * 3.0
+        d = (d + d.T) / 2
+        d[rng.random((n, n)) < 0.1] = 1e6  # the kernel underflows to 0 there
+        np.fill_diagonal(d, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)  # n=3 misses the target
+            calib = calibrate_all(d, 100.0, 4.0)
+        cond = conditional_similarity(d, KernelParams(100.0), calib)
+        want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
+        assert cond.matrix.tobytes() == want.tobytes()
+        assert n < 23 or (want == 0).sum() > n  # off-diagonal zeros are covered
+        for variant in ("paper", "fuzzy"):
+            got = symmetrize(cond, variant).matrix
+            assert got.tobytes() == _oracle_symmetrize(want, variant).tobytes()
+
+    def test_t_kernel_in_place_matches_whole_array(self):
+        d = np.abs(np.random.default_rng(1).standard_normal((5, 7))) * 4.0
+        want = _oracle_t_kernel(d, 2.5)
+        assert t_kernel(d, 2.5).tobytes() == want.tobytes()
+        out = d.copy()
+        assert t_kernel(out, 2.5, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_t_kernel_scalar_input_gives_float(self):
+        got = t_kernel(1.5, 3.0)
+        assert type(got) is float
+        assert got == float(_oracle_t_kernel(np.float64(1.5), 3.0))
 
 
 class TestEndToEnd:

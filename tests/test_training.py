@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmage.container import load_checkpoint, save_checkpoint
+from dmage.container import load_checkpoint, load_matrix, save_checkpoint
 from dmage.graph import adjacency
 from dmage.network import default_stack, forward, init_network, aggregation_matrix
 from dmage.training import (
@@ -137,6 +137,23 @@ class TestPrecompute:
         files = list(tmp_path.iterdir())
         assert len(files) == n_before + 2  # one new .dmgs per matrix
         assert sum(p.suffix == ".dmgd" for p in files) == 2
+
+    def test_warm_cache_reads_no_distance_file(self, tmp_path, monkeypatch):
+        g = small_graph()
+        cfg = TrainConfig()
+        first = precompute(g, cfg, cache_dir=str(tmp_path))
+        loaded = []
+
+        def only_similarities(path, expect_magic=None):
+            assert not str(path).endswith(".dmgd"), f"distance file read on a warm cache: {path}"
+            loaded.append(path)
+            return load_matrix(path, expect_magic)
+
+        monkeypatch.setattr("dmage.training.load_matrix", only_similarities)
+        second = precompute(g, cfg, cache_dir=str(tmp_path))
+        assert len(loaded) == 2
+        for a, b in zip(first, second):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
 
     def test_warm_cache_builds_no_knn_graph(self, tmp_path, monkeypatch):
         g = small_graph()
