@@ -138,6 +138,35 @@ def _diagonal(rows):
     return i, i + rows.start
 
 
+def _edge_weights(features, edges, metric) -> np.ndarray:
+    """The metric distance between the endpoint rows of each edge.
+
+    Computed from the two rows alone, in blocks of edges, with the
+    conventions of :func:`pairwise_distance`; the values agree with its
+    entries up to rounding.  A zero-norm row stays a zero row when the rows
+    are normalized for cosine, so its edges weigh ``1 - 0 = 1``.
+    """
+    metric = DistanceMetric(metric)
+    x = _feature_rows(features)
+    if metric is DistanceMetric.COSINE:
+        norms = np.linalg.norm(x, axis=1)
+        x = x / np.where(norms == 0.0, 1.0, norms)[:, None]
+    w = np.empty(len(edges))
+    for block in _row_blocks(len(edges), x.shape[1], _BLOCK):
+        a, b = x[edges[block, 0]], x[edges[block, 1]]
+        if metric is DistanceMetric.EUCLIDEAN:
+            a -= b
+            w[block] = np.sqrt(np.einsum("ij,ij->i", a, a))
+        elif metric is DistanceMetric.MANHATTAN:
+            a -= b
+            w[block] = np.abs(a, out=a).sum(axis=1)
+        else:
+            w[block] = 1.0 - np.einsum("ij,ij->i", a, b)
+    if metric is DistanceMetric.COSINE:
+        np.clip(w, 0.0, 2.0, out=w)
+    return w
+
+
 def _edge_weight_graph(g: AttributedGraph, metric, hop_count: bool) -> csr_matrix:
     """CSR graph whose stored entries are the metric weights of g's edges.
 
@@ -150,8 +179,7 @@ def _edge_weight_graph(g: AttributedGraph, metric, hop_count: bool) -> csr_matri
     if hop_count:
         w = np.ones(len(edges), dtype=np.float64)
     else:
-        dist = pairwise_distance(g.features, metric)
-        w = dist[edges[:, 0], edges[:, 1]]
+        w = _edge_weights(g.features, edges, metric)
     row = np.concatenate([edges[:, 0], edges[:, 1]])
     col = np.concatenate([edges[:, 1], edges[:, 0]])
     return csr_matrix((np.concatenate([w, w]), (row, col)), shape=(g.n, g.n))
@@ -175,15 +203,17 @@ def geodesic_distances(
     # the weight graph stores both directions of every edge
     dist = dijkstra(graph, directed=True)
 
-    off_diag = ~np.eye(g.n, dtype=bool)
-    finite = np.isfinite(dist) & off_diag
-    connected_max = float(dist[finite].max()) if finite.any() else 0.0
-    if g.n > 1 and not finite.any():
+    # the diagonal is 0 and no distance is negative, so the maximum over the
+    # finite entries is the maximum over the connected pairs, or 0 without any
+    finite = np.isfinite(dist)
+    connected_max = float(np.max(dist, where=finite, initial=0.0))
+    if g.n > 1 and np.count_nonzero(finite) == g.n:
         warnings.warn(
             "graph has no connected pairs; all geodesic distances are 0",
             DegenerateGraphWarning,
         )
-    dist[~np.isfinite(dist)] = lambda_ * connected_max
+    unconnected = np.logical_not(finite, out=finite)
+    np.copyto(dist, lambda_ * connected_max, where=unconnected)
     np.fill_diagonal(dist, 0.0)
     return GeodesicDistanceMatrix(dist, float(lambda_), connected_max)
 

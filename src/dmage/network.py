@@ -11,6 +11,21 @@ The FCA layer consumes only the normalized aggregation operator that
 :func:`aggregation_matrix` builds from an adjacency; ``forward`` and
 ``fca_forward`` never see a raw adjacency, so each epoch's operator is built
 exactly once by the caller.
+
+Layer 0 reads the node features.  On citation graphs these are bag-of-words
+rows that are almost all zero (Cora: 1.3% nonzero), so when at most
+``_SPARSE_DENSITY`` of the entries are nonzero ``forward`` multiplies a CSR
+copy of them (``X_csr @ W0``) and ``backward`` takes ``dW0 = X_csr.T @ g``
+from the same copy.  The sparse products cost in proportion to the nonzeros
+and the dense ones do not: at Cora's shape (2708 x 1433 times 1433 x 500)
+on 2 cores the dense product takes 45-55 ms at any density, the CSR one
+18 ms at 1.25%, 40 ms at 1/32 and 52 ms at 4%, so features above the
+threshold (Gaussian attributes, TF-IDF at about 10%) stay dense.  The sparse sums run in another order than BLAS, so layer 0 of
+the sparse path agrees with the dense one to rounding; dense inputs give
+the same bytes as before.  The copy is kept on the :class:`GradientTape`
+together with the feature array it came from, and a later ``forward`` with
+the same array object and tape reuses it, so a training run builds it once;
+callers must not write into the features between such calls.
 """
 
 from __future__ import annotations
@@ -35,6 +50,10 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.01
+_LEAKY_DERIVATIVE = np.array([LEAKY_SLOPE, 1.0])
+_LEAKY_DERIVATIVE.flags.writeable = False
+# largest share of nonzero feature entries for which layer 0 runs on a CSR copy
+_SPARSE_DENSITY = 1 / 32
 
 
 class StaleTapeError(RuntimeError):
@@ -101,7 +120,12 @@ class NetworkParams:
 
 @dataclass
 class GradientTape:
-    """Forward intermediates needed for the reverse pass."""
+    """Forward intermediates needed for the reverse pass.
+
+    ``features`` holds the layer-0 input rows built from ``source``, the
+    feature array last passed to :func:`forward`; a forward with the same
+    array object reuses them.
+    """
 
     params: NetworkParams | None = None
     version: int = -1
@@ -109,6 +133,8 @@ class GradientTape:
     preacts: list = field(default_factory=list)
     aggregations: list = field(default_factory=list)
     output: np.ndarray | None = None
+    source: object = None
+    features: object = None
 
 
 def default_stack(
@@ -166,15 +192,43 @@ def _activate(pre, activation):
         return pre
     if activation == "relu":
         return np.maximum(pre, 0.0)
-    return np.where(pre > 0, pre, LEAKY_SLOPE * pre)
+    # the same values and signs as where(pre > 0, pre, LEAKY_SLOPE * pre)
+    out = pre * LEAKY_SLOPE
+    return np.maximum(pre, out, out=out)
 
 
-def _activate_grad(pre, activation):
+def _activation_backward(g, pre, activation):
+    """Upstream gradient ``g`` times the activation's derivative at ``pre``."""
     if activation == "linear":
-        return np.ones_like(pre)
+        return g
     if activation == "relu":
-        return (pre > 0).astype(np.float64)
-    return np.where(pre > 0, 1.0, LEAKY_SLOPE)
+        return g * (pre > 0)
+    # the derivative, 1 where pre > 0 and LEAKY_SLOPE elsewhere, is gathered
+    # from a two-entry table: unlike a masked select, the gather does not
+    # branch on each element
+    out = _LEAKY_DERIVATIVE[(pre > 0).view(np.uint8)]
+    return np.multiply(out, g, out=out)
+
+
+def _affine(Z, W, B):
+    pre = Z @ W
+    pre += B
+    return pre
+
+
+def _input_rows(X, tape):
+    """Layer 0's input: the features as float64, or a CSR copy when sparse enough.
+
+    Rows already built on ``tape`` from the same array object are reused.
+    """
+    if tape is not None and tape.source is X:
+        return tape.features
+    Z = np.asarray(X, dtype=np.float64)
+    if np.count_nonzero(Z) <= _SPARSE_DENSITY * Z.size:
+        Z = sp.csr_array(Z)
+    if tape is not None:
+        tape.source, tape.features = X, Z
+    return Z
 
 
 def aggregation_matrix(
@@ -206,7 +260,7 @@ def fc_forward(Z, W, B, activation: str = "linear"):
     Z = np.asarray(Z, dtype=np.float64)
     if Z.shape[1] != W.shape[0]:
         raise ValueError(f"shape mismatch: input {Z.shape} vs weight {W.shape}")
-    return _activate(Z @ W + B, activation)
+    return _activate(_affine(Z, W, B), activation)
 
 
 def fca_forward(Z, N, W, B):
@@ -217,7 +271,7 @@ def fca_forward(Z, N, W, B):
     Z = np.asarray(Z, dtype=np.float64)
     if N.shape[0] != Z.shape[0]:
         raise ValueError(f"operator is {N.shape} but input has {Z.shape[0]} rows")
-    return N @ (Z @ W + B)
+    return N @ _affine(Z, W, B)
 
 
 def forward(X, N, params: NetworkParams, tape: GradientTape | None = None):
@@ -227,7 +281,7 @@ def forward(X, N, params: NetworkParams, tape: GradientTape | None = None):
     :func:`aggregation_matrix`, not a raw adjacency; only fca layers use it,
     and it may be None for stacks without one.
     """
-    Z = np.asarray(X, dtype=np.float64)
+    Z = _input_rows(X, tape)
     if tape is not None:
         tape.params = params
         tape.version = params.version
@@ -235,22 +289,14 @@ def forward(X, N, params: NetworkParams, tape: GradientTape | None = None):
         tape.preacts = []
         tape.aggregations = []
     for spec, W, B in zip(params.specs, params.weights, params.biases):
+        if spec.kind == "fca" and N is None:
+            raise ValueError("fca layer requires an aggregation operator")
+        pre = _affine(Z, W, B)
         if tape is not None:
             tape.inputs.append(Z)
-        if spec.kind == "fc":
-            pre = Z @ W + B
-            if tape is not None:
-                tape.preacts.append(pre)
-                tape.aggregations.append(None)
-            Z = _activate(pre, spec.activation)
-        else:
-            if N is None:
-                raise ValueError("fca layer requires an aggregation operator")
-            pre = Z @ W + B
-            if tape is not None:
-                tape.preacts.append(pre)
-                tape.aggregations.append(N)
-            Z = N @ pre
+            tape.preacts.append(pre)
+            tape.aggregations.append(N if spec.kind == "fca" else None)
+        Z = N @ pre if spec.kind == "fca" else _activate(pre, spec.activation)
     if tape is not None:
         tape.output = Z
     return Z
@@ -281,7 +327,7 @@ def backward(tape: GradientTape, dLoss_dZ):
             # aggregation operator is symmetric, so N^T g = N g
             g_pre = tape.aggregations[l] @ g
         else:
-            g_pre = g * _activate_grad(tape.preacts[l], spec.activation)
+            g_pre = _activation_backward(g, tape.preacts[l], spec.activation)
         dW[l] = Z_in.T @ g_pre
         dB[l] = g_pre.sum(axis=0)
         if l > 0:  # nothing uses the gradient of the input features

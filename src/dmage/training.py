@@ -29,7 +29,7 @@ from .container import (
     load_matrix,
     save_matrix,
 )
-from .distances import complete_graph_distances, geodesic_distances
+from .distances import _row_blocks, complete_graph_distances, geodesic_distances
 from .graph import AttributedGraph, adjacency, adjacency_from_edges, hop_neighborhoods, knn_graph
 from .losses import BregmanKind, LossTerms, fused_loss
 from .network import (
@@ -61,16 +61,18 @@ log = logging.getLogger("dmage")
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _AUGMENT_STREAM = 2
+# elements per row block of the Adam update: its two temporaries stay in cache
+_ADAM_CHUNK = 1 << 13
 
 
 class TrainingDivergedError(RuntimeError):
-    """Total loss became non-finite during training."""
+    """The loss, the embedding or a gradient became non-finite during training."""
 
-    def __init__(self, epoch: int, last_finite_epoch: int):
+    def __init__(self, epoch: int, last_finite_epoch: int, what: str = "loss"):
         self.epoch = epoch
         self.last_finite_epoch = last_finite_epoch
         super().__init__(
-            f"loss became non-finite in epoch {epoch}; "
+            f"{what} became non-finite in epoch {epoch}; "
             f"last epoch with finite loss: {last_finite_epoch}"
         )
 
@@ -185,6 +187,13 @@ class _SgdOptimizer:
 
 
 class _AdamOptimizer:
+    """Adam, updated in place over row blocks of about ``_ADAM_CHUNK`` elements.
+
+    Each element sees the same operations in the same order as the
+    whole-array update ``x -= lr * (m / c1) / (sqrt(v / c2) + eps)``; the
+    blocks only keep the temporaries in cache.
+    """
+
     def __init__(self, lr, beta1, beta2, eps):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
@@ -201,11 +210,23 @@ class _AdamOptimizer:
         correct1 = 1.0 - self.b1**self.t
         correct2 = 1.0 - self.b2**self.t
         for x, g, m, v in zip(tensors, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            x -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            g = np.asarray(g)
+            blocks = _row_blocks(len(x), x[0].size, _ADAM_CHUNK)
+            buf = np.empty((2, blocks[0].stop, *x.shape[1:]))
+            for rows in blocks:
+                xs, gs, ms, vs = x[rows], g[rows], m[rows], v[rows]
+                a, b = buf[0, : len(xs)], buf[1, : len(xs)]
+                ms *= self.b1
+                ms += np.multiply(gs, 1.0 - self.b1, out=a)
+                vs *= self.b2
+                np.multiply(gs, 1.0 - self.b2, out=a)
+                vs += np.multiply(a, gs, out=a)
+                np.divide(ms, correct1, out=a)
+                a *= self.lr
+                np.divide(vs, correct2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                xs -= np.divide(a, b, out=a)
         params.bump()
 
 
@@ -326,7 +347,8 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     """Fit the embedding network on one graph; deterministic given cfg.seed.
 
     Raises :class:`TrainingDivergedError` (with the last finite epoch in the
-    message) if the loss leaves the finite range.
+    message) if the loss, the embedding or a gradient leaves the finite
+    range, in the batch where it does, before the parameters are updated.
     """
     n = g.n
     if n < 2:
@@ -352,6 +374,8 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     N_prior = _aggregation_operator(n, g.edge_array(), specs)
     history = []
     last_finite = -1
+    # one tape for the run, so layer 0's input rows are built once
+    tape = GradientTape()
     for epoch in range(cfg.epochs):
         if augmenting:
             N_epoch = _aggregation_operator(n, augment(g, hop2, aug_cfg, epoch).result, specs)
@@ -361,16 +385,17 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
         sums = np.zeros(3)
         chunks = _batches(perm, batch_size)
         for batch in chunks:
-            tape = GradientTape()
             Z = forward(X, N_epoch, params, tape)
             if not np.isfinite(Z).all():
-                raise TrainingDivergedError(epoch, last_finite)
+                raise TrainingDivergedError(epoch, last_finite, "embedding")
             terms, dZb = fused_loss(Pc, Pp, Z, cfg.nu_latent, cfg.alpha, kind, batch)
             if not np.isfinite(terms.total):
                 raise TrainingDivergedError(epoch, last_finite)
             dZ = np.zeros_like(Z)
             dZ[batch] = dZb
             dW, dB = backward(tape, dZ)
+            if not all(np.isfinite(t).all() for t in (*dW, *dB)):
+                raise TrainingDivergedError(epoch, last_finite, "gradient")
             optimizer.step(params, dW, dB)
             sums += (terms.feature_term, terms.structure_term, terms.total)
         mean = sums / len(chunks)

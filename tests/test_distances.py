@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,93 @@ class TestGeodesicDistances:
         g3 = AttributedGraph(3, normalize_edges([(0, 2), (0, 1), (1, 2)]), feats, None)
         d = geodesic_distances(g3, "euclidean").matrix
         assert d[0, 2] == 6.0  # direct shortcut beats the 10-unit detour
+
+
+def old_geodesic_tail(dist, n, lambda_):
+    """Frozen copy of the connected-maximum and unconnected rule before it
+    stopped building the off-diagonal mask."""
+    dist = dist.copy()
+    off_diag = ~np.eye(n, dtype=bool)
+    finite = np.isfinite(dist) & off_diag
+    connected_max = float(dist[finite].max()) if finite.any() else 0.0
+    dist[~np.isfinite(dist)] = lambda_ * connected_max
+    np.fill_diagonal(dist, 0.0)
+    return dist, connected_max
+
+
+def graph_with_duplicates(rng, features):
+    """Random edges over ``features``, plus edges between rows that repeat."""
+    n = len(features)
+    g = random_graph(rng, n=n, density=0.3, dims=1)
+    pairs = set(g.edges)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (features[i] == features[j]).all():
+                pairs.add((i, j))
+    return AttributedGraph(n, normalize_edges(pairs), features, None)
+
+
+class TestEdgeWeights:
+    """Edge weights come from the two endpoint rows, not an n x n matrix."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_match_pairwise_distance(self, metric):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            n = int(rng.integers(2, 40))
+            # dyadic entries keep the Gram matrix behind pairwise_distance exact,
+            # so repeated rows are at distance 0 there too (with Gaussian rows
+            # its cancellation leaves about 1e-7; see the next test)
+            x = rng.integers(-3, 4, size=(n, int(rng.integers(1, 9)))).astype(np.float64)
+            if trial % 2:
+                x = x * 2.0 ** rng.integers(-4, 3, size=x.shape[1]) + 0.25
+            x[rng.random(n) < 0.2] = 0.0  # zero-norm rows
+            dup = rng.integers(0, n, size=n // 3)
+            x[rng.integers(0, n, size=dup.size)] = x[dup]
+            g = graph_with_duplicates(rng, x)
+            got = distances._edge_weight_graph(g, metric, False)
+            e = g.edge_array()
+            want = pairwise_distance(x, metric)[e[:, 0], e[:, 1]]
+            assert got.nnz == 2 * len(e)  # zero-weight edges stay stored
+            dense = got.toarray()
+            assert (dense >= 0).all()
+            assert np.abs(dense[e[:, 0], e[:, 1]] - want).max(initial=0.0) <= 1e-12
+            assert (dense == dense.T).all()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_repeated_rows_weigh_zero_and_zero_rows_one(self, metric):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((30, 7))
+        x[10:20] = x[:10]
+        x[25:] = 0.0
+        g = graph_with_duplicates(rng, x)
+        got = distances._edge_weight_graph(g, metric, False)
+        for i, j in g.edge_array():
+            w = got[i, j]
+            if (x[i] == 0).all() and (x[j] == 0).all() and metric == "cosine":
+                assert w == 1.0
+            elif (x[i] == x[j]).all():
+                assert 0.0 <= w <= (2.3e-16 if metric == "cosine" else 0.0)
+            else:
+                assert w == pytest.approx(scalar_metric(x[i], x[j], metric), rel=1e-12, abs=1e-15)
+
+    def test_edgeless_graph(self):
+        g = AttributedGraph(4, frozenset(), np.ones((4, 3)), None)
+        for metric in ("euclidean", "manhattan", "cosine"):
+            got = distances._edge_weight_graph(g, metric, False)
+            assert got.shape == (4, 4) and got.nnz == 0
+
+    def test_unconnected_rule_matches_masked_maximum(self):
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            g = random_graph(rng, n=int(rng.integers(1, 14)), density=float(rng.uniform(0, 0.5)))
+            graph = distances._edge_weight_graph(g, "euclidean", False)
+            want, want_max = old_geodesic_tail(distances.dijkstra(graph, directed=True), g.n, 4.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateGraphWarning)
+                got = geodesic_distances(g, "euclidean", lambda_=4.0)
+            assert got.matrix.tobytes() == want.tobytes()
+            assert got.connected_max == want_max
 
 
 class TestCompleteGraphDistances:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dmage import network
 from dmage.graph import adjacency
+from dmage.losses import BregmanKind, fused_loss
 from dmage.network import (
     GradientTape,
     LayerSpec,
@@ -329,3 +332,195 @@ class TestBackward:
     def test_empty_tape_rejected(self):
         with pytest.raises(StaleTapeError):
             backward(GradientTape(), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------- sparse first layer
+
+
+def sparse_features(rng, n, dims, per_row=1):
+    """Binary bag-of-words rows: row 0 is empty, every other row holds up to
+    ``per_row`` words, one of them drawn without replacement, so with one
+    word per row and ``n <= dims`` no two rows are equal."""
+    X = np.zeros((n, dims))
+    first = rng.permutation(max(dims, n))[: n - 1] % dims
+    for i in range(1, n):
+        X[i, first[i - 1]] = 1.0
+        X[i, rng.choice(dims, per_row - 1, replace=False)] = 1.0
+    return X
+
+
+def sparse_graph(rng, n, dims, density=0.4, per_row=1):
+    from dmage.graph import AttributedGraph
+
+    g = random_graph(rng, n=n, density=density, dims=1)
+    return AttributedGraph(n, g.edges, sparse_features(rng, n, dims, per_row), None)
+
+
+class TestSparseFirstLayer:
+    def test_path_follows_the_share_of_nonzeros(self):
+        params = init_network((LayerSpec("fc", 32, 3),), 0)
+        X = np.zeros((4, 32))
+        X.flat[:4] = 1.0  # 4 of 128 entries: exactly the threshold share
+        tape = GradientTape()
+        forward(X, None, params, tape)
+        assert sp.issparse(tape.inputs[0])
+        X = X.copy()
+        X.flat[5] = 1.0  # one entry more
+        forward(X, None, params, tape)
+        assert isinstance(tape.inputs[0], np.ndarray)
+        forward(np.random.default_rng(0).standard_normal((4, 32)), None, params, tape)
+        assert isinstance(tape.inputs[0], np.ndarray)
+
+    def test_hidden_layers_stay_dense(self):
+        rng = np.random.default_rng(30)
+        g = sparse_graph(rng, 12, 64)
+        params = init_network(default_stack(64, (6, 4), 3), 0)
+        tape = GradientTape()
+        forward(g.features, aggregation_matrix(adjacency(g)), params, tape)
+        assert sp.issparse(tape.inputs[0])
+        assert all(isinstance(z, np.ndarray) for z in tape.inputs[1:])
+
+    def test_full_stack_finite_differences_through_csr(self):
+        """Every weight and bias of the fused-loss pipeline, as in acceptance test 03."""
+        rng = np.random.default_rng(31)
+        kinds = list(BregmanKind)
+        h = 1e-5
+        for trial in range(3):
+            n, dims = int(rng.integers(6, 11)), 40
+            g = sparse_graph(rng, n, dims)
+            params = init_network(default_stack(dims, (5, 4), 3, "leaky_relu"), seed=trial)
+            # nonzero biases keep the empty rows' pre-activations off the kink at 0
+            for B in params.biases:
+                B[:] = rng.uniform(-0.5, 0.5, B.shape)
+            N = aggregation_matrix(adjacency(g))
+            P = [rng.uniform(0, 1, (n, n)) for _ in range(2)]
+            Pc, Pp = [(p + p.T) / 2 for p in P]
+            np.fill_diagonal(Pc, 0.0)
+            np.fill_diagonal(Pp, 0.0)
+            kind = kinds[trial]
+
+            def total_loss():
+                return fused_loss(Pc, Pp, forward(g.features, N, params), 1.0, 0.7, kind)[0].total
+
+            tape = GradientTape()
+            Z = forward(g.features, N, params, tape)
+            assert sp.issparse(tape.inputs[0])
+            dW, dB = backward(tape, fused_loss(Pc, Pp, Z, 1.0, 0.7, kind)[1])
+            worst = 0.0
+            for l in range(len(params.specs)):
+                for tensor, grad in ((params.weights[l], dW[l]), (params.biases[l], dB[l])):
+                    flat, gflat = tensor.ravel(), grad.ravel()
+                    for idx in range(flat.size):
+                        orig = flat[idx]
+                        flat[idx] = orig + h
+                        fp = total_loss()
+                        flat[idx] = orig - h
+                        fm = total_loss()
+                        flat[idx] = orig
+                        fd = (fp - fm) / (2 * h)
+                        worst = max(worst, abs(fd - gflat[idx]) / max(1.0, abs(fd), abs(gflat[idx])))
+            assert worst <= 1e-4, f"trial {trial}: max rel err {worst:.2e}"
+
+    def test_matches_dense_oracle(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        g = sparse_graph(rng, 300, 500, density=0.02, per_row=6)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(500, (40, 30), 8), 3)
+        upstream = rng.standard_normal((300, 8))
+
+        def run():
+            tape = GradientTape()
+            Z = forward(g.features, N, params, tape)
+            return tape, Z, backward(tape, upstream)
+
+        tape, Z, (dW, dB) = run()
+        assert sp.issparse(tape.inputs[0])
+        # every input now takes the dense first layer, the oracle of the CSR one
+        monkeypatch.setattr(network, "_SPARSE_DENSITY", -1.0)
+        tape, Z_ref, (dW_ref, dB_ref) = run()
+        assert isinstance(tape.inputs[0], np.ndarray)
+        for got, want in zip([Z, *dW, *dB], [Z_ref, *dW_ref, *dB_ref]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_tape_reuses_rows_of_the_same_array_only(self):
+        rng = np.random.default_rng(33)
+        g = sparse_graph(rng, 10, 64)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(64, (6, 4), 3), 4)
+        tape = GradientTape()
+        forward(g.features, N, params, tape)
+        rows = tape.inputs[0]
+        forward(g.features, N, params, tape)
+        assert tape.inputs[0] is rows
+
+        other = sparse_features(rng, 10, 64)  # a new array object, new values
+        Z = forward(other, N, params, tape)
+        assert tape.inputs[0] is not rows
+        assert (tape.inputs[0].toarray() == other).all()
+        assert Z.tobytes() == forward(other, N, params).tobytes()
+        copy = other.copy()  # equal values, another object: rebuilt as well
+        forward(copy, N, params, tape)
+        assert tape.source is copy
+
+    def test_reused_tape_still_detects_stale_parameters(self):
+        rng = np.random.default_rng(34)
+        g = sparse_graph(rng, 8, 64)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(64, (6, 4), 3), 5)
+        tape = GradientTape()
+        Z = forward(g.features, N, params, tape)
+        params.weights[0] += 0.1
+        params.bump()
+        with pytest.raises(StaleTapeError):
+            backward(tape, np.ones_like(Z))
+        Z = forward(g.features, N, params, tape)
+        dW, _ = backward(tape, np.ones_like(Z))
+        assert dW[0].shape == (64, 6)
+
+
+# ---------------------------------------------------------------- elementwise steps
+
+
+def old_activate(pre, activation):
+    """Frozen copy of the activation before it became one maximum."""
+    if activation == "linear":
+        return pre
+    if activation == "relu":
+        return np.maximum(pre, 0.0)
+    return np.where(pre > 0, pre, network.LEAKY_SLOPE * pre)
+
+
+def old_activate_grad(pre, activation):
+    """Frozen copy of the activation derivative the backward pass multiplied by."""
+    if activation == "linear":
+        return np.ones_like(pre)
+    if activation == "relu":
+        return (pre > 0).astype(np.float64)
+    return np.where(pre > 0, 1.0, network.LEAKY_SLOPE)
+
+
+def special_values(rng, size):
+    """Random values mixed with -0.0, 0.0, NaN, +-inf, subnormals and huge values."""
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5, size)
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                         1e-310, -1e-310, 1.7e308, -1.7e308, 2e-322, -2e-322])
+    x[rng.integers(0, size, 3 * specials.size)] = np.tile(specials, 3)
+    return x
+
+
+class TestElementwiseBitIdentity:
+    @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu"])
+    def test_activation_forward_and_backward(self, activation):
+        rng = np.random.default_rng(35)
+        pre = special_values(rng, 4000).reshape(200, 20)
+        g = special_values(rng, 4000).reshape(200, 20)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = network._activate(pre, activation)
+            assert got.tobytes() == old_activate(pre, activation).tobytes()
+            got = network._activation_backward(g, pre, activation)
+            assert got.tobytes() == (g * old_activate_grad(pre, activation)).tobytes()
+
+    def test_bias_added_in_place(self):
+        rng = np.random.default_rng(36)
+        Z, W, B = rng.standard_normal((50, 7)), rng.standard_normal((7, 9)), special_values(rng, 9)
+        assert network._affine(Z, W, B).tobytes() == (Z @ W + B).tobytes()

@@ -7,7 +7,9 @@ import pytest
 
 from dmage.container import load_checkpoint, load_matrix, save_checkpoint
 from dmage.graph import adjacency
-from dmage.network import default_stack, forward, init_network, aggregation_matrix
+from dmage import network, training
+from dmage.graph import AttributedGraph
+from dmage.network import NetworkParams, default_stack, forward, init_network, aggregation_matrix
 from dmage.training import (
     TrainConfig,
     TrainingDivergedError,
@@ -235,6 +237,41 @@ class TestAdamOptimizer:
         assert params.version == v0 + 1
 
 
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_row_blocks_bit_identical_to_whole_array_update(self, delta):
+        """Five steps against a frozen copy of the whole-array update, with
+        tensors one element below, at and above a block, and special values."""
+        chunk = training._ADAM_CHUNK
+        rng = np.random.default_rng(40 + delta)
+        shapes = [(chunk + delta,), (2, chunk + delta), (3 * (chunk // 64) + delta, 64), (5, 3)]
+        tensors = [rng.standard_normal(s) for s in shapes]
+        params = NetworkParams((), tensors[:2], tensors[2:], 0)
+        ref = [t.copy() for t in tensors]
+        opt = _AdamOptimizer(0.01, 0.9, 0.999, 1e-8)
+        ref_m = [np.zeros_like(t) for t in ref]
+        ref_v = [np.zeros_like(t) for t in ref]
+        with np.errstate(all="ignore"):
+            for t in range(1, 6):
+                grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-12, 4, s) for s in shapes]
+                for gr in grads[:3]:
+                    flat = gr.reshape(-1)
+                    flat[rng.integers(0, flat.size, 6)] = [-0.0, 0.0, 1e-310, -5e-324, 1e154, -1e154]
+                if t == 4:  # non-finite values in one late step
+                    grads[0].reshape(-1)[[0, chunk // 2, -1]] = [np.nan, np.inf, -np.inf]
+                opt.step(params, grads[:2], grads[2:])
+                c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+                for x, g, m, v in zip(ref, grads, ref_m, ref_v):
+                    m *= 0.9
+                    m += (1.0 - 0.9) * g
+                    v *= 0.999
+                    v += (1.0 - 0.999) * g * g
+                    x -= 0.01 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        for got, want in zip(params.weights + params.biases, ref):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(opt.m + opt.v, ref_m + ref_v):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestTrain:
     def test_deterministic_given_seed(self):
         g = small_graph()
@@ -334,6 +371,97 @@ class TestTrain:
                 train(g, cfg)
         assert exc.value.epoch > exc.value.last_finite_epoch
         assert str(exc.value.last_finite_epoch) in str(exc.value)
+
+
+    def test_non_finite_gradient_raises_in_its_batch(self, monkeypatch):
+        """An inf gradient in the last batch stops training before the update."""
+        g = small_graph(n=23)
+        cfg = TrainConfig(seed=0, batch_size=6, **SMALL)
+        batches = cfg.epochs * 4  # 23 nodes in batches of 6: 6, 6, 6, 5 rows
+        real_backward, real_step = training.backward, training._AdamOptimizer.step
+        calls = {"backward": 0, "step": 0}
+
+        def backward_with_inf(tape, dZ):
+            dW, dB = real_backward(tape, dZ)
+            calls["backward"] += 1
+            if calls["backward"] == batches:
+                dW[1][0, 0] = np.inf
+            return dW, dB
+
+        def counted_step(self, params, dW, dB):
+            calls["step"] += 1
+            return real_step(self, params, dW, dB)
+
+        monkeypatch.setattr(training, "backward", backward_with_inf)
+        monkeypatch.setattr(training._AdamOptimizer, "step", counted_step)
+        with pytest.raises(TrainingDivergedError, match="gradient") as exc:
+            train(g, cfg)
+        assert calls == {"backward": batches, "step": batches - 1}
+        assert exc.value.epoch == cfg.epochs - 1
+        assert exc.value.last_finite_epoch == cfg.epochs - 2
+
+    def test_forward_receives_the_dense_features(self, monkeypatch):
+        """The public ``forward`` call always gets the caller's feature array;
+        the CSR copy of sparse features stays inside the network."""
+        g = sparse_feature_graph()
+        seen = []
+        real_forward = training.forward
+
+        def spy(X, *args, **kwargs):
+            seen.append(X)
+            return real_forward(X, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train(g, TrainConfig(seed=0, batch_size=16, **SMALL))
+        assert len(seen) == SMALL["epochs"] * 3 + 1
+        assert all(X is g.features and type(X) is np.ndarray for X in seen)
+
+
+def sparse_feature_graph(n=40, dims=128, seed=3):
+    """Block-model edges with binary bag-of-words features (2 words a row)."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, dims))
+    for i in range(n):
+        X[i, rng.choice(dims, 2, replace=False)] = 1.0
+    assert np.count_nonzero(X) <= network._SPARSE_DENSITY * X.size
+    base = small_graph(seed=seed, n=n)
+    return AttributedGraph(n, base.edges, X, base.labels)
+
+
+class TestSparseFeatureTraining:
+    """Training on features sparse enough for the CSR first layer."""
+
+    def run(self, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return train(sparse_feature_graph(), TrainConfig(seed=2, batch_size=16, **SMALL, **kwargs))
+
+    def test_runs_are_byte_identical(self):
+        a, b = self.run(), self.run()
+        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+        assert [t.total for t in a.loss_history] == [t.total for t in b.loss_history]
+
+    def test_checkpoint_embedding_is_byte_identical(self, tmp_path):
+        result = self.run()
+        path = str(tmp_path / "model.dmgw")
+        save_checkpoint(path, result.params)
+        restored = embed(sparse_feature_graph(), load_checkpoint(path))
+        assert restored.tobytes() == result.embeddings.tobytes()
+
+    def test_csr_copy_built_once_per_tape(self, monkeypatch):
+        built = []
+        real = network.sp.csr_array
+
+        def counting(*args, **kwargs):
+            built.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network.sp, "csr_array", counting)
+        self.run()
+        # once for the training tape, once for the final forward without one
+        assert built == [(40, 128), (40, 128)]
 
 
 class TestEmbeddingFiles:
