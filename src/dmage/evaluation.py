@@ -11,6 +11,7 @@ and reports AUC and average precision.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -95,9 +96,21 @@ def _plus_plus_init(Z, z2, k, rng):
 
 
 def _lloyd(Z, z2, k, rng):
+    """One restart: at most ``KMEANS_MAX_ITER`` iterations, ended early once re-seeding cycles.
+
+    The centers and the assignment decide every later iteration.  With
+    fewer distinct points than clusters, re-seeding can move a point from
+    one equal center to another in every iteration, so the state after a
+    re-seeding iteration repeats and the iterations cycle without
+    converging.  The state at the iteration cap is then the one a whole
+    number of periods on, so the restart runs only to that state.
+    """
     centers = _plus_plus_init(Z, z2, k, rng)
     assign = np.full(Z.shape[0], -1)
-    for _ in range(KMEANS_MAX_ITER):
+    seen = {}
+    stop = KMEANS_MAX_ITER
+    it = 0
+    while it < stop:
         d2 = _sq_dists_to(Z, z2, centers)
         new_assign = d2.argmin(axis=1)
         # taken before the first re-seed changes new_assign, and only if one is needed
@@ -117,6 +130,12 @@ def _lloyd(Z, z2, k, rng):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        if point_d2 is not None and stop == KMEANS_MAX_ITER:  # re-seeded
+            state = hashlib.blake2b(centers.tobytes() + assign.tobytes(), digest_size=16).digest()
+            if state in seen:
+                stop = it + 1 + (KMEANS_MAX_ITER - 1 - it) % (it - seen[state])
+            seen[state] = it
+        it += 1
     inertia = float(_sq_dists_to(Z, z2, centers)[np.arange(Z.shape[0]), assign].sum())
     return assign, inertia
 

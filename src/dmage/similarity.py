@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import GeodesicDistanceMatrix, _row_blocks, geodesic_distances
+from .distances import GeodesicDistanceMatrix, _fill_rows, _row_blocks, geodesic_distances
 from .graph import AttributedGraph
 
 __all__ = [
@@ -184,39 +184,44 @@ def _off_diagonal(d, idx):
 class _Rows:
     """The calibration input: each row's nearest distances, bounds on the rest.
 
-    ``near[i]`` holds the ``_NEAREST`` smallest off-diagonal distances of row
-    i of the square matrix ``d``, in any order, and the other ``count`` are
-    at least ``d_k[i]``.  With ``count == 0``, ``near[i]`` is the whole
-    off-diagonal row in index order and ``d`` is not needed.
+    Row i stands for row ``start + i`` of the square matrix ``d``.
+    ``near[i]`` holds its ``_NEAREST`` smallest off-diagonal distances, in
+    any order, and the other ``count`` are at least ``d_k[i]``.  With
+    ``count == 0``, ``near[i]`` is the whole off-diagonal row in index order
+    and ``d`` is not needed.
     """
 
-    def __init__(self, near, rho, count=0, d_k=None, d=None):
+    def __init__(self, near, rho, count=0, d_k=None, d=None, start=0):
         self.near, self.rho, self.count, self.d_k, self.d = near, rho, count, d_k, d
+        self.start = start
 
     @classmethod
-    def of_matrix(cls, d):
+    def of_matrix(cls, d, rows):
+        """The rows ``rows`` (a slice) of the square matrix ``d``."""
         n = d.shape[0]
         if n - 1 <= _NEAREST:
-            near = _off_diagonal(d, np.arange(n))
+            near = _off_diagonal(d, np.arange(rows.start, rows.stop))
             return cls(near, near.min(axis=1))
-        near = np.empty((n, _NEAREST))
-        rho, d_k = np.empty(n), np.empty(n)
-        for b in _row_blocks(n, n, _BLOCK):
+        r = rows.stop - rows.start
+        near = np.empty((r, _NEAREST))
+        rho, d_k = np.empty(r), np.empty(r)
+        for b in _row_blocks(rows.stop, n, _BLOCK, rows.start):
             block = d[b].copy()
             block[np.arange(block.shape[0]), np.arange(b.start, b.stop)] = np.inf
+            local = slice(b.start - rows.start, b.stop - rows.start)
             # the minimum over the whole row, so that a NaN anywhere in it
             # gives rho = NaN, as the one-row search does
-            rho[b] = block.min(axis=1)
+            rho[local] = block.min(axis=1)
             block.partition(_NEAREST - 1, axis=1)
-            near[b] = block[:, :_NEAREST]
-            d_k[b] = block[:, _NEAREST - 1]
-        return cls(near, rho, n - 1 - _NEAREST, d_k, d)
+            near[local] = block[:, :_NEAREST]
+            d_k[local] = block[:, _NEAREST - 1]
+        return cls(near, rho, n - 1 - _NEAREST, d_k, d, rows.start)
 
     def full_mass(self, idx, sigma, nu):
         """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
         mass = np.empty(idx.size)
         for b in _row_blocks(idx.size, self.d.shape[0], _BLOCK):
-            rows = _off_diagonal(self.d, idx[b])
+            rows = _off_diagonal(self.d, self.start + idx[b])
             mass[b] = _kernel_mass(rows, self.rho[idx[b]], nu, sigma[b])
         return mass
 
@@ -388,17 +393,23 @@ def calibrate_all(
     -tol, 0 and +tol, it settles every comparison the search makes; only
     otherwise is the row summed over its full off-diagonal row, in index
     order, exactly as the one-row search sums it.  The matrix is read in row
-    blocks, so no second n x n array is allocated.  At most one warning is
-    issued, counting the rows that missed the target.
+    blocks, so no second n x n array is allocated, and the rows are split
+    over the usable cores (``distances._fill_rows``).  At most one warning
+    is issued, counting the rows that missed the target.
     """
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     n = d_matrix.shape[0]
     if n < 3:
         raise ValueError("calibration needs at least 3 nodes")
-    rows = _Rows.of_matrix(d_matrix)
-    sigma, outcome = _search(rows, q_p, nu, tol, max_iter)
+
+    def fill(rows, rho, sigma, outcome):
+        part = _Rows.of_matrix(d_matrix, rows)
+        rho[rows] = part.rho
+        sigma[rows], outcome[rows] = _search(part, q_p, nu, tol, max_iter)
+
+    rho, sigma, outcome = _fill_rows(n, n, fill, ((), np.float64), ((), np.float64), ((), np.int8))
     _warn_outcomes(sigma, outcome, q_p, tol, max_iter)
-    return CalibrationParams(rows.rho, sigma, q_p, tol, max_iter)
+    return CalibrationParams(rho, sigma, q_p, tol, max_iter)
 
 
 def conditional_similarity(

@@ -16,10 +16,12 @@ import dataclasses
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import distances
 from .augmentation import AugmentationConfig, augment
 from .container import (
     MAGIC_DISTANCE,
@@ -41,7 +43,13 @@ from .network import (
     forward,
     init_network,
 )
-from .similarity import SimilarityMatrix, similarity_from_distances
+from .similarity import (
+    KernelParams,
+    SimilarityMatrix,
+    calibrate_all,
+    conditional_similarity,
+    symmetrize,
+)
 
 __all__ = [
     "TrainConfig",
@@ -242,8 +250,11 @@ def _cache_dir(explicit=None):
     return os.environ.get("DMAGE_CACHE_DIR") or None
 
 
-def _cached_matrix(cache, name, magic, compute):
-    """Load ``<cache>/<name>`` if present, else compute and persist."""
+def _cached_matrix(cache, name, magic, compute, stages):
+    """Load ``<cache>/<name>`` if present, else compute and persist.
+
+    The time spent writing adds to ``stages["cache write"]``.
+    """
     if cache is None:
         return compute()
     os.makedirs(cache, exist_ok=True)
@@ -253,7 +264,9 @@ def _cached_matrix(cache, name, magic, compute):
         log.info("cache hit: %s", path)
         return matrix
     matrix = compute()
+    t0 = time.perf_counter()
     save_matrix(path, matrix, magic)
+    stages["cache write"] += time.perf_counter() - t0
     log.info("cache write: %s", path)
     return matrix
 
@@ -272,16 +285,39 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     base = content_hash(g.n, g.edge_array(), g.features)
 
     def sim_from(dist_key, dist_fn, tag):
+        stages = {"cache write": 0.0}
+
         # the similarity key depends on the distances only through their key,
         # so the distances are loaded or computed on a similarity miss only
         def similarity():
-            d = _cached_matrix(cache, f"{tag}-{dist_key[:32]}.dmgd", MAGIC_DISTANCE, dist_fn)
-            return similarity_from_distances(
-                d, cfg.nu_input, cfg.q_p, symmetrize_variant=cfg.symmetrize_variant
-            ).matrix
+            t0 = time.perf_counter()
+            name = f"{tag}-{dist_key[:32]}.dmgd"
+            d = _cached_matrix(cache, name, MAGIC_DISTANCE, dist_fn, stages)
+            t1 = time.perf_counter()
+            calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
+            t2 = time.perf_counter()
+            cond = conditional_similarity(d, KernelParams(cfg.nu_input), calib)
+            del d  # one n x n matrix fewer while symmetrize adds one
+            joint = symmetrize(cond, cfg.symmetrize_variant).matrix
+            stages["distances"] = t1 - t0 - stages["cache write"]
+            stages["calibration"] = t2 - t1
+            stages["kernel+symmetrize"] = time.perf_counter() - t2
+            return joint
 
         sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, cfg.symmetrize_variant)
-        s = _cached_matrix(cache, f"{tag}-{sim_key[:32]}.dmgs", MAGIC_SIMILARITY, similarity)
+        name = f"{tag}-{sim_key[:32]}.dmgs"
+        s = _cached_matrix(cache, name, MAGIC_SIMILARITY, similarity, stages)
+        if "distances" in stages:  # computed, not read from the cache
+            log.info(
+                "%s similarity, up to %d workers: distances %.3f s, calibration %.3f s, "
+                "kernel+symmetrize %.3f s, cache write %.3f s",
+                tag,
+                distances._usable_cores(),
+                stages["distances"],
+                stages["calibration"],
+                stages["kernel+symmetrize"],
+                stages["cache write"],
+            )
         return SimilarityMatrix(s, "joint")
 
     if cfg.knn_k > 0:

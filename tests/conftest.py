@@ -46,3 +46,15 @@ def toy_dataset(tmp_path):
         "feature_path": str(feature_path),
         "label_path": str(label_path),
     }
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(w)`` splits every row pass over ``w`` workers, however few the rows."""
+    from dmage import distances
+
+    def force(w):
+        monkeypatch.setattr(distances, "_usable_cores", lambda: w)
+        monkeypatch.setattr(distances, "_MIN_WORK", 1)
+
+    return force

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -299,3 +300,157 @@ class TestCompleteGraphDistances:
             w = direct.copy()
             got = complete_graph_distances(x, metric)
             assert np.allclose(got, floyd_warshall_oracle(w), atol=1e-12)
+
+
+def components_graph(rng):
+    """37 nodes: three random components, a path, and isolated nodes."""
+    edges, start = set(), 0
+    for size in (12, 9, 7):
+        g = random_graph(rng, n=size, density=0.4)
+        edges |= {(i + start, j + start) for i, j in g.edges}
+        start += size
+    edges |= {(28, 29), (29, 30), (30, 31)}
+    return AttributedGraph(37, normalize_edges(edges), rng.standard_normal((37, 4)), None)
+
+
+class TestFillRows:
+    """Row passes split over forked workers give the same bytes as one process."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
+    def test_ranges_are_contiguous_and_cover_every_row_once(self, n, workers):
+        def fill(rows, start, stop, pid):
+            start[rows], stop[rows], pid[rows] = rows.start, rows.stop, os.getpid()
+
+        for w in (1, 2, 3):
+            workers(w)
+            start, stop, pid = distances._fill_rows(
+                n, 1, fill, ((), np.int64), ((), np.int64), ((), np.int64)
+            )
+            ranges = sorted(set(zip(start.tolist(), stop.tolist())))
+            assert len(ranges) == min(w, n)
+            if n == 0:
+                continue
+            # contiguous, every row inside the range that filled it, sizes within one
+            assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+            assert ranges[-1][1] == n
+            assert all(a <= i < b for i, (a, b) in enumerate(zip(start, stop)))
+            sizes = [b - a for a, b in ranges]
+            assert max(sizes) - min(sizes) <= 1
+            # the first range is filled here, each other one by its own child
+            assert len(set(pid.tolist())) == len(ranges)
+            assert pid[0] == os.getpid()
+
+    def test_row_shapes_and_dtypes(self, workers):
+        workers(2)
+
+        def fill(rows, a, b):
+            a[rows] = np.arange(rows.start, rows.stop)[:, None, None]
+            b[rows] = 1
+
+        a, b = distances._fill_rows(5, 1, fill, ((2, 3), np.float64), ((), np.int8))
+        assert a.shape == (5, 2, 3) and a.dtype == np.float64 and b.dtype == np.int8
+        assert (a[:, 1, 2] == np.arange(5)).all() and (b == 1).all()
+
+    def test_a_failing_child_makes_the_parent_raise_and_leaves_no_child(self, workers):
+        workers(3)
+
+        def fill(rows, out):
+            if rows.start > 0:
+                raise ValueError("child failed")
+            out[rows] = 1.0
+
+        with pytest.raises(RuntimeError, match="rows 3:6"):
+            distances._fill_rows(9, 1, fill, ((), np.float64))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_parent_range_raises_its_error_and_reaps_every_child(self, workers):
+        workers(3)
+
+        def fill(rows, out):
+            if rows.start == 0:
+                raise KeyError("parent failed")
+            out[rows] = 1.0
+
+        with pytest.raises(KeyError, match="parent failed"):
+            distances._fill_rows(9, 1, fill, ((), np.float64))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_the_fill_runs_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(distances, "_MIN_WORK", 1)
+        assert distances._usable_cores() == 1
+        (pid,) = distances._fill_rows(6, 1, lambda rows, pid: pid.fill(os.getpid()), ((), np.int64))
+        assert (pid == os.getpid()).all()
+
+    def test_small_passes_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(distances, "_usable_cores", lambda: 8)
+        rows = distances._MIN_WORK // 64  # rows of 64 elements per worker
+        assert distances._worker_count(0, 64) == 1
+        assert distances._worker_count(2 * rows - 1, 64) == 1
+        assert distances._worker_count(3 * rows, 64) == 3
+        assert distances._worker_count(100 * rows, 64) == 8
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_geodesics_byte_identical_across_worker_counts(self, metric, workers, monkeypatch):
+        rng = np.random.default_rng(31)
+        for graph in (components_graph(rng), random_graph(rng, n=2, density=1.0)):
+            got = []
+            for w, block in ((1, 1 << 19), (2, 1 << 19), (3, 1 << 19), (3, 40)):
+                workers(w)
+                # blocks of a single source row inside each range, too
+                monkeypatch.setattr(distances, "_DIJKSTRA_BLOCK", block)
+                dist = geodesic_distances(graph, metric, lambda_=4.0)
+                got.append((dist.matrix.tobytes(), dist.connected_max))
+            want, want_max = old_geodesic_tail(
+                distances.dijkstra(distances._edge_weight_graph(graph, metric, False), directed=True),
+                graph.n,
+                4.0,
+            )
+            assert got == [(want.tobytes(), want_max)] * 4
+
+    def test_one_degenerate_warning_from_three_workers(self, workers):
+        workers(3)
+        g = AttributedGraph(9, frozenset(), np.ones((9, 2)), None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dist = geodesic_distances(g)
+        assert [w.category for w in caught] == [DegenerateGraphWarning]
+        assert (dist.matrix == 0).all()
+
+
+class TestEuclideanEqualRows:
+    @pytest.mark.parametrize("dims", [3, 16, 50])
+    def test_equal_rows_are_exactly_zero_and_others_unchanged(self, dims):
+        rng = np.random.default_rng(dims)
+        x = rng.standard_normal((40, dims))
+        x[30:] = x[rng.choice(30, 10, replace=False)]
+        # equal as vectors, not as bytes: 0.0 in one row, -0.0 in the other
+        x[28, 0], x[29] = 0.0, x[28]
+        x[29, 0] = -0.0
+        got = pairwise_distance(x, "euclidean")
+        equal = (x[:, None, :] == x[None, :, :]).all(axis=2)
+        assert equal.sum() > 40
+        assert (got[equal] == 0.0).all()
+        # every other entry is the Gram-formula value of before
+        sq, gram = distances._gram(x)
+        want = distances._euclidean_rows(sq, gram, slice(0, 40))
+        assert got[~equal].tobytes() == want[~equal].tobytes()
+        assert (got == got.T).all() and (got[~equal] > 0).all()
+
+    def test_rows_equal_as_vectors_share_a_group(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 2.0], [1.0, 2.0], [2.0, 1.0]])
+        assert distances._equal_rows(x).tolist() == [0, 0, 1, 1, 2]
+        assert distances._equal_rows(x[1:3]) is None
+
+    def test_distinct_rows_take_the_gram_path_unchanged(self):
+        from dmage import two_block_sbm
+
+        # the link-prediction benchmark's graph: no two feature rows are equal,
+        # so its distances are byte-identical to the plain Gram formula
+        g = two_block_sbm(n=600, p_intra=0.08, p_inter=0.01, feature_dim=16, seed=0)
+        assert distances._equal_rows(g.features) is None
+        sq, gram = distances._gram(g.features)
+        want = distances._euclidean_rows(sq, gram, slice(0, 600))
+        assert pairwise_distance(g.features, "euclidean").tobytes() == want.tobytes()

@@ -21,6 +21,7 @@ from dmage.evaluation import (
     write_report,
     write_split,
 )
+from dmage import evaluation
 from dmage.similarity import t_kernel
 from dmage.synthetic import two_block_sbm
 from dmage.training import TrainConfig
@@ -224,6 +225,26 @@ class TestKmeansMatchesOracle:
         want, reseeds = _oracle_kmeans(Z, 6, seed)
         assert reseeds > 0
         assert np.array_equal(kmeans(Z, 6, seed=seed), want)
+
+
+    def test_cycling_restarts_end_early_with_the_capped_result(self, monkeypatch):
+        # 17 points at 4 locations, 6 clusters: every iteration re-seeds a
+        # point from one equal center to another, a cycle of period 4 that
+        # never converges; the restart stops once the cycle repeats
+        rng = np.random.default_rng(0)
+        Z = np.repeat(rng.standard_normal((4, 3)), rng.integers(1, 9, 4), axis=0)
+        assert Z.shape[0] == 17 and len(np.unique(Z, axis=0)) == 4
+        want, reseeds = _oracle_kmeans(Z, 6, 0)
+        assert reseeds >= 10 * KMEANS_MAX_ITER  # the oracle runs every iteration
+        passes = []
+        sq_dists_to = evaluation._sq_dists_to
+        monkeypatch.setattr(
+            evaluation, "_sq_dists_to", lambda *a: passes.append(1) or sq_dists_to(*a)
+        )
+        got = kmeans(Z, 6, seed=0)
+        # per restart: 6 seeding passes, one per iteration, one for the inertia
+        assert len(passes) <= 10 * (6 + 12 + 1)
+        assert np.array_equal(got, want)
 
 
 class TestClusteringMetrics:

@@ -492,3 +492,81 @@ class TestEndToEnd:
         s1 = graph_geodesic_similarity(g, 100.0, 8.0)
         s2 = graph_geodesic_similarity(g, 100.0, 8.0, features=other)
         assert not np.allclose(s1.matrix, s2.matrix)
+
+
+class TestWorkerCounts:
+    """Calibration, kernel and symmetrization split over workers give the same bytes."""
+
+    def calibrate(self, d, nu, q_p, monkeypatch, max_iter=100):
+        """rho, sigma and the per-row outcome codes of ``calibrate_all``."""
+        seen = []
+        warn = similarity._warn_outcomes
+        monkeypatch.setattr(
+            similarity, "_warn_outcomes", lambda s, o, *a: seen.append(o.copy()) or warn(s, o, *a)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            calib = calibrate_all(d, nu, q_p, max_iter=max_iter)
+        return calib.rho.tobytes(), calib.sigma.tobytes(), seen[-1].tobytes()
+
+    def test_oracle_cases_byte_identical(self, workers, monkeypatch):
+        outcomes = set()
+        for case in range(30):
+            d, nu, q_p = oracle_case(case)
+            got = []
+            for w in (1, 2, 3):
+                workers(w)
+                got.append(self.calibrate(d, nu, q_p, monkeypatch))
+            # one worker matches the oracle: TestCalibrateAll
+            assert got[1] == got[0] and got[2] == got[0], case
+            outcomes |= set(np.frombuffer(got[0][2], np.int8).tolist())
+        # short searches stall
+        d, nu, q_p = oracle_case(0)
+        got = []
+        for w in (1, 2, 3):
+            workers(w)
+            got.append(self.calibrate(d, nu, q_p, monkeypatch, max_iter=2))
+        assert got[1] == got[0] and got[2] == got[0]
+        outcomes |= set(np.frombuffer(got[0][2], np.int8).tolist())
+        codes = (similarity._FOUND, similarity._BELOW, similarity._ABOVE, similarity._STALLED)
+        assert outcomes == set(codes)
+
+    @pytest.mark.parametrize("n", [3, 4, 20, 131])
+    def test_short_rows_and_small_n(self, n, workers, monkeypatch):
+        # n - 1 <= 128 takes the whole off-diagonal rows; 3 and 4 rows on 3 workers
+        rng = np.random.default_rng(n)
+        d = symmetric(rng.uniform(0.1, 3.0, (n, n)))
+        got = []
+        for w in (1, 2, 3):
+            workers(w)
+            got.append(self.calibrate(d, 100.0, 2.0, monkeypatch))
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_one_warning_from_three_workers(self, workers):
+        workers(3)
+        d = np.full((140, 140), 2.0)
+        d[:40] = np.arange(140.0)
+        d = symmetric(d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calibrate_all(d, 100.0, 16.0)
+        assert [w.category for w in caught] == [CalibrationWarning]
+
+    def test_conditional_and_joint_byte_identical(self, workers):
+        rng = np.random.default_rng(5)
+        n = 61
+        d = symmetric(rng.uniform(0.1, 3.0, (n, n)))
+        got = []
+        for w in (1, 2, 3):
+            workers(w)
+            calib = calibrate_all(d, 100.0, 4.0)
+            cond = conditional_similarity(d, KernelParams(100.0), calib)
+            got.append(
+                [cond.matrix.tobytes()]
+                + [symmetrize(cond, v).matrix.tobytes() for v in ("paper", "fuzzy")]
+            )
+        want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
+        assert got[0] == [want.tobytes()] + [
+            _oracle_symmetrize(want, v).tobytes() for v in ("paper", "fuzzy")
+        ]
+        assert got[1] == got[0] and got[2] == got[0]

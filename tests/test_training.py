@@ -125,6 +125,41 @@ class TestPrecompute:
             precompute(g, cfg, cache_dir=str(tmp_path))
         assert any("cache hit" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [TrainConfig(), TrainConfig(metric="cosine", knn_k=4)],
+        ids=["complete", "knn"],
+    )
+    def test_cache_files_byte_identical_across_worker_counts(self, cfg, tmp_path, workers):
+        # isolated nodes and several components reach the unconnected rule
+        g = two_block_sbm(n=45, p_intra=0.08, p_inter=0.01, seed=2)
+        files = []
+        for w in (1, 2, 3):
+            workers(w)
+            cache = tmp_path / str(w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                precompute(g, cfg, cache_dir=str(cache))
+            files.append({p.name: p.read_bytes() for p in cache.iterdir()})
+        assert len(files[0]) == 4
+        assert files[1] == files[0] and files[2] == files[0]
+
+    def test_one_timing_line_per_computed_matrix(self, tmp_path, caplog, workers):
+        workers(3)
+        g = small_graph()
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            precompute(g, TrainConfig(), cache_dir=str(tmp_path))
+        lines = [r.message for r in caplog.records if "similarity, up to" in r.message]
+        assert [line.split()[0] for line in lines] == ["complete", "prior"]
+        for line in lines:
+            assert "similarity, up to 3 workers: distances " in line
+            for stage in ("calibration", "kernel+symmetrize", "cache write"):
+                assert f", {stage} " in line
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            precompute(g, TrainConfig(), cache_dir=str(tmp_path))
+        assert not [r for r in caplog.records if "similarity, up to" in r.message]
+
     def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMAGE_CACHE_DIR", str(tmp_path))
         precompute(small_graph(), TrainConfig())
