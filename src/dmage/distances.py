@@ -200,33 +200,39 @@ def _gram(x):
     return np.sum(x * x, axis=1), x @ x.T
 
 
-def _euclidean_rows(sq, gram, rows):
-    """Rows ``rows`` (a slice) of the Euclidean distance matrix from :func:`_gram`.
+def _euclidean_rows(sq, gram, rows, start=0):
+    """Rows ``rows`` (a slice), columns ``start`` on, of the Euclidean distances from :func:`_gram`.
 
     Entry (i, j) is the mean of the distances computed from ``gram[i, j]``
     and ``gram[j, i]``, so the matrix is exactly symmetric even where BLAS
-    rounds the Gram matrix asymmetrically; the diagonal is zero.  Each entry
-    depends only on its own pair, so a row block equals the same rows of the
-    whole matrix bit for bit.
+    rounds the Gram matrix asymmetrically; the diagonal is zero.  Where the
+    block's Gram entries equal their transposes, as they usually do, that
+    mean ``(x + x) / 2`` is ``x`` exactly, so the second distance is only
+    computed for a block that has an asymmetric entry.  Each entry depends
+    only on its own pair, so a block equals the same part of the whole
+    matrix bit for bit.
     """
+    sums = sq[rows, None] + sq[None, start:]
 
     def from_gram(g):
-        d2 = sq[rows, None] + sq[None, :]
-        d2 -= 2.0 * g
+        d2 = np.multiply(g, 2.0)
+        np.subtract(sums, d2, out=d2)
         np.clip(d2, 0.0, None, out=d2)
         return np.sqrt(d2, out=d2)
 
-    dist = from_gram(gram[rows])
-    dist += from_gram(gram.T[rows])
-    dist /= 2.0
-    dist[_diagonal(rows)] = 0.0
+    g, g_t = gram[rows, start:], gram.T[rows, start:]
+    dist = from_gram(g)
+    if not np.array_equal(g, g_t):
+        dist += from_gram(g_t)
+        dist /= 2.0
+    dist[_diagonal(rows, start)] = 0.0
     return dist
 
 
-def _diagonal(rows):
-    """Index of the square matrix's diagonal inside its block of rows ``rows`` (a slice)."""
+def _diagonal(rows, start=0):
+    """Index of the diagonal in a block of rows ``rows`` (a slice) and columns ``start`` on."""
     i = np.arange(rows.stop - rows.start)
-    return i, i + rows.start
+    return i, i + (rows.start - start)
 
 
 def _edge_weights(features, edges, metric) -> np.ndarray:
@@ -293,25 +299,29 @@ def geodesic_distances(
         raise ValueError(f"lambda_ must be > 1, got {lambda_}")
     graph = _edge_weight_graph(g, metric, hop_count)
 
-    def fill(rows, dist):
+    def fill(rows, dist, row_max, row_finite):
         for block in _row_blocks(rows.stop, g.n, _DIJKSTRA_BLOCK, rows.start):
             # the weight graph stores both directions of every edge
-            dist[block] = dijkstra(graph, directed=True, indices=np.arange(block.start, block.stop))
+            d = dijkstra(graph, directed=True, indices=np.arange(block.start, block.stop))
+            dist[block] = d
+            finite = np.isfinite(d)
+            # the diagonal is 0 and no distance is negative, so the maximum
+            # over a row's finite entries is its connected maximum, or 0
+            row_max[block] = np.where(finite, d, 0.0).max(axis=1)
+            row_finite[block] = np.count_nonzero(finite, axis=1)
 
     # each source's search passes every node and every stored edge
-    (dist,) = _fill_rows(g.n, g.n + graph.nnz, fill, ((g.n,), np.float64))
+    dist, row_max, row_finite = _fill_rows(
+        g.n, g.n + graph.nnz, fill, ((g.n,), np.float64), ((), np.float64), ((), np.int64)
+    )
 
-    # the diagonal is 0 and no distance is negative, so the maximum over the
-    # finite entries is the maximum over the connected pairs, or 0 without any
-    finite = np.isfinite(dist)
-    connected_max = float(np.max(dist, where=finite, initial=0.0))
-    if g.n > 1 and np.count_nonzero(finite) == g.n:
+    connected_max = float(row_max.max(initial=0.0))
+    if g.n > 1 and row_finite.sum() == g.n:
         warnings.warn(
             "graph has no connected pairs; all geodesic distances are 0",
             DegenerateGraphWarning,
         )
-    unconnected = np.logical_not(finite, out=finite)
-    np.copyto(dist, lambda_ * connected_max, where=unconnected)
+    np.copyto(dist, lambda_ * connected_max, where=np.isinf(dist))
     np.fill_diagonal(dist, 0.0)
     return GeodesicDistanceMatrix(dist, float(lambda_), connected_max)
 

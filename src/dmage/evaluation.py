@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
 from scipy.stats import rankdata
 
 from .container import atomic_write_text
@@ -95,6 +96,23 @@ def _plus_plus_init(Z, z2, k, rng):
     return centers
 
 
+def _means(Z, assign, counts):
+    """Every cluster's mean at once: row c is ``Z[assign == c].mean(axis=0)`` bit for bit.
+
+    ``counts`` holds each cluster's size, none of them 0.  A CSR product
+    with the clusters' one-hot rows adds each cluster's members in index
+    order, as numpy's mean over the rows of a selection with more than one
+    column does (with one column numpy sums pairwise instead).
+    """
+    n = Z.shape[0]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(assign, kind="stable")
+    members = csr_array((np.ones(n), order, indptr), shape=(counts.size, n))
+    centers = members @ Z
+    centers /= counts[:, None]
+    return centers
+
+
 def _lloyd(Z, z2, k, rng):
     """One restart: at most ``KMEANS_MAX_ITER`` iterations, ended early once re-seeding cycles.
 
@@ -113,20 +131,24 @@ def _lloyd(Z, z2, k, rng):
     while it < stop:
         d2 = _sq_dists_to(Z, z2, centers)
         new_assign = d2.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=k)
         # taken before the first re-seed changes new_assign, and only if one is needed
         point_d2 = None
-        for c in range(k):
-            members = new_assign == c
-            if members.any():
-                centers[c] = Z[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point farthest from its center
-                if point_d2 is None:
-                    point_d2 = d2[np.arange(Z.shape[0]), new_assign]
-                far = point_d2.argmax()
-                centers[c] = Z[far]
-                new_assign[far] = c
-                point_d2[far] = 0.0
+        if counts.all() and Z.shape[1] > 1:  # no empty cluster to re-seed
+            centers = _means(Z, new_assign, counts)
+        else:
+            for c in range(k):
+                members = new_assign == c
+                if members.any():
+                    centers[c] = Z[members].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the point farthest from its center
+                    if point_d2 is None:
+                        point_d2 = d2[np.arange(Z.shape[0]), new_assign]
+                    far = point_d2.argmax()
+                    centers[c] = Z[far]
+                    new_assign[far] = c
+                    point_d2[far] = 0.0
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

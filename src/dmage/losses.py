@@ -8,16 +8,30 @@ off-diagonal pairs so the balance parameter alpha is batch-size independent.
 batch rows of the embedding.
 
 Every divergence, and ``fused_loss`` with its gradient, runs as one loop over
-row blocks of about 64k pairs (``_BLOCK``).  The loss takes some forty
+row blocks of about 32k pairs (``_BLOCK``).  The loss takes some forty
 elementwise passes; on a block they read buffers that stay in cache, where
 on whole (m, m) arrays each pass streams from memory.  Each element goes
 through the same floating-point operations in the same order as the
-whole-array expressions, and the three reductions whose result depends on
-how they are split stay on full arrays: the two divergence sums (numpy's
-pairwise summation over each (m, m) term array) and ``coef @ Z`` (BLAS
-blocking).  Row sums are taken per block, because numpy sums each row on its
-own.  Values and gradients are therefore bit-identical to the unblocked
-computation.
+whole-array expressions, and the reductions whose result depends on how they
+are split stay on full arrays: the two divergence sums (numpy's pairwise
+summation over each (m, m) term array), the row sums of the gradient
+coefficients and ``coef @ Z`` (BLAS blocking).  Values and gradients are
+therefore bit-identical to the unblocked computation.
+
+``fused_loss`` computes each unordered pair once.  Its blocks are trapezoids,
+rows ``a:b`` and columns ``a:m`` of the batch, so pair (i, j) with i <= j is
+computed in the block that holds row i.  The diagonal square ``[a:b, a:b]``
+is computed in full; the part right of it is copied, transposed, into rows
+``b:m``, columns ``a:b``.  The copy is exact because every per-pair
+value is symmetric bit for bit: the latent distance averages ``gram[i, j]``
+and ``gram[j, i]`` in an order-free sum, and every later operation is
+elementwise on ``(P[i, j], Q[i, j])``.  That needs both input matrices to be
+exactly symmetric.  Every joint :class:`SimilarityMatrix` is (``symmetrize``
+computes ``a + b - 2ab``, the same bits in either order), and so is the 0/1
+adjacency of ``hard_similarity``.  The gradient needed it before the mirror
+too: it doubles each ordered pair's coefficient, which is the true gradient
+only when dL/dQ_ij = dL/dQ_ji.  The divergences themselves accept asymmetric
+matrices and compute every ordered pair.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ __all__ = [
 
 LOGI_EPS = 1e-7
 # pairs per row block of the batch: a block's buffers stay in cache
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 class BregmanKind(str, Enum):
@@ -95,16 +109,16 @@ def bregman_logistic(P, Q, eps: float = LOGI_EPS) -> float:
     return _divergence(P, Q, BregmanKind.LOGI, eps)
 
 
-def _latent_rows(sq, gram, rows: slice, nu_latent: float):
-    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of latent rows ``rows``.
+def _latent_rows(sq, gram, rows: slice, nu_latent: float, start: int = 0):
+    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of the latent block ``[rows, start:]``.
 
     In latent space the normalization is fixed (shift 0, bandwidth 1), so the
     conditional matrix ``k`` is already symmetric and the joint form reduces
     to ``Q = 2k - 2k^2`` per pair.  ``k`` and ``Q`` have zero diagonals.
     """
-    d = _euclidean_rows(sq, gram, rows)
+    d = _euclidean_rows(sq, gram, rows, start)
     k = t_kernel(d, nu_latent)
-    k[_diagonal(rows)] = 0.0
+    k[_diagonal(rows, start)] = 0.0
     two_k = 2.0 * k
     return d, k, np.subtract(two_k, two_k * k, out=two_k)
 
@@ -143,14 +157,14 @@ def _q_side(Q, kind: BregmanKind, eps: float):
     return q_tilde, 1.0 - q_tilde, (Q > eps) & (Q < 1.0 - eps)
 
 
-def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms):
-    """One divergence on the row block ``rows``: terms into ``terms``, returns dLoss/dQ.
+def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, start: int = 0):
+    """One divergence on the block ``[rows, start:]``: terms into ``terms``, returns dLoss/dQ.
 
-    ``P`` and ``Q`` hold the block's rows and ``terms`` one block of rows per
-    part of ``kind``.  Divergences average over the ``M`` off-diagonal
-    pairs, so diagonal terms and gradients are zero.
+    ``P`` and ``Q`` hold the block and ``terms`` one such block per part of
+    ``kind``.  Divergences average over the ``M`` off-diagonal pairs, so
+    diagonal terms and gradients are zero.
     """
-    diag = _diagonal(rows)
+    diag = _diagonal(rows, start)
     if kind == BregmanKind.SED:
         diff = np.subtract(Q, P)
         diff[diag] = 0.0
@@ -182,10 +196,19 @@ def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms):
         grad[diag] = 0.0
         return grad
     if kind == BregmanKind.SED_PLUS_LOGI:
-        grad = _terms_and_dq(P, Q, q_side, BregmanKind.SED, M, rows, terms[:1])
-        grad += _terms_and_dq(P, Q, q_side, BregmanKind.LOGI, M, rows, terms[1:])
+        grad = _terms_and_dq(P, Q, q_side, BregmanKind.SED, M, rows, terms[:1], start)
+        grad += _terms_and_dq(P, Q, q_side, BregmanKind.LOGI, M, rows, terms[1:], start)
         return grad
     raise ValueError(f"unknown Bregman kind {kind!r}")
+
+
+def _trapezoid_blocks(m: int, elements: int):
+    """Row blocks ``a:b`` whose trapezoids ``[a:b, a:m]`` hold about ``elements`` pairs each."""
+    a = 0
+    while a < m:
+        b = min(m, a + max(1, elements // (m - a)))
+        yield slice(a, b)
+        a = b
 
 
 def fused_loss(
@@ -203,6 +226,13 @@ def fused_loss(
     Both input similarity matrices and the embedding are restricted to
     ``batch`` (all nodes when None); the latent similarity of the batch rows
     is compared to each.  Returns ``(LossTerms, dTotal/dZ_batch)``.
+
+    Both input matrices must be exactly symmetric, as every joint
+    :class:`SimilarityMatrix` is: each unordered pair is computed once, in
+    the upper trapezoid of its row block, and mirrored (see the module
+    docstring).  A ``ValueError`` is raised when the part of either matrix
+    on a block's diagonal square, which is gathered in full, is not
+    symmetric; that catches a conditional matrix passed by mistake.
     """
     Pc_full, Pp_full = _as_matrix(P_complete), _as_matrix(P_prior)
     if Pc_full.shape != Pp_full.shape:
@@ -224,14 +254,18 @@ def fused_loss(
     sq, gram = _gram(Zb)
     terms = _term_arrays(2, kind, m)
     coef = np.empty((m, m))
-    coef_sums = np.empty(m)
-    for rows in _row_blocks(m, m, _BLOCK):
-        d, k, Q = _latent_rows(sq, gram, rows, nu_latent)
+    for rows in _trapezoid_blocks(m, _BLOCK):
+        a, b = rows.start, rows.stop
+        d, k, Q = _latent_rows(sq, gram, rows, nu_latent, a)
         q_side = _q_side(Q, kind, eps)
-        # the same rows as P[np.ix_(batch[rows], batch)], gathered faster
-        Pc, Pp = Pc_full[batch[rows]][:, batch], Pp_full[batch[rows]][:, batch]
-        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, :, rows])
-        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, :, rows])
+        # the same as P[np.ix_(batch[rows], batch[a:])], gathered faster
+        Pc, Pp = Pc_full[batch[rows]][:, batch[a:]], Pp_full[batch[rows]][:, batch[a:]]
+        for P, name in ((Pc, "P_complete"), (Pp, "P_prior")):
+            square = P[:, : b - a]
+            if not np.array_equal(square, square.T):
+                raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
+        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, :, rows, a:], a)
+        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, :, rows, a:], a)
         # In place, in the operand order of the whole-array expressions:
         # g_q = g_feat + alpha * g_struct
         g_struct *= alpha
@@ -247,12 +281,14 @@ def fused_loss(
         # dd_ij/dz_i = (z_i - z_j)/d_ij; zero subgradient at coincident rows.
         # Each unordered pair appears twice in the ordered sums, hence the 2.
         g_q *= 2.0
-        block = coef[rows]
+        block = coef[rows, a:]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(g_q, d, out=block)
         block[~(d > 0)] = 0.0
-        coef_sums[rows] = block.sum(axis=1)
+        # the pairs right of the diagonal square, mirrored into the rows below it
+        coef[b:, rows] = block[:, b - a :].T
+        terms[:, :, b:, rows] = terms[:, :, rows, b:].swapaxes(2, 3)
 
     feat, struct = _value(terms[0], M), _value(terms[1], M)
-    grad = coef_sums[:, None] * Zb - coef @ Zb
+    grad = coef.sum(axis=1)[:, None] * Zb - coef @ Zb
     return LossTerms(feat, struct, alpha, feat + alpha * struct), grad

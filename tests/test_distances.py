@@ -95,6 +95,23 @@ class TestPairwiseDistance:
         np.fill_diagonal(want, 0.0)
         assert pairwise_distance(x, "euclidean").tobytes() == want.tobytes()
 
+    def test_euclidean_rows_average_an_asymmetric_gram(self):
+        # BLAS may round gram[i, j] and gram[j, i] differently; only the blocks
+        # holding such a pair take the mean of both distances
+        x = np.random.default_rng(5).standard_normal((23, 7))
+        sq, gram = distances._gram(x)
+        gram = (gram + gram.T) / 2.0
+        gram[3, 17] += 0.5
+        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+        np.clip(d2, 0.0, None, out=d2)
+        want = np.sqrt(d2)
+        want = (want + want.T) / 2.0
+        np.fill_diagonal(want, 0.0)
+        for rows in (slice(0, 5), slice(5, 12), slice(12, 23)):
+            for start in (0, rows.start):
+                got = distances._euclidean_rows(sq, gram, rows, start)
+                assert got.tobytes() == want[rows, start:].tobytes()
+
     def test_cosine_zero_norm_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         d = pairwise_distance(x, "cosine")

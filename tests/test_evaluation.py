@@ -247,6 +247,34 @@ class TestKmeansMatchesOracle:
         assert np.array_equal(got, want)
 
 
+class TestClusterMeans:
+    def test_one_pass_means_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for case in range(60):
+            n, dim = int(rng.integers(1, 700)), int(rng.integers(2, 12))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            Z = rng.standard_normal((n, 2 * dim)) * 10.0 ** rng.integers(-3, 4)
+            Z[rng.random(Z.shape) < 0.2] = -0.0
+            # C order, Fortran order and a strided view
+            Z = [Z[:, :dim].copy(), np.asfortranarray(Z[:, :dim]), Z[:, ::2]][case % 3]
+            assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            rng.shuffle(assign)
+            want = np.array([Z[assign == c].mean(axis=0) for c in range(k)])
+            got = evaluation._means(Z, assign, np.bincount(assign, minlength=k))
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_column_keeps_the_masked_mean(self, monkeypatch):
+        # numpy sums a single column pairwise, not in index order
+        def refuse(*args):
+            raise AssertionError("one-pass means on one column")
+
+        monkeypatch.setattr(evaluation, "_means", refuse)
+        Z, truth = blobs(np.random.default_rng(13), k=3, per=60, dim=1)
+        assert kmeans(Z, 3, seed=0).shape == truth.shape
+        with pytest.raises(AssertionError, match="one-pass"):
+            kmeans(np.hstack([Z, Z]), 3, seed=0)
+
+
 class TestClusteringMetrics:
     def test_perfect_assignment(self):
         truth = np.array([0, 0, 1, 1, 2, 2])

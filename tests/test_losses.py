@@ -234,6 +234,19 @@ class TestFusedLoss:
                 worst = max(worst, abs(fd - grad[bi, d]) / max(1.0, abs(fd), abs(grad[bi, d])))
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("pair", [(1, 2), (18, 17)])
+    def test_asymmetric_similarity_rejected(self, pair, monkeypatch):
+        # blocks of 64 pairs over 20 rows: rows 0-2 and 16-19 have squares of their own
+        monkeypatch.setattr(losses, "_BLOCK", 64)
+        rng = np.random.default_rng(11)
+        P = rand_similarity(rng, 20)
+        Z = rng.standard_normal((20, 3))
+        conditional = P.copy()
+        conditional[pair] += 0.125
+        for Pc, Pp in ((conditional, P), (P, conditional)):
+            with pytest.raises(ValueError, match="not symmetric"):
+                fused_loss(Pc, Pp, Z, 1.0, 0.5, BregmanKind.LOGI)
+
     def test_coincident_rows_finite_gradient(self):
         Z = self.Z.copy()
         Z[1] = Z[0]  # exact duplicate rows
@@ -307,8 +320,10 @@ def _edge_case_inputs(rng, n, m):
     coincident rows and rows far enough apart that Q falls below the clamp."""
     Pc, Pp = rand_similarity(rng, n), rand_similarity(rng, n)
     for P in (Pc, Pp):
-        P[rng.random((n, n)) < 0.15] = 0.0
-        P[rng.random((n, n)) < 0.05] = 1.0
+        # drawn on the upper triangle and mirrored: the loss needs symmetric P
+        for value, share in ((0.0, 0.15), (1.0, 0.05)):
+            mask = np.triu(rng.random((n, n)) < share, 1)
+            P[mask | mask.T] = value
     Z = rng.standard_normal((n, 3))
     batch = rng.permutation(n)[:m]
     if m >= 3:
@@ -330,15 +345,15 @@ class TestRowBlocksMatchWholeArrays:
     @pytest.mark.parametrize("kind", list(BregmanKind))
     @pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 600])
     def test_fused_loss_bit_for_bit(self, m, kind, alpha):
-        # one block holds 256 rows of 256; 257 rows take blocks of 255 and 2,
-        # 600 rows blocks of 109 (five) and 55
+        # trapezoids of about 32k pairs: 256 rows take 128 + 128, 257 rows
+        # 127 + 130, 600 rows seven blocks from 54 rows up to the last 112
         Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(m), m + 5, m)
         _assert_fused_matches_oracle(Pc, Pp, Z, batch, kind, alpha)
 
     @pytest.mark.parametrize("kind", list(BregmanKind))
     @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 20])
     def test_small_blocks_bit_for_bit(self, m, kind, monkeypatch):
-        # blocks of 64 pairs: 8 rows fill one block, 9 rows take 7 + 2, 20 rows 3 at a time
+        # blocks of 64 pairs: 8 rows fill one block, 9 rows take 7 + 2, 20 rows 3, 3, 4, 6, 4
         monkeypatch.setattr(losses, "_BLOCK", 64)
         Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(100 + m), m + 3, m)
         for alpha in (0.0, 0.5, 1.0):

@@ -7,7 +7,8 @@ import pytest
 
 from dmage.container import load_checkpoint, load_matrix, save_checkpoint
 from dmage.graph import adjacency
-from dmage import network, training
+from dmage import losses, network, training
+from dmage.losses import BregmanKind
 from dmage.graph import AttributedGraph
 from dmage.network import NetworkParams, default_stack, forward, init_network, aggregation_matrix
 from dmage.training import (
@@ -25,6 +26,7 @@ from dmage.training import (
 from dmage.synthetic import two_block_sbm
 
 from conftest import random_graph
+from test_losses import _oracle_fused_loss
 
 SMALL = dict(hidden_dims=(16, 8), latent_dim=3, epochs=5, p_minus=0.3)
 
@@ -211,11 +213,49 @@ class TestPrecompute:
         assert np.array_equal(pp.matrix, adjacency(g).toarray())
         assert set(np.unique(pp.matrix)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("hard", [False, True], ids=["geodesic", "hard"])
+    @pytest.mark.parametrize("knn_k", [0, 4], ids=["complete", "knn"])
+    @pytest.mark.parametrize("variant", ["paper", "fuzzy"])
+    def test_matrices_exactly_symmetric(self, variant, knn_k, hard, tmp_path):
+        # fused_loss computes each unordered pair once and mirrors it
+        g = two_block_sbm(n=45, p_intra=0.08, p_inter=0.01, seed=2)
+        cfg = TrainConfig(symmetrize_variant=variant, knn_k=knn_k, hard_similarity=hard)
+        for lookup in ("miss", "hit"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                matrices = precompute(g, cfg, cache_dir=str(tmp_path))
+            for sm in matrices:
+                assert np.array_equal(sm.matrix, sm.matrix.T), lookup
+            assert len(list(tmp_path.iterdir())) == (2 if hard else 4)
+
     def test_knn_substitution_changes_complete_matrix(self):
         g = small_graph()
         full, _ = precompute(g, TrainConfig(knn_k=0))
         knn, _ = precompute(g, TrainConfig(knn_k=3))
         assert not np.allclose(full.matrix, knn.matrix)
+
+
+class TestFusedLossOnPrecomputedMatrices:
+    @pytest.mark.parametrize("m", [9, 20, 257])
+    def test_trapezoid_blocks_bit_for_bit(self, m, monkeypatch):
+        # blocks of 64 pairs: 9 rows take 7 + 2, 20 rows 3, 3, 4, 6, 4, and
+        # 257 rows one at a time until the trapezoids grow narrow
+        monkeypatch.setattr(losses, "_BLOCK", 64)
+        g = two_block_sbm(n=262, p_intra=0.05, p_inter=0.005, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pc, pp = precompute(g, TrainConfig())
+        rng = np.random.default_rng(m)
+        Z = rng.standard_normal((g.n, 3))
+        batch = rng.permutation(g.n)[:m]
+        for kind in BregmanKind:
+            for alpha in (0.0, 0.5, 1.0):
+                want_terms, want_grad = _oracle_fused_loss(
+                    pc.matrix, pp.matrix, Z, 2.5, alpha, kind, batch
+                )
+                terms, grad = losses.fused_loss(pc, pp, Z, 2.5, alpha, kind, batch)
+                assert (terms.feature_term, terms.structure_term, terms.total) == want_terms
+                assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestBatches:
