@@ -38,6 +38,8 @@ _DIJKSTRA_BLOCK = 1 << 19
 # least work per worker of :func:`_fill_rows`, in elements: about 30 ms of
 # kernel passes, a few times what a fork and wait cost
 _MIN_WORK = 1 << 21
+# chunks of rows per worker of :func:`_fill_rows`, claimed as workers finish
+_CHUNKS_PER_WORKER = 8
 
 
 class DegenerateGraphWarning(UserWarning):
@@ -117,64 +119,94 @@ def _usable_cores() -> int:
 
 
 def _worker_count(n, width) -> int:
-    """How many row ranges :func:`_fill_rows` splits ``n`` rows of ``width`` elements of work into."""
+    """How many workers :func:`_fill_rows` fills ``n`` rows of ``width`` elements of work with."""
     return max(1, min(_usable_cores(), n * width // _MIN_WORK))
 
 
 def _fill_rows(n, width, fill, *layouts):
-    """Arrays of ``n`` rows, filled by ``fill(rows, *arrays)`` over contiguous row ranges.
+    """Arrays of ``n`` rows, filled by ``fill(rows, *arrays)`` over contiguous row chunks.
 
     Each layout is ``(row_shape, dtype)``.  ``fill`` writes rows ``rows`` (a
-    slice) of every array and reads nothing another range writes, so the
+    slice) of every array and reads nothing another chunk writes, so the
     result does not depend on the split.  A row costs about ``width``
-    elements of work; the rows are split into one range per usable core,
-    each with at least ``_MIN_WORK`` elements of work.  With more than one
-    range, the arrays live in shared anonymous memory: a forked child fills
-    every range but the first, which this process fills before it waits for
-    every child.  Children run only array code (no BLAS, logging or
-    warnings) and leave through ``os._exit``; when one fails, this process
-    raises once all are reaped.  With one range, the fill runs here over
-    all rows, into ordinary arrays.
+    elements of work; the rows go to one worker per usable core, each with
+    at least ``_MIN_WORK`` elements of work.  With more than one worker, the
+    arrays live in shared anonymous memory and the rows are cut into about
+    ``_CHUNKS_PER_WORKER`` chunks per worker, whose indices are written into
+    a pipe before the workers fork.  Every worker, this process included,
+    reads 4-byte chunk indices until the pipe is empty (a read of 4 bytes
+    from a pipe takes them whole), so a worker whose rows cost less claims
+    more of them; Dijkstra rows of one graph can differ in cost by 2x.
+    Each worker records the bounds of its current chunk in a slot of shared
+    memory before filling it, so a failure is reported with its rows.
+    Children run only array code (no BLAS, logging or warnings) and leave
+    through ``os._exit``; when one fails, this process raises once all are
+    reaped.  With one worker, the fill runs here over all rows, into
+    ordinary arrays.
     """
     workers = _worker_count(n, width)
-    arrays = []
-    for row_shape, dtype in layouts:
-        shape, dtype = (n, *row_shape), np.dtype(dtype)
-        if workers == 1:
-            arrays.append(np.empty(shape, dtype))
-            continue
-        size = math.prod(shape)
-        buffer = mmap.mmap(-1, size * dtype.itemsize)
-        arrays.append(np.frombuffer(buffer, dtype, size).reshape(shape))
-    bounds = [n * w // workers for w in range(workers + 1)]
+    if workers == 1:
+        arrays = [np.empty((n, *row_shape), dtype) for row_shape, dtype in layouts]
+        fill(slice(0, n), *arrays)
+        return arrays
+    arrays = [_shared_array((n, *row_shape), dtype) for row_shape, dtype in layouts]
+    # 4 bytes an index: at most 4096 bytes, PIPE_BUF and the least a pipe buffers
+    chunks = min(n, _CHUNKS_PER_WORKER * workers, 1024)
+    bounds = [n * c // chunks for c in range(chunks + 1)]
+    # the chunk each worker is filling, -1 before its first
+    current = _shared_array((workers, 2), np.int64)
+    current.fill(-1)
+
+    def claim(worker):
+        while index := os.read(read_end, 4):
+            c = int.from_bytes(index, "little")
+            a, b = bounds[c], bounds[c + 1]
+            current[worker] = a, b
+            fill(slice(a, b), *arrays)
+
+    read_end, write_end = os.pipe()
     children = []
     try:
-        for a, b in zip(bounds[1:-1], bounds[2:]):
+        # written whole, and before any worker reads
+        with open(write_end, "wb", buffering=0) as pipe:
+            pipe.write(np.arange(chunks, dtype="<u4").tobytes())
+        for worker in range(1, workers):
             with warnings.catch_warnings():
                 # From Python 3.12, forking a process that has threads (here
                 # OpenBLAS's idle pool) warns that the child may deadlock on a
                 # lock another thread held.  The child takes no such lock: it
-                # runs numpy/scipy array code only, no BLAS, logging or I/O.
+                # runs numpy/scipy array code and raw reads of the pipe only,
+                # no BLAS, logging or buffered I/O.
                 warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    fill(slice(a, b), *arrays)
+                    claim(worker)
                     code = 0
                 finally:
                     os._exit(code)
-            children.append((pid, a, b))
-        fill(slice(bounds[0], bounds[1]), *arrays)
+            children.append((pid, worker))
+        claim(0)
     finally:
-        failed = [
-            f"rows {a}:{b} (exit status {code})"
-            for pid, a, b in children
-            if (code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        ]
+        os.close(read_end)
+        failed = []
+        for pid, worker in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                a, b = current[worker]
+                rows = f"rows {a}:{b}" if a >= 0 else "no rows"
+                failed.append(f"{rows} (exit status {code})")
     if failed:
         raise RuntimeError(f"row workers failed: {', '.join(failed)}")
     return arrays
+
+
+def _shared_array(shape, dtype):
+    """An array in anonymous memory that forked children share with this process."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
 
 
 def _feature_rows(features):

@@ -106,7 +106,9 @@ def _means(Z, assign, counts):
     """
     n = Z.shape[0]
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(assign, kind="stable")
+    # a stable sort of integers of at most 16 bits is numpy's radix sort:
+    # the same permutation, in linear time
+    order = np.argsort(assign.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
     members = csr_array((np.ones(n), order, indptr), shape=(counts.size, n))
     centers = members @ Z
     centers /= counts[:, None]

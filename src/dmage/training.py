@@ -4,10 +4,10 @@ The pipeline has two phases.  ``precompute`` turns the graph into two joint
 similarity matrices — one over the priori edge set, one over the complete
 (or k-NN substituted) graph — and caches both distances and similarities on
 disk keyed by a content hash.  ``train`` then runs the epoch/batch loop:
-augment edges, forward the whole node set through the network, evaluate the
-fused loss on the batch pairs, and update parameters with Adam or SGD.  The
-final embedding always comes from a forward pass with the unaugmented
-priori adjacency.
+augment edges, forward each batch's nodes through the network (computing
+only their receptive field), evaluate the fused loss on the batch pairs, and
+update parameters with Adam or SGD.  The final embedding always comes from a
+forward pass over every node with the unaugmented priori adjacency.
 """
 
 from __future__ import annotations
@@ -421,15 +421,19 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
         sums = np.zeros(3)
         chunks = _batches(perm, batch_size)
         for batch in chunks:
-            Z = forward(X, N_epoch, params, tape)
-            if not np.isfinite(Z).all():
+            # the network computes the batch rows only, in sorted order
+            order = np.argsort(batch)
+            rows = batch[order]
+            Zr = forward(X, N_epoch, params, tape, rows)
+            if not np.isfinite(Zr).all():
                 raise TrainingDivergedError(epoch, last_finite, "embedding")
+            # fused_loss reads rows ``batch`` of an n-row embedding
+            Z = np.zeros((n, Zr.shape[1]))
+            Z[rows] = Zr
             terms, dZb = fused_loss(Pc, Pp, Z, cfg.nu_latent, cfg.alpha, kind, batch)
             if not np.isfinite(terms.total):
                 raise TrainingDivergedError(epoch, last_finite)
-            dZ = np.zeros_like(Z)
-            dZ[batch] = dZb
-            dW, dB = backward(tape, dZ)
+            dW, dB = backward(tape, dZb[order])
             if not all(np.isfinite(t).all() for t in (*dW, *dB)):
                 raise TrainingDivergedError(epoch, last_finite, "gradient")
             optimizer.step(params, dW, dB)

@@ -1,4 +1,6 @@
 import os
+import re
+import time
 import warnings
 
 import numpy as np
@@ -333,29 +335,40 @@ def components_graph(rng):
 class TestFillRows:
     """Row passes split over forked workers give the same bytes as one process."""
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
-    def test_ranges_are_contiguous_and_cover_every_row_once(self, n, workers):
-        def fill(rows, start, stop, pid):
-            start[rows], stop[rows], pid[rows] = rows.start, rows.stop, os.getpid()
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 200])
+    def test_ranges_are_contiguous_and_cover_every_row_once(self, n, workers, tmp_path):
+        def fill(rows, value):
+            # one short O_APPEND write per fill, whichever process runs it
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{rows.start} {rows.stop}\n".encode())
+            os.close(fd)
+            value[rows] = np.sqrt(np.arange(rows.start, rows.stop) + 0.5)
 
+        got = []
         for w in (1, 2, 3):
             workers(w)
-            start, stop, pid = distances._fill_rows(
-                n, 1, fill, ((), np.int64), ((), np.int64), ((), np.int64)
-            )
-            ranges = sorted(set(zip(start.tolist(), stop.tolist())))
-            assert len(ranges) == min(w, n)
-            if n == 0:
-                continue
-            # contiguous, every row inside the range that filled it, sizes within one
-            assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
-            assert ranges[-1][1] == n
-            assert all(a <= i < b for i, (a, b) in enumerate(zip(start, stop)))
-            sizes = [b - a for a, b in ranges]
-            assert max(sizes) - min(sizes) <= 1
-            # the first range is filled here, each other one by its own child
-            assert len(set(pid.tolist())) == len(ranges)
-            assert pid[0] == os.getpid()
+            log = tmp_path / f"fills-{w}"
+            (value,) = distances._fill_rows(n, 1, fill, ((), np.float64))
+            fills = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines()) if n else []
+            # the chunks filled tile the rows, each once
+            assert [0] + [b for _, b in fills] == [a for a, _ in fills] + [n]
+            assert all(a < b for a, b in fills)
+            chunks = min(n, distances._CHUNKS_PER_WORKER * distances._worker_count(n, 1))
+            assert len(fills) == (chunks if distances._worker_count(n, 1) > 1 else min(n, 1))
+            got.append(value.tobytes())
+        assert got == [got[0]] * 3
+
+    def test_chunk_indices_fit_one_pipe_write(self, workers, monkeypatch):
+        workers(2)
+        monkeypatch.setattr(distances, "_CHUNKS_PER_WORKER", 1000)
+
+        def fill(rows, start, stop):
+            start[rows], stop[rows] = rows.start, rows.stop
+
+        start, stop = distances._fill_rows(3000, 1, fill, ((), np.int64), ((), np.int64))
+        chunks = sorted(set(zip(start.tolist(), stop.tolist())))
+        assert len(chunks) == 1024
+        assert [0] + [b for _, b in chunks] == [a for a, _ in chunks] + [3000]
 
     def test_row_shapes_and_dtypes(self, workers):
         workers(2)
@@ -370,23 +383,40 @@ class TestFillRows:
 
     def test_a_failing_child_makes_the_parent_raise_and_leaves_no_child(self, workers):
         workers(3)
+        parent, shared = os.getpid(), []
 
         def fill(rows, out):
-            if rows.start > 0:
+            if os.getpid() != parent:
+                out[rows] = 2.0
                 raise ValueError("child failed")
+            shared.append(out)
+            # hold the first chunk until a child has failed, so one does
+            deadline = time.monotonic() + 30
+            while not (out == 2.0).any() and time.monotonic() < deadline:
+                time.sleep(0.001)
             out[rows] = 1.0
 
-        with pytest.raises(RuntimeError, match="rows 3:6"):
+        with pytest.raises(RuntimeError, match=r"rows \d+:\d+ \(exit status 1\)") as exc:
             distances._fill_rows(9, 1, fill, ((), np.float64))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # the message names exactly the rows the failing children were filling
+        reported = [range(int(a), int(b)) for a, b in re.findall(r"rows (\d+):(\d+)", str(exc.value))]
+        assert 1 <= len(reported) <= 2
+        assert sorted(i for r in reported for i in r) == np.flatnonzero(shared[0] == 2.0).tolist()
 
     def test_a_failing_parent_range_raises_its_error_and_reaps_every_child(self, workers):
         workers(3)
+        parent = os.getpid()
 
         def fill(rows, out):
-            if rows.start == 0:
+            if os.getpid() == parent:
+                out[rows] = 2.0
                 raise KeyError("parent failed")
+            # hold each child's chunk until this process has failed, so it does
+            deadline = time.monotonic() + 30
+            while not (out == 2.0).any() and time.monotonic() < deadline:
+                time.sleep(0.001)
             out[rows] = 1.0
 
         with pytest.raises(KeyError, match="parent failed"):

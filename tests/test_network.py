@@ -478,6 +478,137 @@ class TestSparseFirstLayer:
         assert dW[0].shape == (64, 6)
 
 
+# ---------------------------------------------------------------- row restriction
+
+
+def isolated_graph(rng, n=12, isolated=(0, 5, 11)):
+    """A random graph whose nodes ``isolated`` have no edge."""
+    from dmage.graph import AttributedGraph
+
+    g = random_graph(rng, n=n, density=0.5)
+    edges = frozenset(e for e in g.edges if not set(e) & set(isolated))
+    return AttributedGraph(n, edges, g.features, None)
+
+
+def restricted_cases():
+    """(name, graph, stack options) of the restriction tests."""
+    rng = np.random.default_rng(40)
+    return [
+        ("gcn", random_graph(rng, n=14, density=0.2), {}),
+        ("verbatim", random_graph(rng, n=11, density=0.3), {"fca_variant": "verbatim"}),
+        ("no_fca", random_graph(rng, n=9), {"no_fca": True}),
+        ("no self-loops", isolated_graph(rng), {"self_loops": False}),
+        ("csr layer 0", sparse_graph(rng, 13, 64, density=0.15), {}),
+    ]
+
+
+def full_and_restricted(g, options, rows, upstream, seed=0):
+    """Output rows and gradients of the full pass (upstream zero outside ``rows``)
+    and of the pass restricted to ``rows``."""
+    specs = default_stack(g.features.shape[1], (6, 5), 3, **options)
+    params = init_network(specs, seed)
+    for B in params.biases:
+        B[:] = np.random.default_rng(seed).uniform(-0.5, 0.5, B.shape)
+    fca = next((s for s in specs if s.kind == "fca"), None)
+    N = None if fca is None else aggregation_matrix(adjacency(g), fca.fca_variant, fca.self_loops)
+    tape = GradientTape()
+    Z = forward(g.features, N, params, tape)
+    masked = np.zeros_like(upstream)
+    masked[rows] = upstream[rows]
+    full = (Z[rows], *backward(tape, masked))
+    Zr = forward(g.features, N, params, tape, rows)
+    return full, (Zr, *backward(tape, upstream[rows])), tape
+
+
+class TestRowRestriction:
+    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    def test_gradients_match_the_full_pass(self, case):
+        _, g, options = restricted_cases()[case]
+        rng = np.random.default_rng(41 + case)
+        for m in range(2, g.n + 1):
+            for _ in range(3):
+                rows = np.sort(rng.choice(g.n, m, replace=False))
+                upstream = rng.standard_normal((g.n, 3))
+                (Z, dW, dB), (Zr, dWr, dBr), _ = full_and_restricted(g, options, rows, upstream, m)
+                assert Zr.shape == Z.shape
+                for want, got in zip([Z, *dW, *dB], [Zr, *dWr, *dBr]):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    def test_layers_run_on_the_receptive_field(self, case):
+        _, g, options = restricted_cases()[case]
+        rows = np.arange(0, g.n, 3)
+        _, _, tape = full_and_restricted(g, options, rows, np.ones((g.n, 3)))
+        specs = tape.params.specs
+        fca = [l for l, s in enumerate(specs) if s.kind == "fca"]
+        if fca:
+            A = adjacency(g) + (sp.identity(g.n) if specs[fca[0]].self_loops else 0)
+            field = np.flatnonzero(np.asarray(abs(A)[rows].sum(axis=0)).ravel())
+        for l, Z_in in enumerate(tape.inputs):
+            assert Z_in.shape[0] == (field.size if fca and l <= fca[0] else rows.size)
+        # nothing backward does not read: linear pre-activations are dropped
+        assert [p is None for p in tape.preacts] == [s.activation == "linear" for s in specs]
+
+    def test_batch_nodes_without_neighbours_have_an_empty_field(self):
+        g = isolated_graph(np.random.default_rng(42))
+        rows = np.array([0, 5, 11])
+        upstream = np.random.default_rng(43).standard_normal((g.n, 3))
+        (Z, dW, dB), (Zr, dWr, dBr), tape = full_and_restricted(
+            g, {"self_loops": False}, rows, upstream
+        )
+        assert tape.inputs[0].shape[0] == 0
+        # no path reaches the layers before the aggregation
+        for l in range(3):
+            assert (dWr[l] == 0).all() and (dBr[l] == 0).all()
+            assert (dW[l] == 0).all() and (dB[l] == 0).all()
+        assert np.abs(dWr[3] - dW[3]).max() <= 1e-12 * np.abs(dW[3]).max()
+        assert np.abs(Zr - Z).max() <= 1e-12 * np.abs(Z).max()
+
+    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    def test_every_row_gives_the_bytes_of_the_full_pass(self, case):
+        _, g, options = restricted_cases()[case]
+        upstream = np.random.default_rng(44).standard_normal((g.n, 3))
+        rows = np.arange(g.n)
+        (Z, dW, dB), (Zr, dWr, dBr), tape = full_and_restricted(g, options, rows, upstream)
+        for want, got in zip([Z, *dW, *dB], [Zr, *dWr, *dBr]):
+            assert got.tobytes() == want.tobytes()
+        # every layer ran on every node, isolated ones included
+        assert all(Z_in.shape[0] == g.n for Z_in in tape.inputs)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[2, 1], [1, 1, 3], [-1, 2], [0, 6], [0.0, 1.0], [[0, 1]]],
+        ids=["unsorted", "repeated", "negative", "past the end", "float", "2-D"],
+    )
+    def test_rows_must_be_increasing_node_indices(self, rows):
+        g = random_graph(np.random.default_rng(45), n=6)
+        params = init_network(default_stack(4, (5, 4), 3), 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            forward(g.features, aggregation_matrix(adjacency(g)), params, rows=np.array(rows))
+
+    def test_upstream_gradient_must_match_the_rows(self):
+        g = random_graph(np.random.default_rng(46), n=8)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(4, (5, 4), 3), 1)
+        tape = GradientTape()
+        Zr = forward(g.features, N, params, tape, np.array([1, 4, 6]))
+        assert Zr.shape == (3, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            backward(tape, np.ones((8, 3)))
+
+    def test_stale_restricted_tape_raises(self):
+        g = random_graph(np.random.default_rng(47), n=8)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(4, (5, 4), 3), 2)
+        tape = GradientTape()
+        Zr = forward(g.features, N, params, tape, np.array([0, 3]))
+        params.weights[1] += 0.1
+        params.bump()
+        with pytest.raises(StaleTapeError):
+            backward(tape, np.ones_like(Zr))
+
+
 # ---------------------------------------------------------------- elementwise steps
 
 

@@ -494,6 +494,76 @@ class TestTrain:
         assert all(X is g.features and type(X) is np.ndarray for X in seen)
 
 
+def full_pass(monkeypatch):
+    """Make ``train`` run every batch step as before its forward and backward
+    were restricted to the batch rows: the full forward, the loss on rows
+    ``batch`` of that output, and a backward from the batch gradient
+    scattered into zeros.  Of the batch step, only ``batch`` and the
+    optimizer come from ``train``."""
+    real_forward, real_loss, real_backward = training.forward, training.fused_loss, training.backward
+    last = {}
+
+    def forward(X, N, params, tape=None, rows=None):
+        last["Z"] = Z = real_forward(X, N, params, tape)
+        return Z if rows is None else Z[rows]
+
+    def fused_loss(Pc, Pp, Z, nu_latent, alpha, kind, batch):
+        terms, last["dZb"] = real_loss(Pc, Pp, last["Z"], nu_latent, alpha, kind, batch)
+        last["batch"] = batch
+        return terms, last["dZb"]
+
+    def backward(tape, g):
+        dZ = np.zeros_like(last["Z"])
+        dZ[last["batch"]] = last["dZb"]
+        return real_backward(tape, dZ)
+
+    monkeypatch.setattr(training, "forward", forward)
+    monkeypatch.setattr(training, "fused_loss", fused_loss)
+    monkeypatch.setattr(training, "backward", backward)
+
+
+class TestBatchRowsOnly:
+    """The batch step computes only the batch rows' receptive field."""
+
+    def test_one_batch_of_every_node_is_byte_identical(self, sbm_graph, sbm_result, monkeypatch):
+        full_pass(monkeypatch)
+        want = train(sbm_graph, TrainConfig(epochs=60, seed=0))
+        assert sbm_result.embeddings.tobytes() == want.embeddings.tobytes()
+        assert sbm_result.loss_history == want.loss_history
+
+    @pytest.mark.parametrize("kwargs", [{}, {"no_fca": True}, {"self_loops": False}])
+    def test_smaller_batches_agree_to_rounding(self, kwargs, monkeypatch):
+        g = small_graph(n=23)
+        cfg = TrainConfig(seed=0, batch_size=6, **SMALL, **kwargs)
+        got = train(g, cfg)
+        full_pass(monkeypatch)
+        want = train(g, cfg)
+        totals = np.array([[t.feature_term, t.structure_term, t.total] for t in got.loss_history])
+        wanted = np.array([[t.feature_term, t.structure_term, t.total] for t in want.loss_history])
+        assert np.abs(totals - wanted).max() <= 1e-9 * np.abs(wanted).max()
+        err = np.abs(got.embeddings - want.embeddings).max()
+        assert err <= 1e-8 * np.abs(want.embeddings).max()
+
+    def test_forward_gets_each_batch_sorted(self, monkeypatch):
+        g = small_graph(n=23)
+        cfg = TrainConfig(seed=0, batch_size=6, **SMALL)
+        seen = []
+        real_forward = training.forward
+
+        def spy(X, N, params, tape=None, rows=None):
+            seen.append(rows)
+            return real_forward(X, N, params, tape, rows)
+
+        monkeypatch.setattr(training, "forward", spy)
+        train(g, cfg)
+        assert seen[-1] is None  # the final embedding covers every node
+        for epoch in range(cfg.epochs):
+            perm = np.random.default_rng([4 * cfg.seed + training._SHUFFLE_STREAM, epoch]).permutation(g.n)
+            want = [np.sort(b) for b in _batches(perm, 6)]
+            got = seen[epoch * len(want) : (epoch + 1) * len(want)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def sparse_feature_graph(n=40, dims=128, seed=3):
     """Block-model edges with binary bag-of-words features (2 words a row)."""
     rng = np.random.default_rng(seed)
