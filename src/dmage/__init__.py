@@ -31,7 +31,6 @@ from .evaluation import (
     auc_ap,
     cluster_eval,
     clustering_metrics,
-    edge_score,
     edge_scores,
     kmeans,
     linkpred_eval,
@@ -62,8 +61,6 @@ from .network import (
     aggregation_matrix,
     backward,
     default_stack,
-    fc_forward,
-    fca_forward,
     forward,
     init_network,
 )
@@ -75,9 +72,6 @@ from .similarity import (
     calibrate_all,
     calibrate_sigma,
     conditional_similarity,
-    graph_geodesic_similarity,
-    normalize_row,
-    similarity_from_distances,
     symmetrize,
     t_kernel,
 )
@@ -137,15 +131,11 @@ __all__ = [
     "complete_graph_distances",
     "conditional_similarity",
     "default_stack",
-    "edge_score",
     "edge_scores",
     "embed",
-    "fc_forward",
-    "fca_forward",
     "forward",
     "fused_loss",
     "geodesic_distances",
-    "graph_geodesic_similarity",
     "hop_neighborhoods",
     "init_network",
     "kmeans",
@@ -156,13 +146,11 @@ __all__ = [
     "load_checkpoint",
     "load_graph",
     "load_matrix",
-    "normalize_row",
     "pairwise_distance",
     "precompute",
     "read_embeddings",
     "save_checkpoint",
     "save_matrix",
-    "similarity_from_distances",
     "symmetrize",
     "t_kernel",
     "train",

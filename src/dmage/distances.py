@@ -296,7 +296,7 @@ def _edge_weights(features, edges, metric) -> np.ndarray:
     return w
 
 
-def _edge_weight_graph(g: AttributedGraph, metric, hop_count: bool) -> csr_matrix:
+def _edge_weight_graph(g: AttributedGraph, metric) -> csr_matrix:
     """CSR graph whose stored entries are the metric weights of g's edges.
 
     Zero-weight edges (identical endpoint features) must stay stored, so the
@@ -305,10 +305,7 @@ def _edge_weight_graph(g: AttributedGraph, metric, hop_count: bool) -> csr_matri
     edges = g.edge_array()
     if len(edges) == 0:
         return csr_matrix((g.n, g.n))
-    if hop_count:
-        w = np.ones(len(edges), dtype=np.float64)
-    else:
-        w = _edge_weights(g.features, edges, metric)
+    w = _edge_weights(g.features, edges, metric)
     row = np.concatenate([edges[:, 0], edges[:, 1]])
     col = np.concatenate([edges[:, 1], edges[:, 0]])
     return csr_matrix((np.concatenate([w, w]), (row, col)), shape=(g.n, g.n))
@@ -318,18 +315,17 @@ def geodesic_distances(
     g: AttributedGraph,
     metric=DistanceMetric.EUCLIDEAN,
     lambda_: float = 10.0,
-    hop_count: bool = False,
 ) -> GeodesicDistanceMatrix:
     """All-pairs shortest-path distances over the graph's edge set.
 
     Each edge is weighted by the metric distance between its endpoint
-    features (or by 1 when ``hop_count`` is set).  Unconnected pairs get
-    ``lambda_ * max(connected distances)``.  Runs Dijkstra from every source,
-    with the sources split over the usable cores (:func:`_fill_rows`).
+    features.  Unconnected pairs get ``lambda_ * max(connected distances)``.
+    Runs Dijkstra from every source, with the sources split over the usable
+    cores (:func:`_fill_rows`).
     """
     if not lambda_ > 1.0:
         raise ValueError(f"lambda_ must be > 1, got {lambda_}")
-    graph = _edge_weight_graph(g, metric, hop_count)
+    graph = _edge_weight_graph(g, metric)
 
     def fill(rows, dist, row_max, row_finite):
         for block in _row_blocks(rows.stop, g.n, _DIJKSTRA_BLOCK, rows.start):

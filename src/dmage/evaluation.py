@@ -34,7 +34,6 @@ __all__ = [
     "clustering_metrics",
     "cluster_eval",
     "linkpred_split",
-    "edge_score",
     "edge_scores",
     "auc_ap",
     "linkpred_eval",
@@ -309,10 +308,6 @@ def edge_scores(Z, pairs, scorer: str = "t_kernel", nu: float = 1.0) -> np.ndarr
     if scorer == "t_kernel":
         return t_kernel(np.linalg.norm(a - b, axis=1), nu)
     raise ValueError(f"unknown scorer {scorer!r}")
-
-
-def edge_score(Z, i: int, j: int, scorer: str = "t_kernel", nu: float = 1.0) -> float:
-    return float(edge_scores(Z, [(i, j)], scorer, nu)[0])
 
 
 def auc_ap(scores_pos, scores_neg):

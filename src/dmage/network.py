@@ -8,9 +8,15 @@ gradient tape; ``backward`` replays it in reverse to produce exact
 reverse-mode gradients for every weight and bias.
 
 The FCA layer consumes only the normalized aggregation operator that
-:func:`aggregation_matrix` builds from an adjacency; ``forward`` and
-``fca_forward`` never see a raw adjacency, so each epoch's operator is built
-exactly once by the caller.
+:func:`aggregation_matrix` builds from an adjacency; ``forward`` never sees
+a raw adjacency, so each epoch's operator is built exactly once by the
+caller.
+
+Training always builds that stack.  The layer codes it does not use stay:
+the "relu" activation, the "verbatim" aggregation (the paper's formula as
+printed) and aggregation without self-loops.  Checkpoints store these codes,
+so every checkpoint still loads and embeds, and the gradient tests run the
+network on them.
 
 Layer 0 reads the node features.  On citation graphs these are bag-of-words
 rows that are almost all zero (Cora: 1.3% nonzero), so when at most
@@ -60,8 +66,6 @@ __all__ = [
     "default_stack",
     "init_network",
     "aggregation_matrix",
-    "fc_forward",
-    "fca_forward",
     "forward",
     "backward",
 ]
@@ -273,25 +277,6 @@ def aggregation_matrix(
         scale = np.sqrt(deg)
     d_half = sp.diags(scale)
     return (d_half @ base @ d_half).tocsr()
-
-
-def fc_forward(Z, W, B, activation: str = "linear"):
-    """Affine map with optional elementwise activation: act(Z W + B)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[1] != W.shape[0]:
-        raise ValueError(f"shape mismatch: input {Z.shape} vs weight {W.shape}")
-    return _activate(_affine(Z, W, B), activation)
-
-
-def fca_forward(Z, N, W, B):
-    """Linear map followed by aggregation with the operator ``N``.
-
-    ``N`` is the normalized operator from :func:`aggregation_matrix`.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    if N.shape[0] != Z.shape[0]:
-        raise ValueError(f"operator is {N.shape} but input has {Z.shape[0]} rows")
-    return N @ _affine(Z, W, B)
 
 
 def _sorted_rows(rows, n):

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import GeodesicDistanceMatrix, _fill_rows, _row_blocks, geodesic_distances
-from .graph import AttributedGraph
+from .distances import GeodesicDistanceMatrix, _fill_rows, _row_blocks
 
 __all__ = [
     "KernelParams",
@@ -40,13 +39,10 @@ __all__ = [
     "SimilarityMatrix",
     "CalibrationWarning",
     "t_kernel",
-    "normalize_row",
     "calibrate_sigma",
     "calibrate_all",
     "conditional_similarity",
     "symmetrize",
-    "similarity_from_distances",
-    "graph_geodesic_similarity",
 ]
 
 SIGMA_LO = 1e-4
@@ -144,20 +140,6 @@ def t_kernel(d, nu: float, out=None):
     np.subtract(_kernel_log_const(nu), out, out=out)
     np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-def t_kernel_grad(d, nu: float):
-    """Derivative of ``t_kernel`` with respect to d (elementwise)."""
-    d = np.asarray(d, dtype=np.float64)
-    k = t_kernel(d, nu)
-    return -k * (nu + 1.0) * d / (nu + d * d)
-
-
-def normalize_row(d_row, rho_i: float, sigma_i: float) -> np.ndarray:
-    """Shift a distance row by ``rho_i`` and scale by ``sigma_i``."""
-    if not sigma_i > 0:
-        raise ValueError(f"sigma must be positive, got {sigma_i}")
-    return (np.asarray(d_row, dtype=np.float64) - rho_i) / sigma_i
 
 
 def _kernel_mass(rows, rho, nu, sigma):
@@ -431,61 +413,21 @@ def conditional_similarity(
     return SimilarityMatrix(p, "conditional")
 
 
-def symmetrize(p: SimilarityMatrix, variant: str = "paper") -> SimilarityMatrix:
-    """Symmetrize conditional similarities into a joint form.
+def symmetrize(p: SimilarityMatrix) -> SimilarityMatrix:
+    """Symmetrize conditional similarities into the joint form.
 
-    The default combines ``p_ij = p_i|j + p_j|i - 2 p_i|j p_j|i``; the
-    "fuzzy" variant uses the probabilistic-union form ``p + q - p q``.
+    ``p_ij = p_i|j + p_j|i - 2 p_i|j p_j|i``, the paper's joint similarity,
+    computed in row blocks; the result is exactly symmetric.
     """
     if p.kind != "conditional":
         raise ValueError("symmetrize expects a conditional similarity matrix")
-    if variant not in ("paper", "fuzzy"):
-        raise ValueError(f"unknown symmetrize variant {variant!r}")
     m = p.matrix
     joint = np.empty(m.shape, np.result_type(m, 2.0))
     for rows in _row_blocks(m.shape[0], m.shape[0], _KERNEL_BLOCK):
         # the transposed rows, copied once so the passes below read them in order
         a, b = m[rows], np.ascontiguousarray(m[:, rows].T)
         block = np.add(a, b, out=joint[rows])
-        b *= 2.0 * a if variant == "paper" else a
+        b *= 2.0 * a
         block -= b
     np.fill_diagonal(joint, 0.0)
     return SimilarityMatrix(joint, "joint")
-
-
-def similarity_from_distances(
-    d_matrix,
-    nu: float,
-    q_p: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    symmetrize_variant: str = "paper",
-) -> SimilarityMatrix:
-    """Full distance-to-joint-similarity pipeline on a precomputed matrix."""
-    d = d_matrix.matrix if isinstance(d_matrix, GeodesicDistanceMatrix) else np.asarray(d_matrix)
-    calib = calibrate_all(d, nu, q_p, tol, max_iter)
-    cond = conditional_similarity(d, KernelParams(nu), calib)
-    return symmetrize(cond, symmetrize_variant)
-
-
-def graph_geodesic_similarity(
-    g: AttributedGraph,
-    nu: float,
-    q_p: float,
-    metric="euclidean",
-    lambda_: float = 10.0,
-    features=None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    symmetrize_variant: str = "paper",
-    hop_count: bool = False,
-) -> SimilarityMatrix:
-    """Joint geodesic similarity of a graph: distances, calibration, kernel, symmetrization.
-
-    ``features`` overrides the graph's own feature matrix for edge weighting
-    when given (same node order).
-    """
-    if features is not None:
-        g = AttributedGraph(g.n, g.edges, np.asarray(features, dtype=np.float64), g.labels)
-    dist = geodesic_distances(g, metric, lambda_, hop_count)
-    return similarity_from_distances(dist, nu, q_p, tol, max_iter, symmetrize_variant)

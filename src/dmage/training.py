@@ -6,7 +6,7 @@ similarity matrices — one over the priori edge set, one over the complete
 disk keyed by a content hash.  ``train`` then runs the epoch/batch loop:
 augment edges, forward each batch's nodes through the network (computing
 only their receptive field), evaluate the fused loss on the batch pairs, and
-update parameters with Adam or SGD.  The final embedding always comes from a
+update parameters with Adam.  The final embedding always comes from a
 forward pass over every node with the unaugmented priori adjacency.
 """
 
@@ -32,7 +32,14 @@ from .container import (
     save_matrix,
 )
 from .distances import _row_blocks, complete_graph_distances, geodesic_distances
-from .graph import AttributedGraph, adjacency, adjacency_from_edges, hop_neighborhoods, knn_graph
+from .graph import (
+    AttributedGraph,
+    DistanceMetric,
+    adjacency,
+    adjacency_from_edges,
+    hop_neighborhoods,
+    knn_graph,
+)
 from .losses import BregmanKind, LossTerms, fused_loss
 from .network import (
     GradientTape,
@@ -71,6 +78,18 @@ _SHUFFLE_STREAM = 1
 _AUGMENT_STREAM = 2
 # elements per row block of the Adam update: its two temporaries stay in cache
 _ADAM_CHUNK = 1 << 13
+# options that every run took at one value, and that value: a config setting
+# one of them to it, such as the manifest of an older run, still loads
+_RETIRED_KEYS = {
+    "optimizer": "adam",
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-8,
+    "activation": "leaky_relu",
+    "fca_variant": "gcn",
+    "self_loops": True,
+    "symmetrize_variant": "paper",
+}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -92,7 +111,9 @@ class TrainConfig:
     ``batch_size=0`` means min(n, 1024).  ``knn_k=0`` uses the true complete
     graph for the feature-side similarity; a positive value substitutes the
     k-nearest-neighbor graph.  ``lambda_`` scales the unconnected-pair
-    distance and serializes under the key "lambda".
+    distance and serializes under the key "lambda".  The network is the
+    paper's: LeakyReLU FC layers and one GCN-normalized FCA layer with
+    self-loops, trained with Adam (0.9, 0.999, 1e-8).
     """
 
     learning_rate: float = 1e-3
@@ -107,20 +128,12 @@ class TrainConfig:
     metric: str = "euclidean"
     knn_k: int = 0
     seed: int = 0
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     bregman: str = "logi"
     no_augment: bool = False
     no_fca: bool = False
     hard_similarity: bool = False
     hidden_dims: tuple = (500, 250)
     latent_dim: int = 200
-    activation: str = "leaky_relu"
-    fca_variant: str = "gcn"
-    self_loops: bool = True
-    symmetrize_variant: str = "paper"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -143,10 +156,14 @@ class TrainConfig:
             raise ValueError(f"knn_k must be >= 0, got {self.knn_k}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         BregmanKind(self.bregman)
+        DistanceMetric(self.metric)
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        if self.latent_dim < 1 or any(h < 1 for h in self.hidden_dims):
+            raise ValueError(
+                f"hidden_dims and latent_dim must be positive, got "
+                f"{list(self.hidden_dims)} and {self.latent_dim}"
+            )
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -161,6 +178,11 @@ class TrainConfig:
             if "lambda_" in d:
                 raise ValueError("config sets both 'lambda' and 'lambda_'")
             d["lambda_"] = d.pop("lambda")
+        for key, value in _RETIRED_KEYS.items():
+            if key in d and (got := d.pop(key)) != value:
+                raise ValueError(
+                    f"config key {key!r} is retired and accepts only {value!r}, got {got!r}"
+                )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -183,17 +205,6 @@ class TrainResult:
     config_echo: TrainConfig
 
 
-class _SgdOptimizer:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params: NetworkParams, dW, dB):
-        for W, B, gw, gb in zip(params.weights, params.biases, dW, dB):
-            W -= self.lr * gw
-            B -= self.lr * gb
-        params.bump()
-
-
 class _AdamOptimizer:
     """Adam, updated in place over row blocks of about ``_ADAM_CHUNK`` elements.
 
@@ -202,8 +213,10 @@ class _AdamOptimizer:
     blocks only keep the temporaries in cache.
     """
 
-    def __init__(self, lr, beta1, beta2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.t = 0
         self.m = None
         self.v = None
@@ -236,12 +249,6 @@ class _AdamOptimizer:
                 b += self.eps
                 xs -= np.divide(a, b, out=a)
         params.bump()
-
-
-def _make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return _SgdOptimizer(cfg.learning_rate)
-    return _AdamOptimizer(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
 def _cache_dir(explicit=None):
@@ -298,13 +305,14 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
             t2 = time.perf_counter()
             cond = conditional_similarity(d, KernelParams(cfg.nu_input), calib)
             del d  # one n x n matrix fewer while symmetrize adds one
-            joint = symmetrize(cond, cfg.symmetrize_variant).matrix
+            joint = symmetrize(cond).matrix
             stages["distances"] = t1 - t0 - stages["cache write"]
             stages["calibration"] = t2 - t1
             stages["kernel+symmetrize"] = time.perf_counter() - t2
             return joint
 
-        sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, cfg.symmetrize_variant)
+        # the one value of the retired symmetrize_variant, so existing cache names still hit
+        sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, "paper")
         name = f"{tag}-{sim_key[:32]}.dmgs"
         s = _cached_matrix(cache, name, MAGIC_SIMILARITY, similarity, stages)
         if "distances" in stages:  # computed, not read from the cache
@@ -360,15 +368,7 @@ def _batches(perm, batch_size):
 
 
 def _build_specs(g: AttributedGraph, cfg: TrainConfig):
-    return default_stack(
-        g.features.shape[1],
-        cfg.hidden_dims,
-        cfg.latent_dim,
-        cfg.activation,
-        no_fca=cfg.no_fca,
-        fca_variant=cfg.fca_variant,
-        self_loops=cfg.self_loops,
-    )
+    return default_stack(g.features.shape[1], cfg.hidden_dims, cfg.latent_dim, no_fca=cfg.no_fca)
 
 
 def _aggregation_operator(n: int, edges, specs):
@@ -398,7 +398,7 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
 
     specs = _build_specs(g, cfg)
     params = init_network(specs, 4 * cfg.seed + _INIT_STREAM)
-    optimizer = _make_optimizer(cfg)
+    optimizer = _AdamOptimizer(cfg.learning_rate)
     kind = BregmanKind(cfg.bregman)
 
     # augmentation only perturbs the operator of the FCA layer
@@ -410,7 +410,8 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     N_prior = _aggregation_operator(n, g.edge_array(), specs)
     history = []
     last_finite = -1
-    # one tape for the run, so layer 0's input rows are built once
+    # one tape for the run, the final forward included, so layer 0's input
+    # rows are built once
     tape = GradientTape()
     for epoch in range(cfg.epochs):
         if augmenting:
@@ -444,7 +445,7 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
         if (epoch + 1) % 50 == 0 or epoch == cfg.epochs - 1:
             log.info("epoch %d/%d: loss %.6g", epoch + 1, cfg.epochs, mean[2])
 
-    Z_final = forward(X, N_prior, params)
+    Z_final = forward(X, N_prior, params, tape)
     return TrainResult(Z_final, params, tuple(history), cfg)
 
 

@@ -8,6 +8,8 @@ import pytest
 from dmage.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from dmage.training import read_embeddings
 
+from test_training import DEFAULTS_WITH_RETIRED_KEYS
+
 FAST = {"epochs": 4, "hidden_dims": [8, 4], "latent_dim": 2}
 
 
@@ -65,6 +67,22 @@ class TestTrainCommand:
             first = f.read()
         with open(os.path.join(out2, "embeddings.tsv"), "rb") as f:
             assert f.read() == first
+
+    def test_manifest_with_retired_keys_reproduces_its_run(self, tmp_path, toy_dataset):
+        # a manifest written while the config still had eight single-valued
+        # options holds them at their one value
+        cfg = write_config(tmp_path, toy_dataset)
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run("train", "--config", cfg, "--out", out1) == EXIT_OK
+        with open(os.path.join(out1, "manifest.json")) as f:
+            manifest = json.load(f)
+        manifest["config"] = {**DEFAULTS_WITH_RETIRED_KEYS, **manifest["config"]}
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert run("train", "--config", str(old), "--out", out2) == EXIT_OK
+        for name in ("embeddings.tsv", "loss.tsv", "checkpoint.dmgw"):
+            with open(os.path.join(out1, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_seed_flag_overrides_config(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset, seed=3)
@@ -234,6 +252,22 @@ class TestErrorExits:
         cfg = write_config(tmp_path, toy_dataset, epochz=5)
         assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
+    def test_retired_key_at_another_value(self, tmp_path, toy_dataset, caplog):
+        cfg = write_config(tmp_path, toy_dataset, optimizer="sgd")
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert "'optimizer'" in caplog.text
+
+    @pytest.mark.parametrize(
+        "bad", [{"metric": "foo"}, {"latent_dim": 0}, {"hidden_dims": [0]}], ids=["metric", "latent", "hidden"]
+    )
+    def test_bad_value_exits_before_precompute(self, tmp_path, toy_dataset, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("precompute ran")
+
+        monkeypatch.setattr("dmage.training.precompute", refuse)
+        cfg = write_config(tmp_path, toy_dataset, **bad)
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
     def test_missing_data_keys(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(FAST))
@@ -250,8 +284,7 @@ class TestErrorExits:
         assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_DATA
 
     def test_divergence_exit_code(self, tmp_path, toy_dataset):
-        cfg = write_config(tmp_path, toy_dataset, optimizer="sgd",
-                           learning_rate=1e200, epochs=5)
+        cfg = write_config(tmp_path, toy_dataset, learning_rate=1e200, epochs=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = run("train", "--config", cfg, "--out", str(tmp_path / "o"))

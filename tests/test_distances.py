@@ -176,13 +176,6 @@ class TestGeodesicDistances:
             got = geodesic_distances(g, "euclidean")
         assert (got.matrix == 0).all()
 
-    def test_hop_count_variant(self):
-        feats = np.array([[0.0], [10.0], [11.0]])
-        g = AttributedGraph(3, normalize_edges([(0, 1), (1, 2)]), feats, None)
-        got = geodesic_distances(g, "euclidean", hop_count=True)
-        assert got.matrix[0, 1] == 1.0
-        assert got.matrix[0, 2] == 2.0
-
     def test_indirect_path_shorter_than_edge(self):
         # direct 0-2 edge weight 10, path through 1 weighs 2
         feats = np.array([[0.0], [1.0], [10.0]])
@@ -241,7 +234,7 @@ class TestEdgeWeights:
             dup = rng.integers(0, n, size=n // 3)
             x[rng.integers(0, n, size=dup.size)] = x[dup]
             g = graph_with_duplicates(rng, x)
-            got = distances._edge_weight_graph(g, metric, False)
+            got = distances._edge_weight_graph(g, metric)
             e = g.edge_array()
             want = pairwise_distance(x, metric)[e[:, 0], e[:, 1]]
             assert got.nnz == 2 * len(e)  # zero-weight edges stay stored
@@ -257,7 +250,7 @@ class TestEdgeWeights:
         x[10:20] = x[:10]
         x[25:] = 0.0
         g = graph_with_duplicates(rng, x)
-        got = distances._edge_weight_graph(g, metric, False)
+        got = distances._edge_weight_graph(g, metric)
         for i, j in g.edge_array():
             w = got[i, j]
             if (x[i] == 0).all() and (x[j] == 0).all() and metric == "cosine":
@@ -270,14 +263,14 @@ class TestEdgeWeights:
     def test_edgeless_graph(self):
         g = AttributedGraph(4, frozenset(), np.ones((4, 3)), None)
         for metric in ("euclidean", "manhattan", "cosine"):
-            got = distances._edge_weight_graph(g, metric, False)
+            got = distances._edge_weight_graph(g, metric)
             assert got.shape == (4, 4) and got.nnz == 0
 
     def test_unconnected_rule_matches_masked_maximum(self):
         rng = np.random.default_rng(23)
         for trial in range(30):
             g = random_graph(rng, n=int(rng.integers(1, 14)), density=float(rng.uniform(0, 0.5)))
-            graph = distances._edge_weight_graph(g, "euclidean", False)
+            graph = distances._edge_weight_graph(g, "euclidean")
             want, want_max = old_geodesic_tail(distances.dijkstra(graph, directed=True), g.n, 4.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGraphWarning)
@@ -451,7 +444,7 @@ class TestFillRows:
                 dist = geodesic_distances(graph, metric, lambda_=4.0)
                 got.append((dist.matrix.tobytes(), dist.connected_max))
             want, want_max = old_geodesic_tail(
-                distances.dijkstra(distances._edge_weight_graph(graph, metric, False), directed=True),
+                distances.dijkstra(distances._edge_weight_graph(graph, metric), directed=True),
                 graph.n,
                 4.0,
             )

@@ -13,7 +13,6 @@ from dmage.evaluation import (
     auc_ap,
     cluster_eval,
     clustering_metrics,
-    edge_score,
     edge_scores,
     kmeans,
     linkpred_eval,
@@ -427,8 +426,8 @@ class TestLinkpredSplit:
 class TestEdgeScores:
     def test_t_kernel_scores(self):
         Z = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-        assert edge_score(Z, 0, 1) == pytest.approx(t_kernel(0.0, 1.0), rel=1e-12)
-        assert edge_score(Z, 0, 2) == pytest.approx(t_kernel(5.0, 1.0), rel=1e-12)
+        got = edge_scores(Z, [(0, 1), (0, 2)])
+        assert got == pytest.approx([t_kernel(0.0, 1.0), t_kernel(5.0, 1.0)], rel=1e-12)
 
     def test_t_kernel_monotone_in_distance(self):
         Z = np.array([[0.0], [1.0], [2.0], [5.0]])

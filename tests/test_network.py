@@ -8,12 +8,11 @@ from dmage.losses import BregmanKind, fused_loss
 from dmage.network import (
     GradientTape,
     LayerSpec,
+    NetworkParams,
     StaleTapeError,
     aggregation_matrix,
     backward,
     default_stack,
-    fc_forward,
-    fca_forward,
     forward,
     init_network,
 )
@@ -25,7 +24,7 @@ from conftest import random_graph
 
 
 def matmul_oracle(Z, W, B):
-    """Scalar triple loop for act-free fc_forward."""
+    """Scalar triple loop for an act-free fc layer."""
     n, d_in = Z.shape
     d_out = W.shape[1]
     out = np.zeros((n, d_out))
@@ -45,6 +44,18 @@ def fca_oracle(Z, A_dense, W, B):
     deg = with_loops.sum(axis=1)
     norm = np.diag(1.0 / np.sqrt(deg)) @ with_loops @ np.diag(1.0 / np.sqrt(deg))
     return norm @ (matmul_oracle(Z, W, B))
+
+
+def fc_forward(Z, W, B, activation="linear"):
+    """``forward`` through one fc layer with weights ``W`` and bias ``B``."""
+    spec = LayerSpec("fc", W.shape[0], W.shape[1], activation)
+    return forward(Z, None, NetworkParams((spec,), [W], [B], 0))
+
+
+def fca_forward(Z, N, W, B):
+    """``forward`` through one fca layer with operator ``N``."""
+    spec = LayerSpec("fca", W.shape[0], W.shape[1])
+    return forward(Z, N, NetworkParams((spec,), [W], [B], 0))
 
 
 # ---------------------------------------------------------------- init

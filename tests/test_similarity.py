@@ -14,15 +14,13 @@ from dmage.similarity import (
     calibrate_all,
     calibrate_sigma,
     conditional_similarity,
-    graph_geodesic_similarity,
-    normalize_row,
-    similarity_from_distances,
     symmetrize,
     t_kernel,
 )
 from dmage import similarity
 from dmage.distances import geodesic_distances, pairwise_distance
-from dmage.similarity import MAX_DOUBLINGS, t_kernel_grad
+from dmage.similarity import MAX_DOUBLINGS
+from dmage.training import TrainConfig, precompute
 
 from conftest import random_graph
 
@@ -187,23 +185,6 @@ class TestTKernel:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
             t_kernel(1.0, 0.0)
-
-    def test_grad_matches_finite_differences(self):
-        h = 1e-6
-        for nu in (0.7, 1.0, 100.0):
-            for d in (0.0, 0.3, 1.7, 9.0):
-                fd = (t_kernel(d + h, nu) - t_kernel(d - h, nu)) / (2 * h)
-                assert t_kernel_grad(d, nu) == pytest.approx(fd, abs=1e-8)
-
-
-class TestNormalizeRow:
-    def test_shift_and_scale(self):
-        out = normalize_row([2.0, 4.0, 8.0], rho_i=2.0, sigma_i=2.0)
-        assert out.tolist() == [0.0, 1.0, 3.0]
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            normalize_row([1.0], 0.0, 0.0)
 
 
 class TestCalibrateSigma:
@@ -374,9 +355,9 @@ class TestConditionalSimilarity:
 
 
 class TestSymmetrize:
-    def joint_of(self, a, b, variant="paper"):
+    def joint_of(self, a, b):
         m = np.array([[0.0, a], [b, 0.0]])
-        return symmetrize(SimilarityMatrix(m, "conditional"), variant).matrix[0, 1]
+        return symmetrize(SimilarityMatrix(m, "conditional")).matrix[0, 1]
 
     def test_fixed_points(self):
         assert self.joint_of(0.0, 0.0) == 0.0
@@ -386,10 +367,6 @@ class TestSymmetrize:
     def test_both_certain_cancels(self):
         # p + q - 2pq at (1,1) collapses to 0 by the algebra as written
         assert self.joint_of(1.0, 1.0) == 0.0
-
-    def test_fuzzy_union_variant(self):
-        assert self.joint_of(0.5, 0.5, "fuzzy") == 0.75
-        assert self.joint_of(1.0, 1.0, "fuzzy") == 1.0
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(4)
@@ -425,8 +402,8 @@ def _oracle_conditional(d, nu, rho, sigma):
     return p
 
 
-def _oracle_symmetrize(m, variant):
-    joint = m + m.T - 2.0 * m * m.T if variant == "paper" else m + m.T - m * m.T
+def _oracle_symmetrize(m):
+    joint = m + m.T - 2.0 * m * m.T
     np.fill_diagonal(joint, 0.0)
     return joint
 
@@ -450,9 +427,8 @@ class TestRowBlocksMatchWholeArrays:
         want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
         assert cond.matrix.tobytes() == want.tobytes()
         assert n < 23 or (want == 0).sum() > n  # off-diagonal zeros are covered
-        for variant in ("paper", "fuzzy"):
-            got = symmetrize(cond, variant).matrix
-            assert got.tobytes() == _oracle_symmetrize(want, variant).tobytes()
+        got = symmetrize(cond).matrix
+        assert got.tobytes() == _oracle_symmetrize(want).tobytes()
 
     def test_t_kernel_in_place_matches_whole_array(self):
         d = np.abs(np.random.default_rng(1).standard_normal((5, 7))) * 4.0
@@ -469,29 +445,26 @@ class TestRowBlocksMatchWholeArrays:
 
 
 class TestEndToEnd:
+    """The distance-to-joint-similarity pipeline as ``precompute`` runs it."""
+
     def test_similarity_from_distances_properties(self):
-        rng = np.random.default_rng(5)
-        d = np.abs(rng.standard_normal((9, 9))) + 0.05
-        d = (d + d.T) / 2
-        np.fill_diagonal(d, 0.0)
-        s = similarity_from_distances(d, nu=100.0, q_p=8.0)
+        # the complete-graph matrix: feature distances, calibration, kernel, symmetrization
+        g = random_graph(np.random.default_rng(5), n=9, density=0.4)
+        s, _ = precompute(g, TrainConfig(nu_input=100.0, q_p=8.0))
         assert s.kind == "joint"
         assert (s.matrix == s.matrix.T).all()
         assert (s.matrix >= 0).all() and (s.matrix <= 1).all()
         assert (np.diag(s.matrix) == 0).all()
+        d = pairwise_distance(g.features, "euclidean")
+        cond = conditional_similarity(d, KernelParams(100.0), calibrate_all(d, 100.0, 8.0))
+        assert s.matrix.tobytes() == symmetrize(cond).matrix.tobytes()
 
     def test_graph_geodesic_similarity_smoke(self):
+        # the prior matrix: the same pipeline on the graph's geodesic distances
         g = random_graph(np.random.default_rng(6), n=10, density=0.4)
-        s = graph_geodesic_similarity(g, nu=100.0, q_p=8.0)
+        _, s = precompute(g, TrainConfig(nu_input=100.0, q_p=8.0))
         assert s.n == 10
         assert (s.matrix == s.matrix.T).all()
-
-    def test_features_override(self):
-        g = random_graph(np.random.default_rng(7), n=8, density=0.5)
-        other = np.random.default_rng(8).standard_normal(g.features.shape)
-        s1 = graph_geodesic_similarity(g, 100.0, 8.0)
-        s2 = graph_geodesic_similarity(g, 100.0, 8.0, features=other)
-        assert not np.allclose(s1.matrix, s2.matrix)
 
 
 class TestWorkerCounts:
@@ -561,12 +534,7 @@ class TestWorkerCounts:
             workers(w)
             calib = calibrate_all(d, 100.0, 4.0)
             cond = conditional_similarity(d, KernelParams(100.0), calib)
-            got.append(
-                [cond.matrix.tobytes()]
-                + [symmetrize(cond, v).matrix.tobytes() for v in ("paper", "fuzzy")]
-            )
+            got.append([cond.matrix.tobytes(), symmetrize(cond).matrix.tobytes()])
         want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
-        assert got[0] == [want.tobytes()] + [
-            _oracle_symmetrize(want, v).tobytes() for v in ("paper", "fuzzy")
-        ]
+        assert got[0] == [want.tobytes(), _oracle_symmetrize(want).tobytes()]
         assert got[1] == got[0] and got[2] == got[0]

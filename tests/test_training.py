@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import warnings
@@ -30,6 +31,19 @@ from test_losses import _oracle_fused_loss
 
 SMALL = dict(hidden_dims=(16, 8), latent_dim=3, epochs=5, p_minus=0.3)
 
+# ``TrainConfig().to_dict()`` before eight options that every run took at one
+# value were retired; the last eight keys are those options
+DEFAULTS_WITH_RETIRED_KEYS = {
+    "learning_rate": 0.001, "epochs": 500, "batch_size": 0, "alpha": 1.0,
+    "nu_input": 100.0, "nu_latent": 1.0, "q_p": 16.0, "p_minus": 0.01,
+    "metric": "euclidean", "knn_k": 0, "seed": 0, "bregman": "logi",
+    "no_augment": False, "no_fca": False, "hard_similarity": False,
+    "hidden_dims": [500, 250], "latent_dim": 200, "lambda": 10.0,
+    "optimizer": "adam", "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08,
+    "activation": "leaky_relu", "fca_variant": "gcn", "self_loops": True,
+    "symmetrize_variant": "paper",
+}
+
 
 def small_graph(seed=3, n=20):
     # dense enough that no node is isolated (keeps calibration warning-free)
@@ -59,8 +73,11 @@ class TestTrainConfig:
             {"q_p": 1.0},
             {"knn_k": -1},
             {"seed": -1},
-            {"optimizer": "rmsprop"},
             {"bregman": "kl"},
+            {"metric": "foo"},
+            {"latent_dim": 0},
+            {"hidden_dims": [0]},
+            {"hidden_dims": (8, -1)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -87,6 +104,19 @@ class TestTrainConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys.*learning_rte"):
             TrainConfig.from_dict({"learning_rte": 0.1})
+
+    def test_retired_keys_at_their_value_are_dropped(self):
+        assert TrainConfig.from_dict(DEFAULTS_WITH_RETIRED_KEYS) == TrainConfig()
+        assert len(dataclasses.fields(TrainConfig)) == len(DEFAULTS_WITH_RETIRED_KEYS) - 8 == 18
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("optimizer", "sgd"), ("adam_beta1", 0.5), ("activation", "relu"),
+         ("fca_variant", "verbatim"), ("self_loops", False), ("symmetrize_variant", "fuzzy")],
+    )
+    def test_retired_keys_at_another_value_raise(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' is retired"):
+            TrainConfig.from_dict({key: value})
 
     def test_hidden_dims_list_becomes_tuple(self):
         cfg = TrainConfig.from_dict({"hidden_dims": [8, 4]})
@@ -118,6 +148,16 @@ class TestPrecompute:
         second = precompute(g, cfg, cache_dir=str(tmp_path))
         for a, b in zip(first, second):
             assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    def test_cache_names_are_stable(self, tmp_path):
+        # caches written by earlier versions must keep hitting
+        precompute(two_block_sbm(seed=0), TrainConfig(), cache_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "complete-038bded6863028ea2bcb95996c125656.dmgs",
+            "complete-2b55dcd32dd9f18e4f47bf11e58fdcf3.dmgd",
+            "prior-9b20dd3e357c04774d91fe99e594672d.dmgd",
+            "prior-dbb94ee3d927762999e5af2771536fb4.dmgs",
+        ]
 
     def test_cache_hit_logged(self, tmp_path, caplog):
         g = small_graph()
@@ -215,11 +255,14 @@ class TestPrecompute:
 
     @pytest.mark.parametrize("hard", [False, True], ids=["geodesic", "hard"])
     @pytest.mark.parametrize("knn_k", [0, 4], ids=["complete", "knn"])
-    @pytest.mark.parametrize("variant", ["paper", "fuzzy"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_matrices_exactly_symmetric(self, variant, knn_k, hard, tmp_path):
-        # fused_loss computes each unordered pair once and mirrors it
+        # fused_loss computes each unordered pair once and mirrors it; the
+        # retired key at its one value loads, as an older manifest sets it
         g = two_block_sbm(n=45, p_intra=0.08, p_inter=0.01, seed=2)
-        cfg = TrainConfig(symmetrize_variant=variant, knn_k=knn_k, hard_similarity=hard)
+        cfg = TrainConfig.from_dict(
+            {"symmetrize_variant": variant, "knn_k": knn_k, "hard_similarity": hard}
+        )
         for lookup in ("miss", "hit"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -286,7 +329,7 @@ class TestAdamOptimizer:
         params = init_network(specs, seed=0)
         ref_w = [w.copy() for w in params.weights]
         ref_b = [b.copy() for b in params.biases]
-        opt = _AdamOptimizer(0.01, 0.9, 0.999, 1e-8)
+        opt = _AdamOptimizer(0.01)
         m = [np.zeros_like(t) for t in ref_w + ref_b]
         v = [np.zeros_like(t) for t in ref_w + ref_b]
         for t in range(1, 4):
@@ -306,7 +349,7 @@ class TestAdamOptimizer:
         specs = default_stack(3, (), 2, "linear", no_fca=True)
         params = init_network(specs, seed=0)
         v0 = params.version
-        opt = _AdamOptimizer(0.01, 0.9, 0.999, 1e-8)
+        opt = _AdamOptimizer(0.01)
         opt.step(params, [np.ones_like(w) for w in params.weights],
                  [np.ones_like(b) for b in params.biases])
         assert params.version == v0 + 1
@@ -322,7 +365,7 @@ class TestAdamOptimizer:
         tensors = [rng.standard_normal(s) for s in shapes]
         params = NetworkParams((), tensors[:2], tensors[2:], 0)
         ref = [t.copy() for t in tensors]
-        opt = _AdamOptimizer(0.01, 0.9, 0.999, 1e-8)
+        opt = _AdamOptimizer(0.01)
         ref_m = [np.zeros_like(t) for t in ref]
         ref_v = [np.zeros_like(t) for t in ref]
         with np.errstate(all="ignore"):
@@ -412,7 +455,6 @@ class TestTrain:
             {"hard_similarity": True},
             {"alpha": 0.2},
             {"bregman": "sed"},
-            {"optimizer": "sgd"},
         ],
     )
     def test_switches_change_embeddings(self, kwargs):
@@ -420,6 +462,14 @@ class TestTrain:
         base = train(g, TrainConfig(seed=0, **SMALL))
         varied = train(g, TrainConfig(seed=0, **SMALL, **kwargs))
         assert not np.allclose(base.embeddings, varied.embeddings)
+
+    def test_config_with_retired_keys_trains_byte_identically(self):
+        g = small_graph()
+        small = {**SMALL, "hidden_dims": list(SMALL["hidden_dims"])}
+        old = train(g, TrainConfig.from_dict({**DEFAULTS_WITH_RETIRED_KEYS, **small}))
+        new = train(g, TrainConfig.from_dict(small))
+        assert old.embeddings.tobytes() == new.embeddings.tobytes()
+        assert old.loss_history == new.loss_history
 
     def test_batched_training_runs(self):
         g = small_graph(n=23)
@@ -438,8 +488,7 @@ class TestTrain:
 
     def test_divergence_raises_with_epoch_info(self):
         g = small_graph()
-        cfg = TrainConfig(seed=0, optimizer="sgd", learning_rate=1e200,
-                          hidden_dims=(16, 8), latent_dim=3, epochs=10)
+        cfg = TrainConfig(seed=0, learning_rate=1e200, hidden_dims=(16, 8), latent_dim=3, epochs=10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingDivergedError) as exc:
@@ -531,7 +580,7 @@ class TestBatchRowsOnly:
         assert sbm_result.embeddings.tobytes() == want.embeddings.tobytes()
         assert sbm_result.loss_history == want.loss_history
 
-    @pytest.mark.parametrize("kwargs", [{}, {"no_fca": True}, {"self_loops": False}])
+    @pytest.mark.parametrize("kwargs", [{}, {"no_fca": True}])
     def test_smaller_batches_agree_to_rounding(self, kwargs, monkeypatch):
         g = small_graph(n=23)
         cfg = TrainConfig(seed=0, batch_size=6, **SMALL, **kwargs)
@@ -605,8 +654,8 @@ class TestSparseFeatureTraining:
 
         monkeypatch.setattr(network.sp, "csr_array", counting)
         self.run()
-        # once for the training tape, once for the final forward without one
-        assert built == [(40, 128), (40, 128)]
+        # the batch steps and the final forward share the run's tape
+        assert built == [(40, 128)]
 
 
 class TestEmbeddingFiles:
