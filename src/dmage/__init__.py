@@ -51,7 +51,6 @@ from .losses import (
     bregman_logistic,
     bregman_sed,
     fused_loss,
-    latent_similarity,
 )
 from .network import (
     GradientTape,
@@ -140,7 +139,6 @@ __all__ = [
     "init_network",
     "kmeans",
     "knn_graph",
-    "latent_similarity",
     "linkpred_eval",
     "linkpred_split",
     "load_checkpoint",

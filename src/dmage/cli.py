@@ -44,7 +44,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 DATA_KEYS = ("edge_path", "feature_path", "label_path", "id_map_path")
-EVAL_KEYS = ("eval_seeds", "eval_restarts", "f1_variant", "edge_scorer")
+EVAL_KEYS = ("eval_seeds", "eval_restarts")
 
 PRESETS = {
     "paper_clustering": {
@@ -219,22 +219,20 @@ def cmd_eval(args):
                 f"embeddings have {Z.shape[0]} rows but graph has {g.n} nodes"
             )
         restarts = int(extras.get("eval_restarts", 10))
-        f1_variant = extras.get("f1_variant", "macro")
-        reports = cluster_eval(Z, g.labels, seeds, restarts, f1_variant)
+        reports = cluster_eval(Z, g.labels, seeds, restarts)
         rows = [
             {"seed": r.seed, "acc": r.acc, "nmi": r.nmi, "f1": r.f1} for r in reports
         ]
         report_path = os.path.join(out_dir, "cluster_report.json")
-        write_report(report_path, "cluster", rows, {"f1_variant": f1_variant})
+        write_report(report_path, "cluster", rows, {"f1_variant": "macro"})
         outputs = {"report": report_path}
     else:
         g = _load_data(cfg, data)
-        scorer = extras.get("edge_scorer", "t_kernel")
         cache = _cache_dir(args, out_dir)
-        reports, _ = linkpred_eval(g, cfg, seeds, scorer, cache, out_dir)
+        reports, _ = linkpred_eval(g, cfg, seeds, cache, out_dir)
         rows = [{"seed": r.seed, "auc": r.auc, "ap": r.ap} for r in reports]
         report_path = os.path.join(out_dir, "linkpred_report.json")
-        write_report(report_path, "linkpred", rows, {"scorer": scorer})
+        write_report(report_path, "linkpred", rows, {"scorer": "t_kernel"})
         outputs = {
             "report": report_path,
             "splits": [f"split-seed{s}" for s in seeds],

@@ -5,6 +5,14 @@ similarities), a little-endian u64 node count, then n*n row-major float64
 values.  Checkpoints ("DMGW" plus a version byte) store the layer specs and
 their weight/bias tensors.  All writes go through a temp file and an atomic
 rename, so readers never observe a partial file.
+
+Each layer block of a checkpoint starts with its kind, its dims and three
+code bytes: the activation (0 linear, 2 leaky_relu), the aggregation
+variant and the self-loop flag.  The last two are fixed at 0 (GCN
+normalization) and 1 (self-loops) on every layer.  Codes that older
+versions also wrote, activation 1 ("relu"), variant 1 ("verbatim") and
+self-loop flag 0, are retired: a checkpoint holding one fails to load with
+an error that names it.
 """
 
 from __future__ import annotations
@@ -39,7 +47,16 @@ CHECKPOINT_VERSION = 1
 
 _KINDS = ("fc", "fca")
 _ACTIVATIONS = ("linear", "relu", "leaky_relu")
-_FCA_VARIANTS = ("gcn", "verbatim")
+# a layer block's head: kind, in and out dims, activation, aggregation
+# variant and self-loop flag; the last two are 0 (GCN) and 1 on every layer
+_LAYER_HEAD = struct.Struct("<BQQBBB")
+_GCN_WITH_SELF_LOOPS = (0, 1)
+# (head field, code) of the codes older versions also wrote
+_RETIRED_CODES = {
+    (3, 1): "activation 'relu'",
+    (4, 1): "aggregation variant 'verbatim'",
+    (5, 0): "aggregation without self-loops",
+}
 
 
 class ContainerFormatError(ValueError):
@@ -109,14 +126,12 @@ def save_checkpoint(path, params: NetworkParams):
     parts = [MAGIC_CHECKPOINT, struct.pack("<BqQ", CHECKPOINT_VERSION, params.seed, len(params.specs))]
     for spec, W, B in zip(params.specs, params.weights, params.biases):
         parts.append(
-            struct.pack(
-                "<BQQBBB",
+            _LAYER_HEAD.pack(
                 _KINDS.index(spec.kind),
                 spec.in_dim,
                 spec.out_dim,
                 _ACTIVATIONS.index(spec.activation),
-                _FCA_VARIANTS.index(spec.fca_variant),
-                int(spec.self_loops),
+                *_GCN_WITH_SELF_LOOPS,
             )
         )
         parts.append(np.ascontiguousarray(W, dtype=np.float64).tobytes(order="C"))
@@ -135,31 +150,31 @@ def load_checkpoint(path) -> NetworkParams:
     if version != CHECKPOINT_VERSION:
         raise ContainerFormatError(f"{path}: unsupported checkpoint version {version}")
     specs, weights, biases = [], [], []
-    head = struct.Struct("<BQQBBB")
-    for _ in range(n_layers):
+    for layer in range(n_layers):
         try:
-            kind_i, in_dim, out_dim, act_i, var_i, loops = head.unpack_from(data, offset)
-            offset += head.size
-            specs.append(
-                LayerSpec(
-                    _KINDS[kind_i],
-                    int(in_dim),
-                    int(out_dim),
-                    _ACTIVATIONS[act_i],
-                    _FCA_VARIANTS[var_i],
-                    bool(loops),
-                )
+            head = _LAYER_HEAD.unpack_from(data, offset)
+        except struct.error as e:
+            raise ContainerFormatError(f"{path}: truncated or corrupt layer block: {e}") from e
+        retired = [name for (i, code), name in _RETIRED_CODES.items() if head[i] == code]
+        if retired:
+            raise ContainerFormatError(
+                f"{path}: layer {layer} uses the retired {' and '.join(retired)}"
             )
-            w_bytes = in_dim * out_dim * 8
+        kind_i, in_dim, out_dim, act_i = head[:4]
+        offset += _LAYER_HEAD.size
+        try:
+            if head[4:] != _GCN_WITH_SELF_LOOPS:
+                raise ValueError(f"unknown aggregation codes {head[4:]}")
+            specs.append(LayerSpec(_KINDS[kind_i], int(in_dim), int(out_dim), _ACTIVATIONS[act_i]))
             weights.append(
                 np.frombuffer(data, dtype="<f8", count=in_dim * out_dim, offset=offset)
                 .reshape(in_dim, out_dim)
                 .copy()
             )
-            offset += w_bytes
+            offset += in_dim * out_dim * 8
             biases.append(np.frombuffer(data, dtype="<f8", count=out_dim, offset=offset).copy())
             offset += out_dim * 8
-        except (struct.error, ValueError, IndexError) as e:
+        except (ValueError, IndexError) as e:
             raise ContainerFormatError(f"{path}: truncated or corrupt layer block: {e}") from e
     if offset != len(data):
         raise ContainerFormatError(f"{path}: {len(data) - offset} trailing bytes")

@@ -206,10 +206,7 @@ def _nmi(table):
     return mi / denom if denom > 0 else 0.0
 
 
-def _f1_per_class(pred_labels, truth, classes, variant):
-    if variant == "micro":
-        tp = (pred_labels == truth).sum()
-        return float(tp / truth.size)
+def _macro_f1(pred_labels, truth, classes):
     scores = []
     for c in classes:
         tp = np.sum((pred_labels == c) & (truth == c))
@@ -220,34 +217,29 @@ def _f1_per_class(pred_labels, truth, classes, variant):
     return float(np.mean(scores))
 
 
-def clustering_metrics(pred, truth, seed: int = 0, f1_variant: str = "macro") -> ClusteringReport:
-    """Score a cluster assignment against labels; ACC/F1 use Hungarian matching."""
+def clustering_metrics(pred, truth, seed: int = 0) -> ClusteringReport:
+    """Score a cluster assignment against labels; ACC and macro F1 use Hungarian matching."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError("pred and truth must be equal-length vectors")
     if pred.size < 2:
         raise ValueError("need at least 2 points to score a clustering")
-    if f1_variant not in ("macro", "micro"):
-        raise ValueError(f"unknown f1 variant {f1_variant!r}")
     table, clusters, classes = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     acc = float(table[rows, cols].sum() / pred.size)
     # unmatched clusters (more clusters than classes) map to no label
     mapping = dict(zip(clusters[rows], classes[cols]))
     pred_labels = np.array([mapping.get(p, -1) for p in pred])
-    f1 = _f1_per_class(pred_labels, truth, classes, f1_variant)
+    f1 = _macro_f1(pred_labels, truth, classes)
     return ClusteringReport(acc, _nmi(table), f1, seed, pred)
 
 
-def cluster_eval(Z, labels, seeds, restarts: int = 10, f1_variant: str = "macro"):
+def cluster_eval(Z, labels, seeds, restarts: int = 10):
     """k-means per seed on fixed embeddings; returns per-seed reports."""
     labels = np.asarray(labels)
     k = np.unique(labels).size
-    return [
-        clustering_metrics(kmeans(Z, k, seed, restarts), labels, seed, f1_variant)
-        for seed in seeds
-    ]
+    return [clustering_metrics(kmeans(Z, k, seed, restarts), labels, seed) for seed in seeds]
 
 
 def linkpred_split(g: AttributedGraph, seed: int = 0) -> LinkPredSplit:
@@ -293,21 +285,16 @@ def linkpred_split(g: AttributedGraph, seed: int = 0) -> LinkPredSplit:
 def edge_scores(Z, pairs, scorer: str = "t_kernel", nu: float = 1.0) -> np.ndarray:
     """Score candidate edges from latent rows; higher means more likely an edge.
 
-    "cosine" uses the angle between endpoint embeddings (zero-norm rows
-    score 0); "t_kernel" applies the latent kernel to the endpoint distance.
+    The score is the latent kernel of the endpoint distance, the model's own
+    edge similarity; ``scorer`` accepts only "t_kernel".
     """
+    if scorer != "t_kernel":
+        raise ValueError(f"unknown scorer {scorer!r}; edges are scored with 't_kernel'")
     Z = np.asarray(Z, dtype=np.float64)
     pairs = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
     if pairs.size == 0:
         return np.empty(0)
-    a, b = Z[pairs[:, 0]], Z[pairs[:, 1]]
-    if scorer == "cosine":
-        norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(norms > 0, (a * b).sum(axis=1) / norms, 0.0)
-    if scorer == "t_kernel":
-        return t_kernel(np.linalg.norm(a - b, axis=1), nu)
-    raise ValueError(f"unknown scorer {scorer!r}")
+    return t_kernel(np.linalg.norm(Z[pairs[:, 0]] - Z[pairs[:, 1]], axis=1), nu)
 
 
 def auc_ap(scores_pos, scores_neg):
@@ -339,7 +326,6 @@ def linkpred_eval(
     g: AttributedGraph,
     cfg: TrainConfig,
     seeds,
-    scorer: str = "t_kernel",
     cache_dir=None,
     split_dir=None,
 ):
@@ -353,8 +339,8 @@ def linkpred_eval(
         split = linkpred_split(g, seed)
         g_train = g.with_edges(split.train_edges)
         result = train(g_train, dataclasses.replace(cfg, seed=seed), cache_dir)
-        s_pos = edge_scores(result.embeddings, split.test_edges, scorer, cfg.nu_latent)
-        s_neg = edge_scores(result.embeddings, split.test_negatives, scorer, cfg.nu_latent)
+        s_pos = edge_scores(result.embeddings, split.test_edges, nu=cfg.nu_latent)
+        s_neg = edge_scores(result.embeddings, split.test_negatives, nu=cfg.nu_latent)
         auc, ap = auc_ap(s_pos, s_neg)
         reports.append(LinkPredReport(auc, ap, seed))
         splits.append(split)

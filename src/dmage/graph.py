@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .container import atomic_write_text
+
 __all__ = [
     "DistanceMetric",
     "AttributedGraph",
@@ -262,9 +264,9 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
         edges = {(id_map[i], id_map[j]) for i, j in edges}
         edges = {(i, j) if i < j else (j, i) for i, j in edges}
         if id_map_path is not None:
-            with open(id_map_path, "w", encoding="utf-8") as fh:
-                for orig, dense in sorted(id_map.items()):
-                    fh.write(f"{orig}\t{dense}\n")
+            atomic_write_text(
+                id_map_path, "".join(f"{orig}\t{dense}\n" for orig, dense in sorted(id_map.items()))
+            )
 
     labels = None
     if label_path is not None:

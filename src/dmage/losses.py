@@ -50,7 +50,6 @@ __all__ = [
     "LOGI_EPS",
     "bregman_sed",
     "bregman_logistic",
-    "latent_similarity",
     "fused_loss",
 ]
 
@@ -121,16 +120,6 @@ def _latent_rows(sq, gram, rows: slice, nu_latent: float, start: int = 0):
     k[_diagonal(rows, start)] = 0.0
     two_k = 2.0 * k
     return d, k, np.subtract(two_k, two_k * k, out=two_k)
-
-
-def latent_similarity(Z, nu_latent: float) -> SimilarityMatrix:
-    """Joint similarity of latent rows: Euclidean distance through the kernel."""
-    Z = _feature_rows(Z)
-    sq, gram = _gram(Z)
-    Q = np.empty(gram.shape)
-    for rows in _row_blocks(Z.shape[0], Z.shape[0], _BLOCK):
-        Q[rows] = _latent_rows(sq, gram, rows, nu_latent)[2]
-    return SimilarityMatrix(Q, "joint")
 
 
 def _term_arrays(count: int, kind: BregmanKind, m: int):

@@ -12,12 +12,6 @@ The FCA layer consumes only the normalized aggregation operator that
 a raw adjacency, so each epoch's operator is built exactly once by the
 caller.
 
-Training always builds that stack.  The layer codes it does not use stay:
-the "relu" activation, the "verbatim" aggregation (the paper's formula as
-printed) and aggregation without self-loops.  Checkpoints store these codes,
-so every checkpoint still loads and embeds, and the gradient tests run the
-network on them.
-
 Layer 0 reads the node features.  On citation graphs these are bag-of-words
 rows that are almost all zero (Cora: 1.3% nonzero), so when at most
 ``_SPARSE_DENSITY`` of the entries are nonzero ``forward`` multiplies a CSR
@@ -85,27 +79,21 @@ class StaleTapeError(RuntimeError):
 class LayerSpec:
     """One layer of the stack.
 
-    ``kind`` is "fc" or "fca"; ``activation`` applies only to fc layers
-    (fca is always linear).  ``fca_variant`` picks the aggregation
-    normalization: "gcn" divides by the square-root degrees, "verbatim"
-    multiplies by them.  ``self_loops`` adds the identity to the adjacency
-    before normalizing.
+    ``kind`` is "fc" or "fca"; ``activation``, "linear" or "leaky_relu",
+    applies only to fc layers (fca is always linear and aggregates with the
+    operator of :func:`aggregation_matrix`).
     """
 
     kind: str
     in_dim: int
     out_dim: int
     activation: str = "linear"
-    fca_variant: str = "gcn"
-    self_loops: bool = True
 
     def __post_init__(self):
         if self.kind not in ("fc", "fca"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in ("linear", "relu", "leaky_relu"):
+        if self.activation not in ("linear", "leaky_relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.fca_variant not in ("gcn", "verbatim"):
-            raise ValueError(f"unknown fca variant {self.fca_variant!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dims must be positive")
         if self.kind == "fca" and self.activation != "linear":
@@ -167,8 +155,6 @@ def default_stack(
     latent_dim: int = 200,
     activation: str = "leaky_relu",
     no_fca: bool = False,
-    fca_variant: str = "gcn",
-    self_loops: bool = True,
 ):
     """The four-layer architecture: FC(h1) -> FC(h2) -> FCA(h2) -> FC(latent).
 
@@ -180,12 +166,7 @@ def default_stack(
         LayerSpec("fc", dims[i], dims[i + 1], activation) for i in range(len(dims) - 1)
     ]
     width = dims[-1]
-    if no_fca:
-        specs.append(LayerSpec("fc", width, width, "linear"))
-    else:
-        specs.append(
-            LayerSpec("fca", width, width, fca_variant=fca_variant, self_loops=self_loops)
-        )
+    specs.append(LayerSpec("fc" if no_fca else "fca", width, width))
     specs.append(LayerSpec("fc", width, latent_dim, "linear"))
     return tuple(specs)
 
@@ -214,8 +195,6 @@ def init_network(specs, seed: int) -> NetworkParams:
 def _activate(pre, activation):
     if activation == "linear":
         return pre
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
     # the same values and signs as where(pre > 0, pre, LEAKY_SLOPE * pre)
     out = pre * LEAKY_SLOPE
     return np.maximum(pre, out, out=out)
@@ -225,8 +204,6 @@ def _activation_backward(g, pre, activation):
     """Upstream gradient ``g`` times the activation's derivative at ``pre``."""
     if activation == "linear":
         return g
-    if activation == "relu":
-        return g * (pre > 0)
     # the derivative, 1 where pre > 0 and LEAKY_SLOPE elsewhere, is gathered
     # from a two-entry table: unlike a masked select, the gather does not
     # branch on each element
@@ -255,27 +232,22 @@ def _input_rows(X, tape):
     return Z
 
 
-def aggregation_matrix(
-    A, variant: str = "gcn", self_loops: bool = True
-) -> sp.csr_matrix:
-    """Sparse symmetric aggregation operator for an FCA layer.
+def aggregation_matrix(A, variant: str = "gcn", self_loops: bool = True) -> sp.csr_matrix:
+    """Sparse symmetric aggregation operator for an FCA layer: D^(-1/2) (A+I) D^(-1/2).
 
-    ``A`` is a sparse or dense symmetric adjacency.  With self-loops the base
-    matrix is A + I and its degree D; "gcn" returns D^(-1/2) (A+I) D^(-1/2),
-    "verbatim" multiplies by the square-root degrees instead of dividing.
-    Zero-degree rows (only possible without self-loops) normalize to zero.
+    ``A`` is a sparse or dense symmetric adjacency and D the degree matrix
+    of A + I, so every degree is at least 1.  GCN normalization with
+    self-loops is the only operator; ``variant`` and ``self_loops`` accept
+    only "gcn" and True.
     """
-    base = sp.csr_matrix(A, dtype=np.float64)
-    n = base.shape[0]
-    if self_loops:
-        base = (base + sp.identity(n, format="csr")).tocsr()
-    deg = np.asarray(base.sum(axis=1)).ravel()
-    if variant == "gcn":
-        with np.errstate(divide="ignore"):
-            scale = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    else:
-        scale = np.sqrt(deg)
-    d_half = sp.diags(scale)
+    if variant != "gcn" or not self_loops:
+        raise ValueError(
+            "the aggregation is GCN-normalized with self-loops, "
+            f"got {variant!r}, self_loops={self_loops!r}"
+        )
+    A = sp.csr_matrix(A, dtype=np.float64)
+    base = (A + sp.identity(A.shape[0], format="csr")).tocsr()
+    d_half = sp.diags(1.0 / np.sqrt(np.asarray(base.sum(axis=1)).ravel()))
     return (d_half @ base @ d_half).tocsr()
 
 

@@ -79,7 +79,8 @@ _AUGMENT_STREAM = 2
 # elements per row block of the Adam update: its two temporaries stay in cache
 _ADAM_CHUNK = 1 << 13
 # options that every run took at one value, and that value: a config setting
-# one of them to it, such as the manifest of an older run, still loads
+# one of them to it, such as the manifest of an older run, still loads; the
+# last two were evaluation keys of the CLI config
 _RETIRED_KEYS = {
     "optimizer": "adam",
     "adam_beta1": 0.9,
@@ -89,7 +90,10 @@ _RETIRED_KEYS = {
     "fca_variant": "gcn",
     "self_loops": True,
     "symmetrize_variant": "paper",
+    "f1_variant": "macro",
+    "edge_scorer": "t_kernel",
 }
+_INT_FIELDS = ("epochs", "batch_size", "knn_k", "seed", "latent_dim")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -136,6 +140,12 @@ class TrainConfig:
     latent_dim: int = 200
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        ints = [(name, getattr(self, name)) for name in _INT_FIELDS]
+        ints += [("every hidden_dims entry", h) for h in self.hidden_dims]
+        for name, value in ints:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size != 0 and self.batch_size < 2:
@@ -158,7 +168,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         BregmanKind(self.bregman)
         DistanceMetric(self.metric)
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValueError(
                 f"hidden_dims and latent_dim must be positive, got "
@@ -373,10 +382,9 @@ def _build_specs(g: AttributedGraph, cfg: TrainConfig):
 
 def _aggregation_operator(n: int, edges, specs):
     """The FCA layer's operator over an ``(m, 2)`` edge array; None without one."""
-    fca = next((s for s in specs if s.kind == "fca"), None)
-    if fca is None:
+    if not any(s.kind == "fca" for s in specs):
         return None
-    return aggregation_matrix(adjacency_from_edges(n, edges), fca.fca_variant, fca.self_loops)
+    return aggregation_matrix(adjacency_from_edges(n, edges))
 
 
 def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:

@@ -175,6 +175,28 @@ class TestEvalCommand:
             assert os.path.isdir(split)
             assert os.path.exists(os.path.join(split, "train_edges.tsv"))
 
+    @pytest.mark.parametrize(
+        "task, key, value", [("cluster", "f1_variant", "macro"), ("linkpred", "edge_scorer", "t_kernel")]
+    )
+    def test_retired_eval_key_at_its_value_reproduces_the_report(
+        self, tmp_path, toy_dataset, task, key, value
+    ):
+        # the manifest of an eval run that set the key still reproduces it
+        cfg = write_config(tmp_path, toy_dataset, epochs=3)
+        old_cfg = write_config(tmp_path, toy_dataset, "old.json", epochs=3, **{key: value})
+        emb = os.path.join(str(tmp_path / "run"), "embeddings.tsv")
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "run")) == EXIT_OK
+        reports = []
+        for name, config in (("new", cfg), ("old", old_cfg)):
+            out = str(tmp_path / name)
+            rc = run("eval", "--task", task, "--config", config, "--out", out,
+                     "--embeddings", emb, "--seeds", "0")
+            assert rc == EXIT_OK
+            with open(os.path.join(out, f"{task}_report.json"), "rb") as f:
+                reports.append(f.read())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["f1_variant" if task == "cluster" else "scorer"] == value
+
     def test_cluster_requires_embeddings_flag(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset)
         rc = run("eval", "--task", "cluster", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -267,6 +289,27 @@ class TestErrorExits:
         monkeypatch.setattr("dmage.training.precompute", refuse)
         cfg = write_config(tmp_path, toy_dataset, **bad)
         assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+    def test_float_hidden_dim_exits_before_any_cache_file(self, tmp_path, toy_dataset):
+        cfg = write_config(tmp_path, toy_dataset, hidden_dims=[8, 4.5])
+        out = tmp_path / "o"
+        cache = str(tmp_path / "cache")
+        rc = run("train", "--config", cfg, "--out", str(out), "--cache-dir", cache)
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "cache").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task, key, value", [("cluster", "f1_variant", "micro"), ("linkpred", "edge_scorer", "cosine")]
+    )
+    def test_retired_eval_key_at_another_value(
+        self, tmp_path, toy_dataset, caplog, task, key, value
+    ):
+        cfg = write_config(tmp_path, toy_dataset, **{key: value})
+        rc = run("eval", "--task", task, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--embeddings", str(tmp_path / "unused.tsv"))
+        assert rc == EXIT_CONFIG
+        assert f"'{key}' is retired" in caplog.text
 
     def test_missing_data_keys(self, tmp_path):
         cfg = tmp_path / "c.json"

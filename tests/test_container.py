@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -18,6 +19,24 @@ from dmage.container import (
     save_matrix,
 )
 from dmage.network import default_stack, init_network
+from dmage.synthetic import two_block_sbm
+
+
+def v1_checkpoint(layers, seed=3):
+    """A version-1 checkpoint built by hand: ``layers`` holds one
+    ``(kind, in_dim, out_dim, activation, variant, self_loops)`` code tuple per
+    layer, weights count up from 0 and biases are zero."""
+    parts = [b"DMGW", struct.pack("<BqQ", 1, seed, len(layers))]
+    for kind, in_dim, out_dim, activation, variant, loops in layers:
+        parts.append(struct.pack("<BQQBBB", kind, in_dim, out_dim, activation, variant, loops))
+        parts.append(np.arange(in_dim * out_dim, dtype="<f8").tobytes())
+        parts.append(np.zeros(out_dim, dtype="<f8").tobytes())
+    return b"".join(parts)
+
+
+# fc(leaky_relu) -> fca -> fc(linear), with the codes every writer since the
+# layer codes were fixed emits: variant 0 (gcn) and self-loop flag 1
+CURRENT_LAYERS = [(0, 4, 3, 2, 0, 1), (1, 3, 3, 0, 0, 1), (0, 3, 2, 0, 0, 1)]
 
 
 class TestAtomicWrite:
@@ -191,6 +210,61 @@ class TestCheckpointContainer:
         atomic_write_bytes(path, data + b"\0\0")
         with pytest.raises(ContainerFormatError, match="trailing"):
             load_checkpoint(path)
+
+    def test_hand_built_checkpoint_loads_and_saves_to_its_bytes(self, tmp_path):
+        path = str(tmp_path / "model.dmgw")
+        data = v1_checkpoint(CURRENT_LAYERS)
+        atomic_write_bytes(path, data)
+        params = load_checkpoint(path)
+        assert [(s.kind, s.activation) for s in params.specs] == [
+            ("fc", "leaky_relu"), ("fca", "linear"), ("fc", "linear")
+        ]
+        save_checkpoint(path, params)
+        with open(path, "rb") as f:
+            assert f.read() == data
+
+    @pytest.mark.parametrize(
+        "layer, field, code, name",
+        [
+            (0, 3, 1, "activation 'relu'"),
+            (1, 4, 1, "aggregation variant 'verbatim'"),
+            (1, 5, 0, "aggregation without self-loops"),
+            (2, 5, 0, "aggregation without self-loops"),
+        ],
+        ids=["relu", "verbatim", "no self-loops", "no self-loops on an fc layer"],
+    )
+    def test_retired_code_named(self, tmp_path, layer, field, code, name):
+        layers = [list(codes) for codes in CURRENT_LAYERS]
+        layers[layer][field] = code
+        path = str(tmp_path / "model.dmgw")
+        atomic_write_bytes(path, v1_checkpoint(layers))
+        with pytest.raises(ContainerFormatError, match=f"layer {layer} uses the retired {name}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, code", [(0, 2), (3, 3), (4, 2), (5, 2)])
+    def test_unknown_code_rejected(self, tmp_path, field, code):
+        layers = [list(codes) for codes in CURRENT_LAYERS]
+        layers[1][field] = code
+        path = str(tmp_path / "model.dmgw")
+        atomic_write_bytes(path, v1_checkpoint(layers))
+        with pytest.raises(ContainerFormatError, match="corrupt layer block"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "no_fca, digest",
+        [
+            (False, "b6abdec00afae2d038b2e629240ed5fbde98ca807e03610960e688ba34dc9919"),
+            (True, "ee508fa4b49ab4bfa8830a061d96fd2770509caadf7be5b3d6a0c7ccd16f7fe4"),
+        ],
+    )
+    def test_toy_network_checkpoint_bytes_pinned(self, tmp_path, no_fca, digest):
+        # the initial network of a toy run; its weights come from numpy's
+        # generator alone, not from BLAS, so the bytes hold on any machine
+        width = two_block_sbm(seed=0).features.shape[1]
+        path = str(tmp_path / "model.dmgw")
+        save_checkpoint(path, init_network(default_stack(width, (16, 8), 3, no_fca=no_fca), 0))
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == digest
 
     def test_loaded_params_start_unversioned(self, tmp_path):
         params = self.make_params()

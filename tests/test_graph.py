@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -154,8 +155,7 @@ class TestArrayCoreCompleteness:
             assert hop2.dtype == np.int64 and hop2.shape == (len(want), 2)
             assert hop2.tolist() == want
 
-            variant, loops = ("gcn", "verbatim")[trial % 2], trial % 3 != 0
-            specs = default_stack(g.features.shape[1], (5, 4), 3, fca_variant=variant, self_loops=loops)
+            specs = default_stack(g.features.shape[1], (5, 4), 3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AugmentationWarning)
                 out = augment(g, hop2, AugmentationConfig(0.3, rng_seed=trial), epoch=trial)
@@ -163,7 +163,7 @@ class TestArrayCoreCompleteness:
             added = set(map(tuple, out.added.tolist()))
             perturbed = dense_adjacency(g.n, (g.edges - removed) | added)
             got = _aggregation_operator(g.n, out.result, specs).toarray()
-            assert np.array_equal(got, aggregation_matrix(perturbed, variant, loops).toarray())
+            assert np.array_equal(got, aggregation_matrix(perturbed).toarray())
 
 
 class TestKnnGraph:
@@ -249,6 +249,38 @@ class TestLoadGraph:
         # ids 10, 20, 30 -> 0, 1, 2
         assert g.edges == frozenset({(0, 2), (1, 2)})
         assert id_map.read_text().splitlines() == ["10\t0", "20\t1", "30\t2"]
+
+    def test_id_map_written_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        e, f, _ = self.write(tmp_path, "10\t30\n20\t30\n", "1 0\n0 1\n1 1\n")
+        id_map = tmp_path / "ids.tsv"
+        load_graph(e, f, id_map_path=str(id_map))
+        assert id_map.read_bytes() == b"10\t0\n20\t1\n30\t2\n"
+
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            """A file that writes half of what it is given, then fails."""
+
+            def __init__(self, fd, mode):
+                self.f = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.f.write(chunk[: len(chunk) // 2])
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        id_map.write_text("previous map\n")
+        monkeypatch.setattr(os, "fdopen", HalfWrite)
+        with pytest.raises(OSError, match="No space"):
+            load_graph(e, f, id_map_path=str(id_map))
+        assert id_map.read_text() == "previous map\n"
+        assert sorted(os.listdir(tmp_path)) == ["e.tsv", "f.tsv", "ids.tsv"]
 
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0\t1\n1\t1\n", "1\n2\n")

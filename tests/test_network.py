@@ -147,6 +147,10 @@ class TestFcForward:
         with pytest.raises(ValueError):
             fc_forward(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
 
+    def test_relu_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'relu'"):
+            LayerSpec("fc", 2, 2, "relu")
+
 
 class TestFcaForward:
     def test_no_edges_reduces_to_linear(self):
@@ -202,22 +206,17 @@ class TestFcaForward:
         root_deg = np.sqrt(np.diff(adjacency(g).indptr) + 1.0)
         assert np.allclose(N @ root_deg, root_deg)
 
-    def test_verbatim_variant_differs(self):
-        rng = np.random.default_rng(6)
-        g = random_graph(rng, n=6, density=0.5)
-        Z = rng.standard_normal((6, 3))
-        W = rng.standard_normal((3, 3))
-        B = np.zeros(3)
-        gcn = fca_forward(Z, aggregation_matrix(adjacency(g), "gcn"), W, B)
-        verbatim = fca_forward(Z, aggregation_matrix(adjacency(g), "verbatim"), W, B)
-        assert not np.allclose(gcn, verbatim)
+    @pytest.mark.parametrize("args", [("verbatim", True), ("gcn", False), ("verbatim", False)])
+    def test_retired_operators_rejected(self, args):
+        g = random_graph(np.random.default_rng(6), n=6, density=0.5)
+        with pytest.raises(ValueError, match="GCN-normalized with self-loops"):
+            aggregation_matrix(adjacency(g), *args)
 
     def test_aggregation_matrix_symmetric(self):
-        g = random_graph(np.random.default_rng(7), n=8, density=0.3)
-        for variant in ("gcn", "verbatim"):
-            for loops in (True, False):
-                N = aggregation_matrix(adjacency(g), variant, loops).toarray()
-                assert np.allclose(N, N.T)
+        rng = np.random.default_rng(7)
+        for density in (0.0, 0.3, 1.0):
+            N = aggregation_matrix(adjacency(random_graph(rng, n=8, density=density))).toarray()
+            assert np.array_equal(N, N.T)
 
 
 # ---------------------------------------------------------------- forward/backward
@@ -506,9 +505,8 @@ def restricted_cases():
     rng = np.random.default_rng(40)
     return [
         ("gcn", random_graph(rng, n=14, density=0.2), {}),
-        ("verbatim", random_graph(rng, n=11, density=0.3), {"fca_variant": "verbatim"}),
         ("no_fca", random_graph(rng, n=9), {"no_fca": True}),
-        ("no self-loops", isolated_graph(rng), {"self_loops": False}),
+        ("isolated", isolated_graph(rng), {}),
         ("csr layer 0", sparse_graph(rng, 13, 64, density=0.15), {}),
     ]
 
@@ -520,8 +518,7 @@ def full_and_restricted(g, options, rows, upstream, seed=0):
     params = init_network(specs, seed)
     for B in params.biases:
         B[:] = np.random.default_rng(seed).uniform(-0.5, 0.5, B.shape)
-    fca = next((s for s in specs if s.kind == "fca"), None)
-    N = None if fca is None else aggregation_matrix(adjacency(g), fca.fca_variant, fca.self_loops)
+    N = None if options.get("no_fca") else aggregation_matrix(adjacency(g))
     tape = GradientTape()
     Z = forward(g.features, N, params, tape)
     masked = np.zeros_like(upstream)
@@ -532,7 +529,7 @@ def full_and_restricted(g, options, rows, upstream, seed=0):
 
 
 class TestRowRestriction:
-    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    @pytest.mark.parametrize("case", range(4), ids=[c[0] for c in restricted_cases()])
     def test_gradients_match_the_full_pass(self, case):
         _, g, options = restricted_cases()[case]
         rng = np.random.default_rng(41 + case)
@@ -546,7 +543,7 @@ class TestRowRestriction:
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
-    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    @pytest.mark.parametrize("case", range(4), ids=[c[0] for c in restricted_cases()])
     def test_layers_run_on_the_receptive_field(self, case):
         _, g, options = restricted_cases()[case]
         rows = np.arange(0, g.n, 3)
@@ -554,29 +551,24 @@ class TestRowRestriction:
         specs = tape.params.specs
         fca = [l for l, s in enumerate(specs) if s.kind == "fca"]
         if fca:
-            A = adjacency(g) + (sp.identity(g.n) if specs[fca[0]].self_loops else 0)
+            A = adjacency(g) + sp.identity(g.n)
             field = np.flatnonzero(np.asarray(abs(A)[rows].sum(axis=0)).ravel())
         for l, Z_in in enumerate(tape.inputs):
             assert Z_in.shape[0] == (field.size if fca and l <= fca[0] else rows.size)
         # nothing backward does not read: linear pre-activations are dropped
         assert [p is None for p in tape.preacts] == [s.activation == "linear" for s in specs]
 
-    def test_batch_nodes_without_neighbours_have_an_empty_field(self):
+    def test_isolated_batch_nodes_read_only_themselves(self):
         g = isolated_graph(np.random.default_rng(42))
         rows = np.array([0, 5, 11])
         upstream = np.random.default_rng(43).standard_normal((g.n, 3))
-        (Z, dW, dB), (Zr, dWr, dBr), tape = full_and_restricted(
-            g, {"self_loops": False}, rows, upstream
-        )
-        assert tape.inputs[0].shape[0] == 0
-        # no path reaches the layers before the aggregation
-        for l in range(3):
-            assert (dWr[l] == 0).all() and (dBr[l] == 0).all()
-            assert (dW[l] == 0).all() and (dB[l] == 0).all()
-        assert np.abs(dWr[3] - dW[3]).max() <= 1e-12 * np.abs(dW[3]).max()
-        assert np.abs(Zr - Z).max() <= 1e-12 * np.abs(Z).max()
+        (Z, dW, dB), (Zr, dWr, dBr), tape = full_and_restricted(g, {}, rows, upstream)
+        # the self-loop is an isolated node's only neighbour, with weight 1
+        assert tape.inputs[0].tobytes() == g.features[rows].tobytes()
+        for want, got in zip([Z, *dW, *dB], [Zr, *dWr, *dBr]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("case", range(5), ids=[c[0] for c in restricted_cases()])
+    @pytest.mark.parametrize("case", range(4), ids=[c[0] for c in restricted_cases()])
     def test_every_row_gives_the_bytes_of_the_full_pass(self, case):
         _, g, options = restricted_cases()[case]
         upstream = np.random.default_rng(44).standard_normal((g.n, 3))
@@ -627,8 +619,6 @@ def old_activate(pre, activation):
     """Frozen copy of the activation before it became one maximum."""
     if activation == "linear":
         return pre
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
     return np.where(pre > 0, pre, network.LEAKY_SLOPE * pre)
 
 
@@ -636,8 +626,6 @@ def old_activate_grad(pre, activation):
     """Frozen copy of the activation derivative the backward pass multiplied by."""
     if activation == "linear":
         return np.ones_like(pre)
-    if activation == "relu":
-        return (pre > 0).astype(np.float64)
     return np.where(pre > 0, 1.0, network.LEAKY_SLOPE)
 
 
@@ -651,7 +639,7 @@ def special_values(rng, size):
 
 
 class TestElementwiseBitIdentity:
-    @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu"])
+    @pytest.mark.parametrize("activation", ["linear", "leaky_relu"])
     def test_activation_forward_and_backward(self, activation):
         rng = np.random.default_rng(35)
         pre = special_values(rng, 4000).reshape(200, 20)

@@ -78,6 +78,14 @@ class TestTrainConfig:
             {"latent_dim": 0},
             {"hidden_dims": [0]},
             {"hidden_dims": (8, -1)},
+            {"epochs": 2.5},
+            {"batch_size": 2.5},
+            {"knn_k": 2.5},
+            {"seed": 2.5},
+            {"latent_dim": 2.5},
+            {"hidden_dims": (8, 4.5)},
+            {"epochs": True},
+            {"hidden_dims": (8, True)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -108,11 +116,15 @@ class TestTrainConfig:
     def test_retired_keys_at_their_value_are_dropped(self):
         assert TrainConfig.from_dict(DEFAULTS_WITH_RETIRED_KEYS) == TrainConfig()
         assert len(dataclasses.fields(TrainConfig)) == len(DEFAULTS_WITH_RETIRED_KEYS) - 8 == 18
+        # two retired evaluation keys of the CLI config
+        eval_keys = {"f1_variant": "macro", "edge_scorer": "t_kernel"}
+        assert TrainConfig.from_dict(eval_keys) == TrainConfig()
 
     @pytest.mark.parametrize(
         "key, value",
         [("optimizer", "sgd"), ("adam_beta1", 0.5), ("activation", "relu"),
-         ("fca_variant", "verbatim"), ("self_loops", False), ("symmetrize_variant", "fuzzy")],
+         ("fca_variant", "verbatim"), ("self_loops", False), ("symmetrize_variant", "fuzzy"),
+         ("f1_variant", "micro"), ("edge_scorer", "cosine")],
     )
     def test_retired_keys_at_another_value_raise(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' is retired"):
