@@ -16,7 +16,6 @@ from dmage import (
     symmetrize,
     two_block_sbm,
 )
-from dmage.similarity import KernelParams
 
 np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
@@ -46,7 +45,7 @@ print(calib.sigma[:8])
 
 # Stage 3: conditional similarities.  Asymmetric, because each row uses its
 # own rho and sigma.
-cond = conditional_similarity(dist, KernelParams(nu=100.0), calib)
+cond = conditional_similarity(dist, nu=100.0, calib=calib)
 asym = np.abs(cond.matrix - cond.matrix.T).max()
 print(f"\nconditional similarity asymmetry: max |P - P^T| = {asym:.3f}")
 
@@ -60,7 +59,7 @@ print(joint.matrix[:6, :6])
 # larger bandwidths, which spreads mass onto farther neighbors.
 for q_p in (4.0, 8.0, 32.0):
     c = calibrate_all(dist.matrix, nu=100.0, q_p=q_p)
-    j = symmetrize(conditional_similarity(dist, KernelParams(nu=100.0), c))
+    j = symmetrize(conditional_similarity(dist, nu=100.0, calib=c))
     off = j.matrix[~np.eye(g.n, dtype=bool)]
     print(
         f"q_p={q_p:5.1f}: median sigma {np.median(c.sigma):.3f}, "

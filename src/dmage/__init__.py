@@ -66,7 +66,6 @@ from .network import (
 from .similarity import (
     CalibrationParams,
     CalibrationWarning,
-    KernelParams,
     SimilarityMatrix,
     calibrate_all,
     calibrate_sigma,
@@ -105,7 +104,6 @@ __all__ = [
     "GeodesicDistanceMatrix",
     "GradientTape",
     "GraphFormatError",
-    "KernelParams",
     "LayerSpec",
     "LinkPredReport",
     "LinkPredSplit",

@@ -211,6 +211,8 @@ def cmd_eval(args):
             _, Z = read_embeddings(args.embeddings)
         except FileNotFoundError as e:
             raise DataError(f"embeddings file missing: {args.embeddings}") from e
+        except ValueError as e:
+            raise DataError(str(e)) from e
         g = _load_data(cfg, data)
         if g.labels is None:
             raise DataError("clustering evaluation requires label_path")

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -64,10 +64,16 @@ class ContainerFormatError(ValueError):
 
 
 def atomic_write_bytes(path, *chunks):
-    """Write byte chunks (any C-contiguous buffers) so the destination is either absent or complete."""
+    """Write byte chunks (any C-contiguous buffers) so the destination is either absent or complete.
+
+    The chunks go to a uniquely named temp file beside the destination,
+    which is then renamed over it.  The temp file is created with mode 0o666
+    less the umask, the mode a plain ``open`` gives a new file.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}-{name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

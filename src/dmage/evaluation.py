@@ -178,14 +178,12 @@ def kmeans(Z, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
 
 
 def _contingency(pred, truth):
-    clusters = np.unique(pred)
-    classes = np.unique(truth)
+    """Counts of points per (cluster, class), both in sorted order of their ids."""
+    clusters, cluster_of = np.unique(pred, return_inverse=True)
+    classes, class_of = np.unique(truth, return_inverse=True)
     table = np.zeros((clusters.size, classes.size), dtype=np.int64)
-    c_idx = {c: i for i, c in enumerate(clusters)}
-    l_idx = {c: i for i, c in enumerate(classes)}
-    for p, t in zip(pred, truth):
-        table[c_idx[p], l_idx[t]] += 1
-    return table, clusters, classes
+    np.add.at(table, (cluster_of, class_of), 1)
+    return table
 
 
 def _entropy(counts):
@@ -206,15 +204,21 @@ def _nmi(table):
     return mi / denom if denom > 0 else 0.0
 
 
-def _macro_f1(pred_labels, truth, classes):
-    scores = []
-    for c in classes:
-        tp = np.sum((pred_labels == c) & (truth == c))
-        fp = np.sum((pred_labels == c) & (truth != c))
-        fn = np.sum((pred_labels != c) & (truth == c))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+def _macro_f1(table, rows, cols):
+    """Mean F1 over the classes, each against the cluster matched to it.
+
+    Class ``cols[i]`` is matched to cluster ``rows[i]``: its true positives
+    are ``table[rows[i], cols[i]]``, its false positives the cluster's other
+    points and its false negatives the class's other points.  An unmatched
+    class (more classes than clusters) has no true or false positives.
+    """
+    tp = np.zeros(table.shape[1], dtype=np.int64)
+    fp = np.zeros_like(tp)
+    tp[cols] = table[rows, cols]
+    fp[cols] = table.sum(axis=1)[rows] - tp[cols]
+    fn = table.sum(axis=0) - tp
+    # every class has a point, so tp + fn > 0
+    return float(np.mean(2 * tp / (2 * tp + fp + fn)))
 
 
 def clustering_metrics(pred, truth, seed: int = 0) -> ClusteringReport:
@@ -225,14 +229,10 @@ def clustering_metrics(pred, truth, seed: int = 0) -> ClusteringReport:
         raise ValueError("pred and truth must be equal-length vectors")
     if pred.size < 2:
         raise ValueError("need at least 2 points to score a clustering")
-    table, clusters, classes = _contingency(pred, truth)
+    table = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     acc = float(table[rows, cols].sum() / pred.size)
-    # unmatched clusters (more clusters than classes) map to no label
-    mapping = dict(zip(clusters[rows], classes[cols]))
-    pred_labels = np.array([mapping.get(p, -1) for p in pred])
-    f1 = _macro_f1(pred_labels, truth, classes)
-    return ClusteringReport(acc, _nmi(table), f1, seed, pred)
+    return ClusteringReport(acc, _nmi(table), _macro_f1(table, rows, cols), seed, pred)
 
 
 def cluster_eval(Z, labels, seeds, restarts: int = 10):

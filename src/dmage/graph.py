@@ -188,33 +188,6 @@ def _parse_dense_features(path: Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _parse_triplet_features(path: Path) -> np.ndarray:
-    # Sparse variant: each line "i j value"; shape inferred from max indices.
-    triplets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'i j value'")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: malformed triplet") from exc
-            if i < 0 or j < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative index")
-            triplets.append((i, j, v))
-    if not triplets:
-        raise GraphFormatError(f"{path}: empty feature file")
-    n = max(t[0] for t in triplets) + 1
-    d = max(t[1] for t in triplets) + 1
-    x = np.zeros((n, d), dtype=np.float64)
-    for i, j, v in triplets:
-        x[i, j] = v
-    return x
-
-
 def _parse_label_file(path: Path) -> np.ndarray:
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -235,9 +208,10 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     The edge file holds one edge per line as two whitespace-separated node
     ids; duplicate and reversed lines collapse to one undirected edge and
     self-loops are rejected.  The feature file is a dense whitespace-separated
-    matrix, one node per line in node-id order; files ending in ``.coo`` are
-    instead parsed as sparse ``i j value`` triplets.  The optional label file
-    holds one integer class id per line.
+    matrix, one node per line in node-id order; a path ending in ``.coo``,
+    the retired sparse ``i j value`` triplet format, raises
+    :class:`GraphFormatError` rather than being read as 3-column rows.  The
+    optional label file holds one integer class id per line.
 
     When the feature file has at least largest id + 1 rows, node ids are
     row indices and ``n`` is the number of rows, so nodes without edges
@@ -247,11 +221,13 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     feature and label rows are indexed by the remapped id.
     """
     edge_path, feature_path = Path(edge_path), Path(feature_path)
-    edges, ids, max_id = _parse_edge_file(edge_path)
     if feature_path.suffix == ".coo":
-        features = _parse_triplet_features(feature_path)
-    else:
-        features = _parse_dense_features(feature_path)
+        raise GraphFormatError(
+            f"{feature_path}: the sparse '.coo' triplet format is no longer read; "
+            "write one dense feature row per node"
+        )
+    edges, ids, max_id = _parse_edge_file(edge_path)
+    features = _parse_dense_features(feature_path)
 
     n_nodes = features.shape[0]
     if n_nodes < max_id + 1:

@@ -53,6 +53,7 @@ __all__ = [
     "fused_loss",
 ]
 
+# the logistic divergence clamps q into [LOGI_EPS, 1 - LOGI_EPS]
 LOGI_EPS = 1e-7
 # pairs per row block of the batch: a block's buffers stay in cache
 _BLOCK = 1 << 15
@@ -81,7 +82,7 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def _divergence(P, Q, kind: BregmanKind, eps: float = LOGI_EPS) -> float:
+def _divergence(P, Q, kind: BregmanKind) -> float:
     p, q = _as_matrix(P), _as_matrix(Q)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
@@ -90,7 +91,7 @@ def _divergence(P, Q, kind: BregmanKind, eps: float = LOGI_EPS) -> float:
     terms = _term_arrays(1, kind, n)
     for rows in _row_blocks(n, n, _BLOCK):
         Qb = q[rows]
-        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind, eps), kind, n * n - n, rows, terms[0, :, rows])
+        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind), kind, n * n - n, rows, terms[0, :, rows])
     return _value(terms[0], n * n - n)
 
 
@@ -99,13 +100,13 @@ def bregman_sed(P, Q) -> float:
     return _divergence(P, Q, BregmanKind.SED)
 
 
-def bregman_logistic(P, Q, eps: float = LOGI_EPS) -> float:
+def bregman_logistic(P, Q) -> float:
     """Logistic divergence: mean of p log(p/q) + (1-p) log((1-p)/(1-q)).
 
-    ``q`` is clamped into [eps, 1-eps]; terms with p in {0, 1} follow the
-    convention 0 log 0 = 0.
+    ``q`` is clamped into [LOGI_EPS, 1-LOGI_EPS]; terms with p in {0, 1}
+    follow the convention 0 log 0 = 0.
     """
-    return _divergence(P, Q, BregmanKind.LOGI, eps)
+    return _divergence(P, Q, BregmanKind.LOGI)
 
 
 def _latent_rows(sq, gram, rows: slice, nu_latent: float, start: int = 0):
@@ -135,15 +136,15 @@ def _value(terms, M: int) -> float:
     return value
 
 
-def _q_side(Q, kind: BregmanKind, eps: float):
+def _q_side(Q, kind: BregmanKind):
     """What the logistic divergence needs of a Q block, shared by every P.
 
     The clamped ``q`` and ``1 - q``, and where the clamp is not flat.
     """
     if kind == BregmanKind.SED:
         return None
-    q_tilde = np.clip(Q, eps, 1.0 - eps)
-    return q_tilde, 1.0 - q_tilde, (Q > eps) & (Q < 1.0 - eps)
+    q_tilde = np.clip(Q, LOGI_EPS, 1.0 - LOGI_EPS)
+    return q_tilde, 1.0 - q_tilde, (Q > LOGI_EPS) & (Q < 1.0 - LOGI_EPS)
 
 
 def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, start: int = 0):
@@ -180,7 +181,7 @@ def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, s
         terms[0][diag] = 0.0
         grad = np.subtract(ratio_c, ratio, out=ratio_c)
         grad /= M
-        # the clamp is flat outside (eps, 1-eps), so the derivative is zero there
+        # the clamp is flat outside (LOGI_EPS, 1-LOGI_EPS), so the derivative is zero there
         grad[~inside] = 0.0
         grad[diag] = 0.0
         return grad
@@ -208,7 +209,6 @@ def fused_loss(
     alpha: float,
     kind: BregmanKind = BregmanKind.LOGI,
     batch=None,
-    eps: float = LOGI_EPS,
 ):
     """Two-term objective on a batch and its gradient w.r.t. the batch rows.
 
@@ -246,7 +246,7 @@ def fused_loss(
     for rows in _trapezoid_blocks(m, _BLOCK):
         a, b = rows.start, rows.stop
         d, k, Q = _latent_rows(sq, gram, rows, nu_latent, a)
-        q_side = _q_side(Q, kind, eps)
+        q_side = _q_side(Q, kind)
         # the same as P[np.ix_(batch[rows], batch[a:])], gathered faster
         Pc, Pp = Pc_full[batch[rows]][:, batch[a:]], Pp_full[batch[rows]][:, batch[a:]]
         for P, name in ((Pc, "P_complete"), (Pp, "P_prior")):

@@ -6,6 +6,8 @@ per-node bandwidth (``sigma``), so every node's nearest neighbor lands at
 normalized distance 0.  The bandwidth is calibrated by binary search so that
 ``2 ** sum_j kernel(normalized distance)^2`` hits a target compactness
 ``q_p`` — larger targets pull more neighbors into the high-similarity range.
+The search's tolerance (``DEFAULT_TOL``, 1e-5) and bisection cap
+(``DEFAULT_MAX_ITER``, 100) are constants of the method, read on each call.
 The normalized distances then pass through a Student-t kernel and the
 resulting conditional similarities are symmetrized into a joint form.
 
@@ -34,7 +36,6 @@ import numpy as np
 from .distances import GeodesicDistanceMatrix, _fill_rows, _row_blocks
 
 __all__ = [
-    "KernelParams",
     "CalibrationParams",
     "SimilarityMatrix",
     "CalibrationWarning",
@@ -64,29 +65,15 @@ class CalibrationWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Student-t kernel configuration (degrees of freedom)."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-
-
-@dataclass(frozen=True)
 class CalibrationParams:
     """Per-node normalization obtained from bandwidth calibration.
 
     ``rho[i]`` is the minimum off-diagonal distance of row i and ``sigma[i]``
-    the bandwidth found (or boundary fallback) for target ``q_p``.
+    the bandwidth found (or boundary fallback) for the compactness target.
     """
 
     rho: np.ndarray
     sigma: np.ndarray
-    q_p: float
-    tol: float
-    max_iter: int
 
 
 @dataclass(frozen=True)
@@ -236,15 +223,17 @@ class _Rows:
 _FOUND, _BELOW, _ABOVE, _STALLED = range(4)
 
 
-def _search(rows: _Rows, q_p, nu, tol, max_iter):
+def _search(rows: _Rows, q_p, nu):
     """The bandwidth search of :func:`calibrate_sigma`, on every row at once.
 
     Each row takes the scalar steps: check ``SIGMA_LO``, double from 1 until
-    the objective is non-negative, then bisect.  Returns the bandwidths and
-    a per-row outcome (``_FOUND`` .. ``_STALLED``).
+    the objective is non-negative, then bisect until the objective is within
+    ``DEFAULT_TOL`` or ``DEFAULT_MAX_ITER`` bisections are done.  Returns the
+    bandwidths and a per-row outcome (``_FOUND`` .. ``_STALLED``).
     """
     if not q_p > 1:
         raise ValueError(f"q_p must be > 1, got {q_p}")
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     r = rows.rho.size
     sigma = np.full(r, SIGMA_LO)
     lo = np.full(r, SIGMA_LO)
@@ -285,10 +274,6 @@ def _search(rows: _Rows, q_p, nu, tol, max_iter):
         entering = live[bisect]
         phase[entering] = 2
         steps[entering] = 0
-        if max_iter <= 0:
-            sigma[entering] = hi[entering]
-            outcome[entering] = _STALLED
-            done |= bisect
 
         # bisection: a hit, or move the bracket end on the objective's side
         at2 = p == 2
@@ -308,7 +293,7 @@ def _search(rows: _Rows, q_p, nu, tol, max_iter):
     return sigma, outcome
 
 
-def _warn_outcomes(sigma, outcome, q_p, tol, max_iter):
+def _warn_outcomes(sigma, outcome, q_p):
     """One :class:`CalibrationWarning` summing up every row that missed the target."""
     counts = np.bincount(outcome, minlength=4)
     if counts[_FOUND] == sigma.size:
@@ -317,21 +302,14 @@ def _warn_outcomes(sigma, outcome, q_p, tol, max_iter):
         f"compactness target {q_p} missed on {sigma.size - counts[_FOUND]} of "
         f"{sigma.size} rows: {counts[_BELOW]} unreachable from below "
         f"(sigma={SIGMA_LO}), {counts[_ABOVE]} unreachable from above, "
-        f"{counts[_STALLED]} not within tol={tol} after {max_iter} bisections; "
+        f"{counts[_STALLED]} not within tol={DEFAULT_TOL} after {DEFAULT_MAX_ITER} bisections; "
         f"sigma min {sigma.min():.6g}, median {np.median(sigma):.6g}, max {sigma.max():.6g}",
         CalibrationWarning,
         stacklevel=3,
     )
 
 
-def calibrate_sigma(
-    d_row,
-    rho_i: float,
-    nu: float,
-    q_p: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def calibrate_sigma(d_row, rho_i: float, nu: float, q_p: float) -> float:
     """Find the bandwidth whose compactness matches the target ``q_p``.
 
     ``d_row`` holds the distances from one node to all *other* nodes (the
@@ -339,7 +317,8 @@ def calibrate_sigma(
     ``2 ** sum_j kernel((d_j - rho_i)/sigma)^2`` is non-decreasing in sigma,
     so a sign change brackets the root: the upper end starts at 1 and is
     doubled until the target is crossed, then plain bisection runs until the
-    absolute objective error drops below ``tol``.  If the target cannot be
+    absolute objective error drops below ``DEFAULT_TOL``, for at most
+    ``DEFAULT_MAX_ITER`` steps.  If the target cannot be
     bracketed (too small a target, or larger than the row can ever reach) the
     nearest boundary is returned and a :class:`CalibrationWarning` is issued.
     """
@@ -347,18 +326,12 @@ def calibrate_sigma(
     if d_row.size < 2:
         raise ValueError("distance row needs at least 2 entries")
     rows = _Rows(d_row.reshape(1, -1), np.array([rho_i], dtype=np.float64))
-    sigma, outcome = _search(rows, q_p, nu, tol, max_iter)
-    _warn_outcomes(sigma, outcome, q_p, tol, max_iter)
+    sigma, outcome = _search(rows, q_p, nu)
+    _warn_outcomes(sigma, outcome, q_p)
     return float(sigma[0])
 
 
-def calibrate_all(
-    d_matrix: np.ndarray,
-    nu: float,
-    q_p: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CalibrationParams:
+def calibrate_all(d_matrix: np.ndarray, nu: float, q_p: float) -> CalibrationParams:
     """Row-wise rho and calibrated sigma for a full distance matrix.
 
     The diagonal is excluded both from ``rho`` (min over j != i) and from
@@ -371,13 +344,14 @@ def calibrate_all(
     ``B = c * kernel((d_k - rho) / sigma)^2``: the objective lies in
     ``[2^S - q_p - m, 2^(S+B) - q_p + m]``, where the rounding margin
     ``m = 1e-9 * q_p`` is far above the ~1e-14 by which another summation
-    order moves it and far below ``tol``.  When that interval holds none of
-    -tol, 0 and +tol, it settles every comparison the search makes; only
-    otherwise is the row summed over its full off-diagonal row, in index
-    order, exactly as the one-row search sums it.  The matrix is read in row
-    blocks, so no second n x n array is allocated, and the rows are split
-    over the usable cores (``distances._fill_rows``).  At most one warning
-    is issued, counting the rows that missed the target.
+    order moves it and far below the tolerance ``tol = DEFAULT_TOL``.  When
+    that interval holds none of -tol, 0 and +tol, it settles every
+    comparison the search makes; only otherwise is the row summed over its
+    full off-diagonal row, in index order, exactly as the one-row search
+    sums it.  The matrix is read in row blocks, so no second n x n array is
+    allocated, and the rows are split over the usable cores
+    (``distances._fill_rows``).  At most one warning is issued, counting the
+    rows that missed the target.  The result holds ``rho`` and ``sigma``.
     """
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     n = d_matrix.shape[0]
@@ -387,20 +361,19 @@ def calibrate_all(
     def fill(rows, rho, sigma, outcome):
         part = _Rows.of_matrix(d_matrix, rows)
         rho[rows] = part.rho
-        sigma[rows], outcome[rows] = _search(part, q_p, nu, tol, max_iter)
+        sigma[rows], outcome[rows] = _search(part, q_p, nu)
 
     rho, sigma, outcome = _fill_rows(n, n, fill, ((), np.float64), ((), np.float64), ((), np.int8))
-    _warn_outcomes(sigma, outcome, q_p, tol, max_iter)
-    return CalibrationParams(rho, sigma, q_p, tol, max_iter)
+    _warn_outcomes(sigma, outcome, q_p)
+    return CalibrationParams(rho, sigma)
 
 
-def conditional_similarity(
-    distances, kernel: KernelParams, calib: CalibrationParams
-) -> SimilarityMatrix:
+def conditional_similarity(distances, nu: float, calib: CalibrationParams) -> SimilarityMatrix:
     """Row-normalized kernel similarities ``P[i, j] = kernel((d_ij - rho_i)/sigma_i)``.
 
-    Generally asymmetric, since each row carries its own rho and sigma.  The
-    diagonal is zeroed by convention.
+    The kernel is :func:`t_kernel` with ``nu`` degrees of freedom.  Generally
+    asymmetric, since each row carries its own rho and sigma.  The diagonal
+    is zeroed by convention.
     """
     d = distances.matrix if isinstance(distances, GeodesicDistanceMatrix) else np.asarray(distances)
     p = np.empty(d.shape)
@@ -408,7 +381,7 @@ def conditional_similarity(
         block = p[rows]
         np.subtract(d[rows], calib.rho[rows, None], out=block)
         block /= calib.sigma[rows, None]
-        t_kernel(block, kernel.nu, out=block)
+        t_kernel(block, nu, out=block)
     np.fill_diagonal(p, 0.0)
     return SimilarityMatrix(p, "conditional")
 

@@ -13,11 +13,10 @@ forward pass over every node with the unaugmented priori adjacency.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +49,7 @@ from .network import (
     forward,
     init_network,
 )
-from .similarity import (
-    KernelParams,
-    SimilarityMatrix,
-    calibrate_all,
-    conditional_similarity,
-    symmetrize,
-)
+from .similarity import SimilarityMatrix, calibrate_all, conditional_similarity, symmetrize
 
 __all__ = [
     "TrainConfig",
@@ -198,13 +191,6 @@ class TrainConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -312,7 +298,7 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
             t1 = time.perf_counter()
             calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
             t2 = time.perf_counter()
-            cond = conditional_similarity(d, KernelParams(cfg.nu_input), calib)
+            cond = conditional_similarity(d, cfg.nu_input, calib)
             del d  # one n x n matrix fewer while symmetrize adds one
             joint = symmetrize(cond).matrix
             stages["distances"] = t1 - t0 - stages["cache write"]
@@ -376,10 +362,6 @@ def _batches(perm, batch_size):
     return chunks
 
 
-def _build_specs(g: AttributedGraph, cfg: TrainConfig):
-    return default_stack(g.features.shape[1], cfg.hidden_dims, cfg.latent_dim, no_fca=cfg.no_fca)
-
-
 def _aggregation_operator(n: int, edges, specs):
     """The FCA layer's operator over an ``(m, 2)`` edge array; None without one."""
     if not any(s.kind == "fca" for s in specs):
@@ -404,7 +386,7 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     p_complete, p_prior = precompute(g, cfg, cache_dir)
     Pc, Pp = p_complete.matrix, p_prior.matrix
 
-    specs = _build_specs(g, cfg)
+    specs = default_stack(g.features.shape[1], cfg.hidden_dims, cfg.latent_dim, no_fca=cfg.no_fca)
     params = init_network(specs, 4 * cfg.seed + _INIT_STREAM)
     optimizer = _AdamOptimizer(cfg.learning_rate)
     kind = BregmanKind(cfg.bregman)
@@ -467,28 +449,39 @@ def embed(g: AttributedGraph, params: NetworkParams) -> np.ndarray:
     return forward(g.features, _aggregation_operator(g.n, g.edge_array(), params.specs), params)
 
 
-def write_embeddings(path, Z: np.ndarray, node_ids=None):
-    """Tab-separated embedding export: node id then 9-significant-digit values."""
-    Z = np.asarray(Z)
-    if node_ids is None:
-        node_ids = range(Z.shape[0])
-    lines = []
-    for node_id, row in zip(node_ids, Z):
-        lines.append("\t".join([str(node_id)] + [format(v, ".9g") for v in row]))
+def write_embeddings(path, Z: np.ndarray):
+    """Tab-separated embedding export, one line per row of ``Z``.
+
+    Each line holds the node id (the row index) and then the row's values
+    to 9 significant digits.
+    """
+    lines = [
+        "\t".join([str(i)] + [format(v, ".9g") for v in row]) for i, row in enumerate(np.asarray(Z))
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_embeddings(path):
-    """Inverse of :func:`write_embeddings`; returns ``(ids, Z)``."""
+    """Inverse of :func:`write_embeddings`; returns ``(ids, Z)``.
+
+    A value that is not a number, or a line with another number of values
+    than the first, raises ``ValueError`` naming ``path:lineno``.
+    """
     ids, rows = [], []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
+            try:
+                row = [float(v) for v in parts[1:]]
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: non-numeric embedding value: {e}") from e
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} values, got {len(row)}")
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            rows.append(row)
     return ids, np.asarray(rows, dtype=np.float64)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -14,6 +15,7 @@ DELETED = [
     "normalize_row",
     "edge_score",
     "latent_similarity",
+    "KernelParams",
 ]
 MODULES = [
     "augmentation",
@@ -31,7 +33,7 @@ MODULES = [
 
 
 def test_every_exported_name_resolves():
-    assert len(dmage.__all__) == len(set(dmage.__all__)) == 65
+    assert len(dmage.__all__) == len(set(dmage.__all__)) == 64
     for name in dmage.__all__:
         getattr(dmage, name)
 
@@ -50,3 +52,23 @@ def test_deleted_helpers_are_gone(name):
     for module in MODULES:
         mod = importlib.import_module(f"dmage.{module}")
         assert not hasattr(mod, name), f"dmage.{module}.{name}"
+
+
+@pytest.mark.parametrize(
+    "name", ["calibrate_sigma", "calibrate_all", "bregman_logistic", "fused_loss"]
+)
+def test_method_constants_are_not_parameters(name):
+    # the search tolerance, the bisection cap and the logistic clamp are
+    # module constants: similarity.DEFAULT_TOL, DEFAULT_MAX_ITER, losses.LOGI_EPS
+    params = inspect.signature(getattr(dmage, name)).parameters
+    assert not {"tol", "max_iter", "eps"} & set(params)
+
+
+def test_kernel_and_loss_signatures():
+    # nu is passed directly; the bench's loss observer reads the batch as args[6]
+    assert list(inspect.signature(dmage.conditional_similarity).parameters) == [
+        "distances", "nu", "calib"
+    ]
+    assert list(inspect.signature(dmage.fused_loss).parameters) == [
+        "P_complete", "P_prior", "Z", "nu_latent", "alpha", "kind", "batch"
+    ]

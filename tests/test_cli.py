@@ -222,6 +222,21 @@ class TestEvalCommand:
                  "--embeddings", os.path.join(out, "embeddings.tsv"))
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("0\t1.0\t2.0\n1\tx\t3.0\n", "short.tsv:2: non-numeric"),
+         ("0\t1.0\t2.0\n1\t0.0\n", "short.tsv:2: expected 2 values, got 1")],
+        ids=["non-numeric", "wrong-width"],
+    )
+    def test_cluster_malformed_embeddings(self, tmp_path, toy_dataset, caplog, text, where):
+        cfg = write_config(tmp_path, toy_dataset)
+        emb = tmp_path / "short.tsv"
+        emb.write_text(text)
+        rc = run("eval", "--task", "cluster", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--embeddings", str(emb))
+        assert rc == EXIT_DATA
+        assert where in caplog.text
+
     def test_cluster_row_count_mismatch(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset)
         emb = tmp_path / "short.tsv"
@@ -324,6 +339,12 @@ class TestErrorExits:
         edges = tmp_path / "bad_edges.tsv"
         edges.write_text("0\tx\n")
         cfg = write_config(tmp_path, toy_dataset, edge_path=str(edges))
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_DATA
+
+    def test_coo_feature_file(self, tmp_path, toy_dataset):
+        features = tmp_path / "features.coo"
+        features.write_text("0 0 1.5\n1 2 2.5\n")
+        cfg = write_config(tmp_path, toy_dataset, feature_path=str(features))
         assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_DATA
 
     def test_divergence_exit_code(self, tmp_path, toy_dataset):

@@ -57,6 +57,24 @@ class TestAtomicWrite:
         atomic_write_text(str(tmp_path / "a.txt"), "x")
         assert os.listdir(tmp_path) == ["a.txt"]
 
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "out.bin")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, b"abc", object())
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        # a plain open gives 0o666 less the umask; so must every artifact
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "a.txt"), "x")
+            save_matrix(str(tmp_path / "m.dmgd"), np.zeros((2, 2)))
+        finally:
+            os.umask(old)
+        for name in ("a.txt", "m.dmgd"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
 
 class TestMatrixContainer:
     def test_round_trip_bit_identical(self, tmp_path):

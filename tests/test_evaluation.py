@@ -42,6 +42,33 @@ def inertia_of(Z, assign):
     return total
 
 
+def frozen_clustering_scores(pred, truth):
+    """ACC, NMI and macro F1 as ``clustering_metrics`` computed them before its
+    F1 read the contingency table: a Python loop fills the table, a dict maps
+    every point's cluster to its matched class, and tp, fp and fn are counted
+    from per-point vectors."""
+    from scipy.optimize import linear_sum_assignment
+
+    clusters, classes = np.unique(pred), np.unique(truth)
+    table = np.zeros((clusters.size, classes.size), dtype=np.int64)
+    c_idx = {c: i for i, c in enumerate(clusters)}
+    l_idx = {c: i for i, c in enumerate(classes)}
+    for p, t in zip(pred, truth):
+        table[c_idx[p], l_idx[t]] += 1
+    rows, cols = linear_sum_assignment(-table)
+    acc = float(table[rows, cols].sum() / pred.size)
+    mapping = dict(zip(clusters[rows], classes[cols]))
+    pred_labels = np.array([mapping.get(p, -1) for p in pred])
+    scores = []
+    for c in classes:
+        tp = np.sum((pred_labels == c) & (truth == c))
+        fp = np.sum((pred_labels == c) & (truth != c))
+        fn = np.sum((pred_labels != c) & (truth == c))
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom > 0 else 0.0)
+    return acc, evaluation._nmi(table), float(np.mean(scores))
+
+
 def acc_oracle(pred, truth):
     """Best accuracy over all injective cluster-to-class mappings."""
     clusters = sorted(set(pred))
@@ -336,6 +363,31 @@ class TestClusteringMetrics:
         pred = np.array([0, 0, 1, 2])  # two clusters cannot match any class
         rep = clustering_metrics(pred, truth)
         assert rep.acc == 0.5
+
+    @pytest.mark.parametrize(
+        "clusters, classes", [(5, 3), (2, 4), (3, 3), (3, 1), (1, 3), (12, 7)]
+    )
+    def test_matches_frozen_per_point_scores(self, clusters, classes):
+        # more clusters than classes, fewer, as many, a single class or cluster;
+        # ids are arbitrary non-negative values, not 0..k-1
+        rng = np.random.default_rng(clusters * 10 + classes)
+        for _ in range(25):
+            n = int(rng.integers(2, 200))
+            pred = rng.choice(rng.permutation(50)[:clusters], n)
+            truth = rng.choice(rng.permutation(50)[:classes] * 3, n)
+            rep = clustering_metrics(pred, truth)
+            want = frozen_clustering_scores(pred, truth)
+            assert (rep.acc, rep.nmi, rep.f1) == want
+            assert [v.hex() for v in (rep.acc, rep.nmi, rep.f1)] == [v.hex() for v in want]
+
+    def test_unmatched_clusters_predict_no_class_not_class_minus_one(self):
+        # two of the three clusters match no class; their points are false
+        # negatives of class -1 as of class 0 (the per-point scores took -1
+        # as the label of an unmatched cluster and gave 1.0 here)
+        pred = np.array([0, 0, 1, 2])
+        for label in (0, -1):
+            rep = clustering_metrics(pred, np.full(4, label))
+            assert (rep.acc, rep.f1) == (0.5, 2 / 3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -323,11 +323,10 @@ class TestLoadGraph:
             load_graph(e, f, l)
 
     def test_triplet_features(self, tmp_path):
+        # the retired sparse format is refused, not read as 3-column dense rows
         e = tmp_path / "e.tsv"
         e.write_text("0\t1\n")
         f = tmp_path / "f.coo"
         f.write_text("0 0 1.5\n1 2 2.5\n")
-        g = load_graph(str(e), str(f))
-        assert g.features.shape == (2, 3)
-        assert g.features[0, 0] == 1.5
-        assert g.features[1, 2] == 2.5
+        with pytest.raises(GraphFormatError, match=r"f\.coo.*'\.coo' triplet format"):
+            load_graph(str(e), str(f))

@@ -9,7 +9,6 @@ from scipy.special import gammaln
 from dmage.similarity import (
     SIGMA_LO,
     CalibrationWarning,
-    KernelParams,
     SimilarityMatrix,
     calibrate_all,
     calibrate_sigma,
@@ -288,15 +287,20 @@ class TestCalibrateAll:
             seen |= {"found"} if ((sigma > SIGMA_LO) & (sigma < 1e6)).any() else set()
         assert seen == {"low", "high", "found"}
 
-    def test_short_searches_match_oracle(self):
-        # few or no bisection steps, a loose and a tight tolerance
+    def test_short_searches_match_oracle(self, monkeypatch):
+        # few bisection steps, a loose and a tight tolerance; the search reads
+        # the module constants on each call
         d, nu, q_p = oracle_case(0)
-        for tol, max_iter in ((1e-5, 0), (1e-5, 7), (1e-3, 100), (1e-9, 100)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CalibrationWarning)
-                calib = calibrate_all(d, nu, q_p, tol, max_iter)
+        for tol, max_iter in ((1e-5, 7), (1e-3, 100), (1e-9, 100)):
+            monkeypatch.setattr(similarity, "DEFAULT_TOL", tol)
+            monkeypatch.setattr(similarity, "DEFAULT_MAX_ITER", max_iter)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", CalibrationWarning)
+                calib = calibrate_all(d, nu, q_p)
             _, sigma = oracle_calibrate_all(d, nu, q_p, tol, max_iter)
             assert calib.sigma.tobytes() == sigma.tobytes()
+            if max_iter == 7:
+                assert f"not within tol={tol} after 7 bisections" in str(caught[-1].message)
 
     def test_one_warning_sums_up_the_misses(self):
         d = np.full((140, 140), 2.0)
@@ -328,7 +332,7 @@ class TestConditionalSimilarity:
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
         calib = calibrate_all(d, 100.0, 4.0)
-        return d, calib, conditional_similarity(d, KernelParams(100.0), calib)
+        return d, calib, conditional_similarity(d, 100.0, calib)
 
     def test_formula_per_entry(self):
         d, calib, p = self.make()
@@ -423,7 +427,7 @@ class TestRowBlocksMatchWholeArrays:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationWarning)  # n=3 misses the target
             calib = calibrate_all(d, 100.0, 4.0)
-        cond = conditional_similarity(d, KernelParams(100.0), calib)
+        cond = conditional_similarity(d, 100.0, calib)
         want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
         assert cond.matrix.tobytes() == want.tobytes()
         assert n < 23 or (want == 0).sum() > n  # off-diagonal zeros are covered
@@ -456,7 +460,7 @@ class TestEndToEnd:
         assert (s.matrix >= 0).all() and (s.matrix <= 1).all()
         assert (np.diag(s.matrix) == 0).all()
         d = pairwise_distance(g.features, "euclidean")
-        cond = conditional_similarity(d, KernelParams(100.0), calibrate_all(d, 100.0, 8.0))
+        cond = conditional_similarity(d, 100.0, calibrate_all(d, 100.0, 8.0))
         assert s.matrix.tobytes() == symmetrize(cond).matrix.tobytes()
 
     def test_graph_geodesic_similarity_smoke(self):
@@ -477,9 +481,10 @@ class TestWorkerCounts:
         monkeypatch.setattr(
             similarity, "_warn_outcomes", lambda s, o, *a: seen.append(o.copy()) or warn(s, o, *a)
         )
+        monkeypatch.setattr(similarity, "DEFAULT_MAX_ITER", max_iter)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationWarning)
-            calib = calibrate_all(d, nu, q_p, max_iter=max_iter)
+            calib = calibrate_all(d, nu, q_p)
         return calib.rho.tobytes(), calib.sigma.tobytes(), seen[-1].tobytes()
 
     def test_oracle_cases_byte_identical(self, workers, monkeypatch):
@@ -533,7 +538,7 @@ class TestWorkerCounts:
         for w in (1, 2, 3):
             workers(w)
             calib = calibrate_all(d, 100.0, 4.0)
-            cond = conditional_similarity(d, KernelParams(100.0), calib)
+            cond = conditional_similarity(d, 100.0, calib)
             got.append([cond.matrix.tobytes(), symmetrize(cond).matrix.tobytes()])
         want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
         assert got[0] == [want.tobytes(), _oracle_symmetrize(want).tobytes()]
