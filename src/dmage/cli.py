@@ -197,8 +197,35 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _eval_restarts(extras):
+    restarts = extras.get("eval_restarts", 10)
+    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
+        raise ConfigError(f"eval_restarts must be an integer >= 1, got {restarts!r}")
+    return restarts
+
+
+def _rows_by_node_id(path, ids, Z):
+    """``Z``'s rows in node order; ``ids`` must hold each of 0..n-1 once, n = len(ids)."""
+    n = len(ids)
+    try:
+        nodes = [int(i) for i in ids]
+    except ValueError as e:
+        raise DataError(f"{path}: node id is not an integer: {e}") from e
+    outside = [i for i in nodes if not 0 <= i < n]
+    if outside:
+        raise DataError(f"{path}: node id {outside[0]} is outside 0..{n - 1}")
+    counts = np.bincount(nodes, minlength=n)
+    if (counts != 1).any():
+        twice, missing = np.flatnonzero(counts > 1)[0], np.flatnonzero(counts == 0)[0]
+        raise DataError(f"{path}: node id {twice} appears more than once and {missing} is missing")
+    rows = np.empty_like(Z)
+    rows[nodes] = Z
+    return rows
+
+
 def cmd_eval(args):
     cfg, data, extras = _resolve_config(args)
+    restarts = _eval_restarts(extras)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", list(range(20)))
@@ -208,7 +235,7 @@ def cmd_eval(args):
         if not args.embeddings:
             raise ConfigError("eval --task cluster requires --embeddings")
         try:
-            _, Z = read_embeddings(args.embeddings)
+            ids, Z = read_embeddings(args.embeddings)
         except FileNotFoundError as e:
             raise DataError(f"embeddings file missing: {args.embeddings}") from e
         except ValueError as e:
@@ -220,8 +247,11 @@ def cmd_eval(args):
             raise DataError(
                 f"embeddings have {Z.shape[0]} rows but graph has {g.n} nodes"
             )
-        restarts = int(extras.get("eval_restarts", 10))
-        reports = cluster_eval(Z, g.labels, seeds, restarts)
+        Z = _rows_by_node_id(args.embeddings, ids, Z)
+        try:
+            reports = cluster_eval(Z, g.labels, seeds, restarts)
+        except ValueError as e:  # an embedding value that is not finite
+            raise DataError(f"{args.embeddings}: {e}") from e
         rows = [
             {"seed": r.seed, "acc": r.acc, "nmi": r.nmi, "f1": r.f1} for r in reports
         ]
@@ -264,6 +294,7 @@ def _ablate_variants(cfg, args):
 
 def cmd_ablate(args):
     cfg, data, extras = _resolve_config(args)
+    restarts = _eval_restarts(extras)
     g = _load_data(cfg, data)
     if g.labels is None:
         raise DataError("ablation scoring requires label_path")
@@ -271,7 +302,6 @@ def cmd_ablate(args):
     os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
     seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", [0, 1, 2])
-    restarts = int(extras.get("eval_restarts", 10))
 
     t0 = time.perf_counter()
     rows = []

@@ -3,9 +3,18 @@
 Clustering runs Lloyd's algorithm with k-means++ seeding on the embedding
 and scores the assignment against ground-truth labels with ACC (after
 Hungarian cluster-to-label matching), NMI (arithmetic normalization), and
-macro F1 over the matched classes.  Link prediction holds out edge sets,
-retrains on the remaining graph, scores held-out pairs from the embedding,
-and reports AUC and average precision.
+macro F1 over the matched classes.  The restarts of one ``kmeans`` call run
+in lockstep, so each Lloyd iteration reads the embedding once for the
+distances and once for the means of every live restart.  Each restart keeps
+what it computes alone, bit for bit: its k-means++ seeding, the squared
+distance formula, means summed in index order, and its own re-seeding,
+cycle, cap and convergence rules.  The one caveat is BLAS: a restart's
+columns of the stacked product must have the bits of its own width-k
+product, which was checked for 7 clusters at widths 7 to 70.
+
+Link prediction holds out edge sets, retrains on the remaining graph,
+scores held-out pairs from the embedding, and reports AUC and average
+precision.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 from scipy.stats import rankdata
 
 from .container import atomic_write_text
@@ -75,9 +84,17 @@ class LinkPredReport:
 
 
 def _sq_dists_to(Z, z2, centers):
-    # (n, k) squared Euclidean distances; z2 holds the squared norms of Z's rows
-    cross = Z @ centers.T
-    return np.maximum(z2[:, None] - 2.0 * cross + (centers * centers).sum(axis=1), 0.0)
+    """(n, m) squared Euclidean distances to m centers; z2 holds the squared norms of Z's rows.
+
+    Taken in place as ``max(-2 Z·c + z2 + |c|², 0)``, the bits of
+    ``max(z2 - 2 Z·c + |c|², 0)``: the sum and difference round alike.
+    """
+    d2 = Z @ centers.T
+    d2 *= -2.0
+    d2 += z2[:, None]
+    d2 += (centers * centers).sum(axis=1)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def _plus_plus_init(Z, z2, k, rng):
@@ -96,85 +113,122 @@ def _plus_plus_init(Z, z2, k, rng):
 
 
 def _means(Z, assign, counts):
-    """Every cluster's mean at once: row c is ``Z[assign == c].mean(axis=0)`` bit for bit.
+    """Every restart's cluster means: ``[l, c]`` is ``Z[assign[:, l] == c].mean(axis=0)`` exactly.
 
-    ``counts`` holds each cluster's size, none of them 0.  A CSR product
-    with the clusters' one-hot rows adds each cluster's members in index
-    order, as numpy's mean over the rows of a selection with more than one
-    column does (with one column numpy sums pairwise instead).
+    ``assign`` holds one column of cluster ids per restart and ``counts``
+    (restarts, k) each cluster's size, none of them 0.  Column j of a CSC
+    product holds point j's (restart, cluster) rows, so one pass over ``Z``
+    adds each cluster's members in index order, starting from 0, as numpy's
+    mean over the rows of a selection with more than one column does (with
+    one column numpy sums pairwise instead).
     """
-    n = Z.shape[0]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    # a stable sort of integers of at most 16 bits is numpy's radix sort:
-    # the same permutation, in linear time
-    order = np.argsort(assign.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
-    members = csr_array((np.ones(n), order, indptr), shape=(counts.size, n))
+    n, runs = assign.shape
+    k = counts.shape[1]
+    rows = (assign + np.arange(runs) * k).ravel()
+    indptr = np.arange(0, n * runs + 1, runs)
+    members = csc_array((np.ones(n * runs), rows, indptr), shape=(runs * k, n))
     centers = members @ Z
-    centers /= counts[:, None]
-    return centers
+    centers /= counts.reshape(-1, 1)
+    return centers.reshape(runs, k, -1)
 
 
-def _lloyd(Z, z2, k, rng):
-    """One restart: at most ``KMEANS_MAX_ITER`` iterations, ended early once re-seeding cycles.
+def _masked_means(Z, centers, assign, d2):
+    """One restart's means cluster by cluster, re-seeding empty clusters; True if one was.
 
-    The centers and the assignment decide every later iteration.  With
-    fewer distinct points than clusters, re-seeding can move a point from
-    one equal center to another in every iteration, so the state after a
-    re-seeding iteration repeats and the iterations cycle without
-    converging.  The state at the iteration cap is then the one a whole
-    number of periods on, so the restart runs only to that state.
+    An empty cluster is re-seeded at the point farthest from its center,
+    which moves that point into it.  ``centers`` and ``assign`` are updated
+    in place; ``d2`` holds the restart's (n, k) squared distances.
     """
-    centers = _plus_plus_init(Z, z2, k, rng)
-    assign = np.full(Z.shape[0], -1)
-    seen = {}
-    stop = KMEANS_MAX_ITER
-    it = 0
-    while it < stop:
-        d2 = _sq_dists_to(Z, z2, centers)
-        new_assign = d2.argmin(axis=1)
-        counts = np.bincount(new_assign, minlength=k)
-        # taken before the first re-seed changes new_assign, and only if one is needed
-        point_d2 = None
-        if counts.all() and Z.shape[1] > 1:  # no empty cluster to re-seed
-            centers = _means(Z, new_assign, counts)
+    point_d2 = None  # taken before the first re-seed changes assign, and only if one is needed
+    for c in range(centers.shape[0]):
+        members = assign == c
+        if members.any():
+            centers[c] = Z[members].mean(axis=0)
         else:
-            for c in range(k):
-                members = new_assign == c
-                if members.any():
-                    centers[c] = Z[members].mean(axis=0)
-                else:
-                    # re-seed an empty cluster at the point farthest from its center
-                    if point_d2 is None:
-                        point_d2 = d2[np.arange(Z.shape[0]), new_assign]
-                    far = point_d2.argmax()
-                    centers[c] = Z[far]
-                    new_assign[far] = c
-                    point_d2[far] = 0.0
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        if point_d2 is not None and stop == KMEANS_MAX_ITER:  # re-seeded
-            state = hashlib.blake2b(centers.tobytes() + assign.tobytes(), digest_size=16).digest()
-            if state in seen:
-                stop = it + 1 + (KMEANS_MAX_ITER - 1 - it) % (it - seen[state])
-            seen[state] = it
-        it += 1
-    inertia = float(_sq_dists_to(Z, z2, centers)[np.arange(Z.shape[0]), assign].sum())
-    return assign, inertia
+            if point_d2 is None:
+                point_d2 = d2[np.arange(Z.shape[0]), assign]
+            far = point_d2.argmax()
+            centers[c] = Z[far]
+            assign[far] = c
+            point_d2[far] = 0.0
+    return point_d2 is not None
 
 
 def kmeans(Z, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
-    """Best-of-``restarts`` Lloyd clustering, deterministic given the seed."""
+    """Best-of-``restarts`` Lloyd clustering, deterministic given the seed.
+
+    Restart r is seeded by k-means++ from ``default_rng([seed, r])`` and runs
+    at most ``KMEANS_MAX_ITER`` iterations; the lowest inertia wins, the
+    first in restart order on a tie.  The restarts run in lockstep: each
+    iteration takes one product of ``Z`` with the stacked centers of every
+    live restart, then one pass over ``Z`` for the means of all restarts
+    with no empty cluster (:func:`_means`).  A restart with an empty
+    cluster, or any restart of a one-column ``Z``, takes its means cluster
+    by cluster and re-seeds the empty ones from its own distances.  A
+    restart leaves the lockstep when its assignment stops changing or it
+    reaches its cap.
+
+    With fewer distinct points than clusters, re-seeding can move a point
+    from one equal center to another in every iteration, so a restart's
+    state after a re-seeding iteration repeats and its iterations cycle.
+    Its state at the cap is then the one a whole number of periods on, so
+    it runs only to that state.
+
+    Each restart's assignment is bit for bit the one it gets run alone
+    wherever BLAS gives its columns of the stacked product the bits of its
+    own width-k product; OpenBLAS did at every width from 7 to 70 (10
+    restarts of 7 clusters), but not at 210.
+
+    Raises ``ValueError`` when ``k`` is outside [1, n], ``restarts`` is below
+    1 or ``Z`` holds a value that is not finite.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     if not 1 <= k <= Z.shape[0]:
         raise ValueError(f"k must be in [1, {Z.shape[0]}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    bad = Z.size - np.count_nonzero(np.isfinite(Z))
+    if bad:
+        raise ValueError(f"Z holds {bad} non-finite entries")
+    n, dim = Z.shape
     z2 = (Z * Z).sum(axis=1)
-    best_assign, best_inertia = None, np.inf
-    for r in range(restarts):
-        assign, inertia = _lloyd(Z, z2, k, np.random.default_rng([seed, r]))
-        if inertia < best_inertia:
-            best_assign, best_inertia = assign, inertia
-    return best_assign
+    centers = np.stack(
+        [_plus_plus_init(Z, z2, k, np.random.default_rng([seed, r])) for r in range(restarts)]
+    )
+    assign = np.full((n, restarts), -1)
+    inertia = np.empty(restarts)
+    seen = [{} for _ in range(restarts)]
+    stop = np.full(restarts, KMEANS_MAX_ITER)
+    live = np.arange(restarts)
+    it = 0
+    while live.size:
+        d2 = _sq_dists_to(Z, z2, centers[live].reshape(-1, dim)).reshape(n, live.size, k)
+        new_assign = d2.argmin(axis=2)
+        rows = (new_assign + np.arange(live.size) * k).ravel()
+        counts = np.bincount(rows, minlength=live.size * k).reshape(live.size, k)
+        full = counts.all(axis=1) & (dim > 1)  # no empty cluster to re-seed
+        if full.any():
+            centers[live[full]] = _means(Z, new_assign[:, full], counts[full])
+        reseeded = np.zeros(live.size, dtype=bool)
+        for l in np.flatnonzero(~full):
+            reseeded[l] = _masked_means(Z, centers[live[l]], new_assign[:, l], d2[:, l])
+        changed = (new_assign != assign[:, live]).any(axis=0)
+        assign[:, live] = new_assign
+        for l in np.flatnonzero(changed & reseeded):
+            r = live[l]
+            if stop[r] == KMEANS_MAX_ITER:
+                state = hashlib.blake2b(
+                    centers[r].tobytes() + assign[:, r].tobytes(), digest_size=16
+                ).digest()
+                if state in seen[r]:
+                    stop[r] = it + 1 + (KMEANS_MAX_ITER - 1 - it) % (it - seen[r][state])
+                seen[r][state] = it
+        it += 1
+        leaving = ~changed | (it >= stop[live])
+        for r in live[leaving]:
+            inertia[r] = _sq_dists_to(Z, z2, centers[r])[np.arange(n), assign[:, r]].sum()
+        live = live[~leaving]
+    return assign[:, int(np.argmin(inertia))].copy()
 
 
 def _contingency(pred, truth):

@@ -3,6 +3,7 @@ import logging
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from dmage.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -28,6 +29,12 @@ def write_config(tmp_path, toy, name="config.json", **overrides):
 
 def run(*argv):
     return main(list(argv))
+
+
+def embedding_lines(g):
+    """Embedding file lines in node order: each class at its own point, plus a little noise."""
+    Z = np.eye(2)[g.labels] * 10.0 + np.random.default_rng(1).standard_normal((g.n, 2))
+    return [f"{i}\t{a:.17g}\t{b:.17g}\n" for i, (a, b) in enumerate(Z)]
 
 
 class TestTrainCommand:
@@ -237,6 +244,56 @@ class TestEvalCommand:
         assert rc == EXIT_DATA
         assert where in caplog.text
 
+    def test_cluster_rows_matched_by_node_id(self, tmp_path, toy_dataset):
+        # the same lines in another order score the same, to the byte
+        g = toy_dataset["graph"]
+        lines = embedding_lines(g)
+        order = np.random.default_rng(0).permutation(g.n)
+        reports = []
+        for name, text in (("sorted", lines), ("shuffled", [lines[i] for i in order])):
+            emb = tmp_path / f"{name}.tsv"
+            emb.write_text("".join(text))
+            out = str(tmp_path / name)
+            rc = run("eval", "--task", "cluster", "--config", write_config(tmp_path, toy_dataset),
+                     "--out", out, "--embeddings", str(emb), "--seeds", "0,1")
+            assert rc == EXIT_OK
+            with open(os.path.join(out, "cluster_report.json"), "rb") as f:
+                reports.append(f.read())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["mean"]["acc"] == 1.0
+
+    @pytest.mark.parametrize(
+        "row, node_id, where",
+        [(3, "x", "node id is not an integer"),
+         (3, "2.0", "node id is not an integer"),
+         (3, "5", "node id 5 appears more than once and 3 is missing"),
+         (0, "-1", "node id -1 is outside"),
+         (7, "{n}", "node id {n} is outside")],
+        ids=["word", "decimal", "duplicate", "negative", "past-the-end"],
+    )
+    def test_cluster_bad_node_ids(self, tmp_path, toy_dataset, caplog, row, node_id, where):
+        g = toy_dataset["graph"]
+        lines = embedding_lines(g)
+        lines[row] = node_id.format(n=g.n) + lines[row][lines[row].index("\t"):]
+        emb = tmp_path / "ids.tsv"
+        emb.write_text("".join(lines))
+        rc = run("eval", "--task", "cluster", "--config", write_config(tmp_path, toy_dataset),
+                 "--out", str(tmp_path / "o"), "--embeddings", str(emb))
+        assert rc == EXIT_DATA
+        assert where.format(n=g.n) in caplog.text
+
+    def test_cluster_non_finite_embeddings(self, tmp_path, toy_dataset, caplog):
+        g = toy_dataset["graph"]
+        lines = embedding_lines(g)
+        lines[4] = "4\tnan\t0.5\n"
+        lines[9] = "9\t1.0\tinf\n"
+        emb = tmp_path / "nan.tsv"
+        emb.write_text("".join(lines))
+        rc = run("eval", "--task", "cluster", "--config", write_config(tmp_path, toy_dataset),
+                 "--out", str(tmp_path / "o"), "--embeddings", str(emb))
+        assert rc == EXIT_DATA
+        assert "nan.tsv: Z holds 2 non-finite entries" in caplog.text
+
     def test_cluster_row_count_mismatch(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset)
         emb = tmp_path / "short.tsv"
@@ -325,6 +382,23 @@ class TestErrorExits:
                  "--embeddings", str(tmp_path / "unused.tsv"))
         assert rc == EXIT_CONFIG
         assert f"'{key}' is retired" in caplog.text
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("restarts", [0, -3, 2.5, "10", True, None])
+    def test_bad_eval_restarts_exits_before_any_file_is_read(
+        self, tmp_path, toy_dataset, monkeypatch, caplog, command, restarts
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr("dmage.cli.load_graph", refuse)
+        monkeypatch.setattr("dmage.cli.read_embeddings", refuse)
+        cfg = write_config(tmp_path, toy_dataset, eval_restarts=restarts)
+        task = ["--task", "cluster", "--embeddings", str(tmp_path / "e.tsv")]
+        rc = run(command, "--config", cfg, "--out", str(tmp_path / "o"), *(task if command == "eval" else []))
+        assert rc == EXIT_CONFIG
+        assert "eval_restarts must be an integer >= 1" in caplog.text
+        assert not (tmp_path / "o").exists()
 
     def test_missing_data_keys(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -193,6 +193,7 @@ def _oracle_sq_dists_to(Z, centers):
 
 
 def _oracle_lloyd(Z, k, rng, reseeds):
+    """One restart run alone; returns its assignment, inertia and iterations."""
     n = Z.shape[0]
     centers = np.empty((k, Z.shape[1]))
     centers[0] = Z[rng.integers(n)]
@@ -205,7 +206,7 @@ def _oracle_lloyd(Z, k, rng, reseeds):
             centers[c] = Z[rng.choice(n, p=closest / total)]
         closest = np.minimum(closest, _oracle_sq_dists_to(Z, centers[c : c + 1]).ravel())
     assign = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
+    for it in range(KMEANS_MAX_ITER):
         d2 = _oracle_sq_dists_to(Z, centers)
         new_assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), new_assign]
@@ -223,13 +224,20 @@ def _oracle_lloyd(Z, k, rng, reseeds):
             break
         assign = new_assign
     inertia = float(_oracle_sq_dists_to(Z, centers)[np.arange(n), assign].sum())
-    return assign, inertia
+    return assign, inertia, it + 1
 
 
-def _oracle_kmeans(Z, k, seed, restarts=10):
+def _oracle_kmeans(Z, k, seed, restarts=10, runs=None):
+    """Best-of-restarts assignment and the number of re-seeds; ``runs``, if a
+    list, gets each restart's (iterations, re-seeds)."""
     best_assign, best_inertia, reseeds = None, np.inf, []
     for r in range(restarts):
-        assign, inertia = _oracle_lloyd(Z, k, np.random.default_rng([seed, r]), reseeds)
+        before = len(reseeds)
+        assign, inertia, iterations = _oracle_lloyd(
+            Z, k, np.random.default_rng([seed, r]), reseeds
+        )
+        if runs is not None:
+            runs.append((iterations, len(reseeds) - before))
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
     return best_assign, len(reseeds)
@@ -262,15 +270,79 @@ class TestKmeansMatchesOracle:
         assert Z.shape[0] == 17 and len(np.unique(Z, axis=0)) == 4
         want, reseeds = _oracle_kmeans(Z, 6, 0)
         assert reseeds >= 10 * KMEANS_MAX_ITER  # the oracle runs every iteration
-        passes = []
-        sq_dists_to = evaluation._sq_dists_to
-        monkeypatch.setattr(
-            evaluation, "_sq_dists_to", lambda *a: passes.append(1) or sq_dists_to(*a)
-        )
+        widths = record_widths(monkeypatch)
         got = kmeans(Z, 6, seed=0)
-        # per restart: 6 seeding passes, one per iteration, one for the inertia
-        assert len(passes) <= 10 * (6 + 12 + 1)
+        # 6 seeding passes per restart, one stacked pass per lockstep
+        # iteration, one inertia pass per restart
+        assert widths.count(1) == 10 * 6
+        assert len(widths) <= 10 * 6 + 12 + 10
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restarts_converge_at_different_iterations(self, seed, monkeypatch):
+        # overlapping blobs: the restarts take from 6 to 18 iterations, so
+        # they leave the lockstep one by one
+        Z, _ = blobs(np.random.default_rng(seed), k=7, per=72, sep=1.0, dim=16)
+        runs = []
+        want, reseeds = _oracle_kmeans(Z, 7, seed, runs=runs)
+        iterations = sorted(it for it, _ in runs)
+        assert reseeds == 0 and iterations[0] < iterations[-1] < KMEANS_MAX_ITER
+        widths = record_widths(monkeypatch)
+        assert np.array_equal(kmeans(Z, 7, seed=seed), want)
+        # after the seeding, each iteration takes one pass over 7 centers per
+        # live restart, then one inertia pass per restart that converged
+        expected = []
+        for it in range(iterations[-1]):
+            expected.append(7 * sum(1 for n_it in iterations if n_it > it))
+            expected += [7] * iterations.count(it + 1)
+        assert widths[:70] == [1] * 70 and widths[70:] == expected
+
+    def test_some_restarts_reseed_and_others_do_not(self):
+        # heavy-tailed points: restart 4 empties a cluster and re-seeds it,
+        # the other nine never do, so one iteration mixes the stacked means
+        # with the cluster-by-cluster ones
+        Z = np.random.default_rng(374).standard_normal((20, 2)) ** 3
+        runs = []
+        want, _ = _oracle_kmeans(Z, 6, 0, runs=runs)
+        assert [r for _, r in runs] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert np.array_equal(kmeans(Z, 6, seed=0), want)
+
+    def test_cycling_restarts_stop_at_different_iterations(self, monkeypatch):
+        # 41 points at 4 locations, 7 clusters: every restart cycles, and
+        # they reach their capped state after 4 or 6 iterations
+        rng = np.random.default_rng(843)
+        Z = np.repeat(rng.standard_normal((4, 2)), rng.integers(2, 20, 4), axis=0)
+        runs = []
+        want, _ = _oracle_kmeans(Z, 7, 0, runs=runs)
+        assert all(it == KMEANS_MAX_ITER and r > 0 for it, r in runs)
+        widths = record_widths(monkeypatch)
+        assert np.array_equal(kmeans(Z, 7, seed=0), want)
+        assert [w for w in widths if w > 7] == [70] * 4 + [49] * 2
+
+    @pytest.mark.parametrize(
+        "n, dim, k, restarts",
+        [(40, 3, 1, 10), (12, 3, 12, 10), (200, 5, 4, 1), (180, 1, 3, 10), (60, 2, 5, 3)],
+        ids=["k=1", "k=n", "one-restart", "one-column", "three-restarts"],
+    )
+    def test_edge_shapes(self, n, dim, k, restarts):
+        rng = np.random.default_rng(n + dim + k)
+        Z = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0, dim)
+        for seed in range(3):
+            want, _ = _oracle_kmeans(Z, k, seed, restarts)
+            assert np.array_equal(kmeans(Z, k, seed=seed, restarts=restarts), want)
+
+
+def record_widths(monkeypatch):
+    """Patch the distance pass to log how many centers each call measures."""
+    widths = []
+    sq_dists_to = evaluation._sq_dists_to
+
+    def logged(Z, z2, centers):
+        widths.append(centers.shape[0])
+        return sq_dists_to(Z, z2, centers)
+
+    monkeypatch.setattr(evaluation, "_sq_dists_to", logged)
+    return widths
 
 
 class TestClusterMeans:
@@ -279,15 +351,22 @@ class TestClusterMeans:
         for case in range(60):
             n, dim = int(rng.integers(1, 700)), int(rng.integers(2, 12))
             k = int(rng.integers(1, min(n, 8) + 1))
+            runs = int(rng.integers(1, 11))
             Z = rng.standard_normal((n, 2 * dim)) * 10.0 ** rng.integers(-3, 4)
             Z[rng.random(Z.shape) < 0.2] = -0.0
             # C order, Fortran order and a strided view
             Z = [Z[:, :dim].copy(), np.asfortranarray(Z[:, :dim]), Z[:, ::2]][case % 3]
-            assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-            rng.shuffle(assign)
-            want = np.array([Z[assign == c].mean(axis=0) for c in range(k)])
-            got = evaluation._means(Z, assign, np.bincount(assign, minlength=k))
-            assert got.tobytes() == want.tobytes()
+            assign = np.stack(
+                [rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+                 for _ in range(runs)],
+                axis=1,
+            )
+            counts = np.stack([np.bincount(a, minlength=k) for a in assign.T])
+            got = evaluation._means(Z, assign, counts)
+            assert got.shape == (runs, k, dim)
+            for r in range(runs):
+                want = np.array([Z[assign[:, r] == c].mean(axis=0) for c in range(k)])
+                assert got[r].tobytes() == want.tobytes()
 
     def test_one_column_keeps_the_masked_mean(self, monkeypatch):
         # numpy sums a single column pairwise, not in index order
@@ -296,9 +375,23 @@ class TestClusterMeans:
 
         monkeypatch.setattr(evaluation, "_means", refuse)
         Z, truth = blobs(np.random.default_rng(13), k=3, per=60, dim=1)
-        assert kmeans(Z, 3, seed=0).shape == truth.shape
+        assert np.array_equal(kmeans(Z, 3, seed=0), _oracle_kmeans(Z, 3, 0)[0])
         with pytest.raises(AssertionError, match="one-pass"):
             kmeans(np.hstack([Z, Z]), 3, seed=0)
+
+
+class TestKmeansRefuses:
+    @pytest.mark.parametrize("value, count", [(np.nan, 1), (np.inf, 2), (-np.inf, 3)])
+    def test_non_finite_embedding(self, value, count):
+        Z = np.random.default_rng(0).standard_normal((20, 3))
+        Z.flat[:count] = value
+        with pytest.raises(ValueError, match=f"{count} non-finite"):
+            kmeans(Z, 2)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            kmeans(np.random.default_rng(0).standard_normal((20, 3)), 2, restarts=restarts)
 
 
 class TestClusteringMetrics:
@@ -394,6 +487,20 @@ class TestClusteringMetrics:
             clustering_metrics(np.zeros(3, int), np.zeros(4, int))
         with pytest.raises(ValueError):
             clustering_metrics(np.zeros(1, int), np.zeros(1, int))
+
+    def test_cluster_eval_runs_kmeans_once_per_seed(self, monkeypatch):
+        calls = []
+        run = evaluation.kmeans
+
+        def logged(Z, k, seed, restarts):
+            calls.append((k, seed, restarts))
+            return run(Z, k, seed, restarts)
+
+        monkeypatch.setattr(evaluation, "kmeans", logged)
+        Z, truth = blobs(np.random.default_rng(14))
+        reports = cluster_eval(Z, truth, [4, 0, 9], restarts=3)
+        assert calls == [(3, 4, 3), (3, 0, 3), (3, 9, 3)]
+        assert [r.seed for r in reports] == [4, 0, 9]
 
     def test_cluster_eval_on_trained_embeddings(self, sbm_graph, sbm_result):
         reports = cluster_eval(sbm_result.embeddings, sbm_graph.labels, [0, 1])
