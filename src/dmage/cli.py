@@ -25,12 +25,13 @@ import numpy as np
 
 from . import __version__
 from .container import atomic_write_text, save_checkpoint
-from .evaluation import cluster_eval, linkpred_eval, write_report
+from .evaluation import _split_sizes, cluster_eval, linkpred_eval, write_report
 from .graph import GraphFormatError, load_graph
 from .training import (
     TrainConfig,
     TrainingDivergedError,
     _cache_dir as _training_cache_dir,
+    _require_nodes,
     precompute,
     train,
     read_embeddings,
@@ -101,16 +102,20 @@ def _resolve_config(args):
     return cfg, data, extras
 
 
-def _load_data(cfg, data):
+def _load_data(cfg, data, check=_require_nodes):
+    """The config's graph; ``check(g)`` refuses one the command cannot use."""
     if "edge_path" not in data or "feature_path" not in data:
         raise ConfigError("config must set edge_path and feature_path")
     try:
-        return load_graph(
+        g = load_graph(
             data["edge_path"],
             data["feature_path"],
             data.get("label_path"),
             data.get("id_map_path"),
         )
+        if check is not None:
+            check(g)
+        return g
     except FileNotFoundError as e:
         raise DataError(f"input file missing: {e.filename or e}") from e
     except (GraphFormatError, OSError, ValueError) as e:
@@ -204,6 +209,16 @@ def _eval_restarts(extras):
     return restarts
 
 
+def _eval_seeds(args, extras, default):
+    seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", default)
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(
+            "eval_seeds (or --seeds) must be a non-empty list of non-negative integers, "
+            f"got {seeds!r}"
+        )
+    return seeds
+
+
 def _rows_by_node_id(path, ids, Z):
     """``Z``'s rows in node order; ``ids`` must hold each of 0..n-1 once, n = len(ids)."""
     n = len(ids)
@@ -226,9 +241,9 @@ def _rows_by_node_id(path, ids, Z):
 def cmd_eval(args):
     cfg, data, extras = _resolve_config(args)
     restarts = _eval_restarts(extras)
+    seeds = _eval_seeds(args, extras, list(range(20)))
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", list(range(20)))
     t0 = time.perf_counter()
 
     if args.task == "cluster":
@@ -240,7 +255,7 @@ def cmd_eval(args):
             raise DataError(f"embeddings file missing: {args.embeddings}") from e
         except ValueError as e:
             raise DataError(str(e)) from e
-        g = _load_data(cfg, data)
+        g = _load_data(cfg, data, check=None)
         if g.labels is None:
             raise DataError("clustering evaluation requires label_path")
         if Z.shape[0] != g.n:
@@ -259,7 +274,7 @@ def cmd_eval(args):
         write_report(report_path, "cluster", rows, {"f1_variant": "macro"})
         outputs = {"report": report_path}
     else:
-        g = _load_data(cfg, data)
+        g = _load_data(cfg, data, check=_split_sizes)
         cache = _cache_dir(args, out_dir)
         reports, _ = linkpred_eval(g, cfg, seeds, cache, out_dir)
         rows = [{"seed": r.seed, "auc": r.auc, "ap": r.ap} for r in reports]
@@ -295,17 +310,21 @@ def _ablate_variants(cfg, args):
 def cmd_ablate(args):
     cfg, data, extras = _resolve_config(args)
     restarts = _eval_restarts(extras)
+    seeds = _eval_seeds(args, extras, [0, 1, 2])
+    try:
+        variants = _ablate_variants(cfg, args)
+    except ValueError as e:  # a grid value TrainConfig refuses
+        raise ConfigError(str(e)) from e
     g = _load_data(cfg, data)
     if g.labels is None:
         raise DataError("ablation scoring requires label_path")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
-    seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", [0, 1, 2])
 
     t0 = time.perf_counter()
     rows = []
-    for name, variant_cfg in _ablate_variants(cfg, args):
+    for name, variant_cfg in variants:
         t_var = time.perf_counter()
         accs, nmis, f1s = [], [], []
         for seed in seeds:

@@ -296,6 +296,18 @@ def cluster_eval(Z, labels, seeds, restarts: int = 10):
     return [clustering_metrics(kmeans(Z, k, seed, restarts), labels, seed) for seed in seeds]
 
 
+def _split_sizes(g: AttributedGraph):
+    """Held-out validation and test edge counts; ``ValueError`` if ``g`` is too small to split."""
+    m = g.num_edges
+    if m < 20:
+        raise ValueError(f"need at least 20 edges to split, got {m}")
+    n_val = int(m * VAL_FRACTION)
+    n_test = int(m * TEST_FRACTION)
+    if g.n * (g.n - 1) // 2 - m < n_val + n_test:
+        raise ValueError("not enough non-edges to sample negatives")
+    return n_val, n_test
+
+
 def linkpred_split(g: AttributedGraph, seed: int = 0) -> LinkPredSplit:
     """Hold out 5% of edges for validation and 10% for testing.
 
@@ -303,14 +315,7 @@ def linkpred_split(g: AttributedGraph, seed: int = 0) -> LinkPredSplit:
     held-out positive, split disjointly between validation and test.
     """
     m = g.num_edges
-    if m < 20:
-        raise ValueError(f"need at least 20 edges to split, got {m}")
-    n_val = int(m * VAL_FRACTION)
-    n_test = int(m * TEST_FRACTION)
-    total_pairs = g.n * (g.n - 1) // 2
-    if total_pairs - m < n_val + n_test:
-        raise ValueError("not enough non-edges to sample negatives")
-
+    n_val, n_test = _split_sizes(g)
     rng = np.random.default_rng(seed)
     edges = g.edge_array()
     order = rng.permutation(m)

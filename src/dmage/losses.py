@@ -5,7 +5,9 @@ priori-graph geodesic similarities) against the similarity of the latent
 embedding, each restricted to a minibatch.  Divergences average over ordered
 off-diagonal pairs so the balance parameter alpha is batch-size independent.
 ``fused_loss`` also returns the exact analytic gradient with respect to the
-batch rows of the embedding.
+batch rows of the embedding.  There are two divergences (``BregmanKind``):
+the squared difference ``sed`` and the logistic ``logi``; a run uses one of
+them for both terms.
 
 Every divergence, and ``fused_loss`` with its gradient, runs as one loop over
 row blocks of about 32k pairs (``_BLOCK``).  The loss takes some forty
@@ -62,7 +64,6 @@ _BLOCK = 1 << 15
 class BregmanKind(str, Enum):
     SED = "sed"
     LOGI = "logi"
-    SED_PLUS_LOGI = "sed_plus_logi"
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,12 @@ def _divergence(P, Q, kind: BregmanKind) -> float:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     kind = BregmanKind(kind)
     n = p.shape[0]
-    terms = _term_arrays(1, kind, n)
+    M = n * n - n
+    terms = np.empty((n, n))
     for rows in _row_blocks(n, n, _BLOCK):
         Qb = q[rows]
-        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind), kind, n * n - n, rows, terms[0, :, rows])
-    return _value(terms[0], n * n - n)
+        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind), kind, M, rows, terms[rows])
+    return float(np.sum(terms) / M)
 
 
 def bregman_sed(P, Q) -> float:
@@ -123,19 +125,6 @@ def _latent_rows(sq, gram, rows: slice, nu_latent: float, start: int = 0):
     return d, k, np.subtract(two_k, two_k * k, out=two_k)
 
 
-def _term_arrays(count: int, kind: BregmanKind, m: int):
-    """Per-pair term arrays: ``count`` inputs, one (m, m) array per part of ``kind``."""
-    return np.empty((count, 2 if kind == BregmanKind.SED_PLUS_LOGI else 1, m, m))
-
-
-def _value(terms, M: int) -> float:
-    """A divergence value from its full term arrays, one mean per part, added up."""
-    value = float(np.sum(terms[0]) / M)
-    for t in terms[1:]:
-        value += float(np.sum(t) / M)
-    return value
-
-
 def _q_side(Q, kind: BregmanKind):
     """What the logistic divergence needs of a Q block, shared by every P.
 
@@ -150,46 +139,39 @@ def _q_side(Q, kind: BregmanKind):
 def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, start: int = 0):
     """One divergence on the block ``[rows, start:]``: terms into ``terms``, returns dLoss/dQ.
 
-    ``P`` and ``Q`` hold the block and ``terms`` one such block per part of
-    ``kind``.  Divergences average over the ``M`` off-diagonal pairs, so
-    diagonal terms and gradients are zero.
+    ``P``, ``Q`` and ``terms`` hold the block.  Divergences average over the
+    ``M`` off-diagonal pairs, so diagonal terms and gradients are zero.
     """
     diag = _diagonal(rows, start)
     if kind == BregmanKind.SED:
         diff = np.subtract(Q, P)
         diff[diag] = 0.0
-        np.multiply(diff, diff, out=terms[0])
+        np.multiply(diff, diff, out=terms)
         diff *= 2.0
         diff /= M
         return diff
-    if kind == BregmanKind.LOGI:
-        q_tilde, one_minus_q, inside = q_side
-        # -p/q~ == -(p/q~) and s - r == -r + s bit for bit, so the ratios
-        # serve both the terms and the gradient
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = P / q_tilde
-            one_minus_p = 1.0 - P
-            ratio_c = one_minus_p / one_minus_q
-            term_a = np.log(ratio)
-            term_a *= P
-            term_b = np.log(ratio_c)
-            term_b *= one_minus_p
-        # the convention 0 log 0 = 0 at p = 0 and at p = 1
-        term_a[~(P > 0)] = 0.0
-        term_b[~(P < 1)] = 0.0
-        np.add(term_a, term_b, out=terms[0])
-        terms[0][diag] = 0.0
-        grad = np.subtract(ratio_c, ratio, out=ratio_c)
-        grad /= M
-        # the clamp is flat outside (LOGI_EPS, 1-LOGI_EPS), so the derivative is zero there
-        grad[~inside] = 0.0
-        grad[diag] = 0.0
-        return grad
-    if kind == BregmanKind.SED_PLUS_LOGI:
-        grad = _terms_and_dq(P, Q, q_side, BregmanKind.SED, M, rows, terms[:1], start)
-        grad += _terms_and_dq(P, Q, q_side, BregmanKind.LOGI, M, rows, terms[1:], start)
-        return grad
-    raise ValueError(f"unknown Bregman kind {kind!r}")
+    q_tilde, one_minus_q, inside = q_side
+    # -p/q~ == -(p/q~) and s - r == -r + s bit for bit, so the ratios
+    # serve both the terms and the gradient
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = P / q_tilde
+        one_minus_p = 1.0 - P
+        ratio_c = one_minus_p / one_minus_q
+        term_a = np.log(ratio)
+        term_a *= P
+        term_b = np.log(ratio_c)
+        term_b *= one_minus_p
+    # the convention 0 log 0 = 0 at p = 0 and at p = 1
+    term_a[~(P > 0)] = 0.0
+    term_b[~(P < 1)] = 0.0
+    np.add(term_a, term_b, out=terms)
+    terms[diag] = 0.0
+    grad = np.subtract(ratio_c, ratio, out=ratio_c)
+    grad /= M
+    # the clamp is flat outside (LOGI_EPS, 1-LOGI_EPS), so the derivative is zero there
+    grad[~inside] = 0.0
+    grad[diag] = 0.0
+    return grad
 
 
 def _trapezoid_blocks(m: int, elements: int):
@@ -241,7 +223,7 @@ def fused_loss(
     M = m * m - m
 
     sq, gram = _gram(Zb)
-    terms = _term_arrays(2, kind, m)
+    terms = np.empty((2, m, m))
     coef = np.empty((m, m))
     for rows in _trapezoid_blocks(m, _BLOCK):
         a, b = rows.start, rows.stop
@@ -253,8 +235,8 @@ def fused_loss(
             square = P[:, : b - a]
             if not np.array_equal(square, square.T):
                 raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
-        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, :, rows, a:], a)
-        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, :, rows, a:], a)
+        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, rows, a:], a)
+        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, rows, a:], a)
         # In place, in the operand order of the whole-array expressions:
         # g_q = g_feat + alpha * g_struct
         g_struct *= alpha
@@ -276,8 +258,8 @@ def fused_loss(
         block[~(d > 0)] = 0.0
         # the pairs right of the diagonal square, mirrored into the rows below it
         coef[b:, rows] = block[:, b - a :].T
-        terms[:, :, b:, rows] = terms[:, :, rows, b:].swapaxes(2, 3)
+        terms[:, b:, rows] = terms[:, rows, b:].swapaxes(1, 2)
 
-    feat, struct = _value(terms[0], M), _value(terms[1], M)
+    feat, struct = float(np.sum(terms[0]) / M), float(np.sum(terms[1]) / M)
     grad = coef.sum(axis=1)[:, None] * Zb - coef @ Zb
     return LossTerms(feat, struct, alpha, feat + alpha * struct), grad

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from .container import (
     load_matrix,
     save_matrix,
 )
-from .distances import _row_blocks, complete_graph_distances, geodesic_distances
+from .distances import complete_graph_distances, geodesic_distances
 from .graph import (
     AttributedGraph,
     DistanceMetric,
@@ -69,8 +71,6 @@ log = logging.getLogger("dmage")
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _AUGMENT_STREAM = 2
-# elements per row block of the Adam update: its two temporaries stay in cache
-_ADAM_CHUNK = 1 << 13
 # options that every run took at one value, and that value: a config setting
 # one of them to it, such as the manifest of an older run, still loads; the
 # last two were evaluation keys of the CLI config
@@ -87,6 +87,7 @@ _RETIRED_KEYS = {
     "edge_scorer": "t_kernel",
 }
 _INT_FIELDS = ("epochs", "batch_size", "knn_k", "seed", "latent_dim")
+_FLOAT_FIELDS = ("learning_rate", "alpha", "nu_input", "nu_latent", "q_p", "p_minus", "lambda_")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -139,6 +140,11 @@ class TrainConfig:
         for name, value in ints:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name.rstrip('_')} must be a finite number, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size != 0 and self.batch_size < 2:
@@ -159,7 +165,10 @@ class TrainConfig:
             raise ValueError(f"knn_k must be >= 0, got {self.knn_k}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        BregmanKind(self.bregman)
+        if self.bregman not in {k.value for k in BregmanKind}:
+            raise ValueError(
+                f"bregman must be one of {[k.value for k in BregmanKind]}, got {self.bregman!r}"
+            )
         DistanceMetric(self.metric)
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValueError(
@@ -201,11 +210,10 @@ class TrainResult:
 
 
 class _AdamOptimizer:
-    """Adam, updated in place over row blocks of about ``_ADAM_CHUNK`` elements.
+    """Adam, updating each whole parameter tensor and its moments in place.
 
-    Each element sees the same operations in the same order as the
-    whole-array update ``x -= lr * (m / c1) / (sqrt(v / c2) + eps)``; the
-    blocks only keep the temporaries in cache.
+    Every element goes through ``x -= lr * (m / c1) / (sqrt(v / c2) + eps)``
+    in that operation order, with two temporaries per tensor.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -227,23 +235,25 @@ class _AdamOptimizer:
         correct2 = 1.0 - self.b2**self.t
         for x, g, m, v in zip(tensors, grads, self.m, self.v):
             g = np.asarray(g)
-            blocks = _row_blocks(len(x), x[0].size, _ADAM_CHUNK)
-            buf = np.empty((2, blocks[0].stop, *x.shape[1:]))
-            for rows in blocks:
-                xs, gs, ms, vs = x[rows], g[rows], m[rows], v[rows]
-                a, b = buf[0, : len(xs)], buf[1, : len(xs)]
-                ms *= self.b1
-                ms += np.multiply(gs, 1.0 - self.b1, out=a)
-                vs *= self.b2
-                np.multiply(gs, 1.0 - self.b2, out=a)
-                vs += np.multiply(a, gs, out=a)
-                np.divide(ms, correct1, out=a)
-                a *= self.lr
-                np.divide(vs, correct2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                xs -= np.divide(a, b, out=a)
+            a, b = np.empty_like(x), np.empty_like(x)
+            m *= self.b1
+            m += np.multiply(g, 1.0 - self.b1, out=a)
+            v *= self.b2
+            np.multiply(g, 1.0 - self.b2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, correct1, out=a)
+            a *= self.lr
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            x -= np.divide(a, b, out=a)
         params.bump()
+
+
+def _require_nodes(g: AttributedGraph):
+    """Refuse, before any work, a graph too small to calibrate: a row needs two distances."""
+    if g.n < 3:
+        raise ValueError(f"the graph has {g.n} nodes; embedding needs at least 3")
 
 
 def _cache_dir(explicit=None):
@@ -281,8 +291,10 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     DMAGE_CACHE_DIR environment variable) keyed by a content hash of the
     graph and the relevant config fields; cache hits reload bit-identically.
     With ``hard_similarity`` the priori matrix is the 0/1 adjacency instead
-    of the geodesic similarity.
+    of the geodesic similarity.  A graph of fewer than 3 nodes raises
+    ``ValueError``.
     """
+    _require_nodes(g)
     cache = _cache_dir(cache_dir)
     base = content_hash(g.n, g.edge_array(), g.features)
 
@@ -376,9 +388,8 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     message) if the loss, the embedding or a gradient leaves the finite
     range, in the batch where it does, before the parameters are updated.
     """
+    _require_nodes(g)
     n = g.n
-    if n < 2:
-        raise ValueError("training needs at least 2 nodes")
     batch_size = cfg.batch_size or min(n, 1024)
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds node count {n}")

@@ -362,6 +362,48 @@ class TestErrorExits:
         cfg = write_config(tmp_path, toy_dataset, **bad)
         assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", "Infinity"), ("alpha", "NaN"), ("nu_input", "Infinity"),
+         ("nu_latent", "Infinity"), ("q_p", "Infinity"), ("p_minus", "NaN"),
+         ("lambda", "Infinity")],
+    )
+    def test_non_finite_number_exits_before_precompute(
+        self, tmp_path, toy_dataset, monkeypatch, caplog, key, value
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("precompute ran")
+
+        monkeypatch.setattr("dmage.training.precompute", refuse)
+        cfg = write_config(tmp_path, toy_dataset)
+        with open(cfg) as f:
+            text = f.read()
+        with open(cfg, "w") as f:  # JSON's own NaN and Infinity, as a hand-written file holds them
+            f.write(text[:-1] + f', "{key}": {value}}}')
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert f"{key} must be a finite number" in caplog.text
+
+    def test_retired_bregman_kind_names_the_two_kinds(self, tmp_path, toy_dataset, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("precompute ran")
+
+        monkeypatch.setattr("dmage.training.precompute", refuse)
+        cfg = write_config(tmp_path, toy_dataset, bregman="sed_plus_logi")
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert "bregman must be one of ['sed', 'logi'], got 'sed_plus_logi'" in caplog.text
+
+    def test_non_finite_grid_value_exits_before_any_file_is_read(
+        self, tmp_path, toy_dataset, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr("dmage.cli.load_graph", refuse)
+        cfg = write_config(tmp_path, toy_dataset)
+        rc = run("ablate", "--config", cfg, "--out", str(tmp_path / "o"), "--q-p-grid", "16,inf")
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
     def test_float_hidden_dim_exits_before_any_cache_file(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset, hidden_dims=[8, 4.5])
         out = tmp_path / "o"
@@ -399,6 +441,62 @@ class TestErrorExits:
         assert rc == EXIT_CONFIG
         assert "eval_restarts must be an integer >= 1" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize(
+        "seeds", [3, [1.5], [-1], [], ["0"], [True], "0,1", None], ids=repr
+    )
+    def test_bad_eval_seeds_exits_before_any_file_is_read(
+        self, tmp_path, toy_dataset, monkeypatch, caplog, command, seeds
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr("dmage.cli.load_graph", refuse)
+        monkeypatch.setattr("dmage.cli.read_embeddings", refuse)
+        cfg = write_config(tmp_path, toy_dataset, eval_seeds=seeds)
+        task = ["--task", "cluster", "--embeddings", str(tmp_path / "e.tsv")]
+        rc = run(command, "--config", cfg, "--out", str(tmp_path / "o"), *(task if command == "eval" else []))
+        assert rc == EXIT_CONFIG
+        assert "must be a non-empty list of non-negative integers" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task", ["cluster", "linkpred"])
+    def test_negative_seeds_flag_exits_before_any_file_is_read(
+        self, tmp_path, toy_dataset, monkeypatch, task
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr("dmage.cli.load_graph", refuse)
+        monkeypatch.setattr("dmage.cli.read_embeddings", refuse)
+        cfg = write_config(tmp_path, toy_dataset)
+        rc = run("eval", "--task", task, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--embeddings", str(tmp_path / "e.tsv"), "--seeds=-1")
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["train", "precompute", "ablate"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_nodes_is_a_data_error(self, tmp_path, toy_dataset, caplog, command, n):
+        edges, features, labels = tmp_path / "e.tsv", tmp_path / "f.tsv", tmp_path / "l.tsv"
+        edges.write_text("0\t1\n" if n == 2 else "")
+        features.write_text("".join(["0.5\t1.0\n", "-1.0\t2.0\n"][:n]))
+        labels.write_text("".join(["0\n", "1\n"][:n]))
+        cfg = write_config(tmp_path, toy_dataset, edge_path=str(edges),
+                           feature_path=str(features), label_path=str(labels))
+        cache = tmp_path / "cache"
+        rc = run(command, "--config", cfg, "--out", str(tmp_path / "o"), "--cache-dir", str(cache))
+        assert rc == EXIT_DATA
+        assert f"the graph has {n} nodes; embedding needs at least 3" in caplog.text
+        assert not cache.exists()
+
+    def test_too_few_edges_for_linkpred_is_a_data_error(self, tmp_path, toy_dataset, caplog):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(19)))
+        cfg = write_config(tmp_path, toy_dataset, edge_path=str(edges))
+        rc = run("eval", "--task", "linkpred", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert rc == EXIT_DATA
+        assert "need at least 20 edges to split, got 19" in caplog.text
 
     def test_missing_data_keys(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -186,12 +186,6 @@ class TestFusedLoss:
                 terms.feature_term + 0.3 * terms.structure_term, rel=1e-12
             )
 
-    def test_sed_plus_logi_is_sum(self):
-        t_sed, _ = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED)
-        t_logi, _ = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.LOGI)
-        t_both, _ = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED_PLUS_LOGI)
-        assert t_both.total == pytest.approx(t_sed.total + t_logi.total, rel=1e-12)
-
     def test_batch_restriction_matches_submatrix(self):
         batch = np.array([1, 3, 4, 6])
         terms, grad = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED, batch)
@@ -209,14 +203,14 @@ class TestFusedLoss:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
         perm = rng.permutation(self.n)
-        t1, g1 = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED_PLUS_LOGI)
+        t1, g1 = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.LOGI)
         t2, g2 = fused_loss(
             self.Pc[np.ix_(perm, perm)],
             self.Pp[np.ix_(perm, perm)],
             self.Z[perm],
             1.0,
             0.5,
-            BregmanKind.SED_PLUS_LOGI,
+            BregmanKind.LOGI,
         )
         assert t1.total == pytest.approx(t2.total, rel=1e-12)
         assert np.allclose(g1[perm], g2, atol=1e-12)
@@ -292,18 +286,14 @@ def _oracle_value_and_dq(P, Q, kind, mask, eps=LOGI_EPS):
     if kind == BregmanKind.SED:
         diff = np.where(mask, Q - P, 0.0)
         return float(np.sum(diff * diff) / M), 2.0 * diff / M
-    if kind == BregmanKind.LOGI:
-        q_tilde = np.clip(Q, eps, 1.0 - eps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term_a = np.where(P > 0, P * np.log(P / q_tilde), 0.0)
-            term_b = np.where(P < 1, (1.0 - P) * np.log((1.0 - P) / (1.0 - q_tilde)), 0.0)
-        value = float(np.sum(np.where(mask, term_a + term_b, 0.0)) / M)
-        inside = mask & (Q > eps) & (Q < 1.0 - eps)
-        grad = np.where(inside, (-P / q_tilde + (1.0 - P) / (1.0 - q_tilde)) / M, 0.0)
-        return value, grad
-    v1, g1 = _oracle_value_and_dq(P, Q, BregmanKind.SED, mask, eps)
-    v2, g2 = _oracle_value_and_dq(P, Q, BregmanKind.LOGI, mask, eps)
-    return v1 + v2, g1 + g2
+    q_tilde = np.clip(Q, eps, 1.0 - eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term_a = np.where(P > 0, P * np.log(P / q_tilde), 0.0)
+        term_b = np.where(P < 1, (1.0 - P) * np.log((1.0 - P) / (1.0 - q_tilde)), 0.0)
+    value = float(np.sum(np.where(mask, term_a + term_b, 0.0)) / M)
+    inside = mask & (Q > eps) & (Q < 1.0 - eps)
+    grad = np.where(inside, (-P / q_tilde + (1.0 - P) / (1.0 - q_tilde)) / M, 0.0)
+    return value, grad
 
 
 def _oracle_fused_loss(Pc_full, Pp_full, Z, nu, alpha, kind, batch, eps=LOGI_EPS):

@@ -407,7 +407,7 @@ class TestSparseFirstLayer:
             Pc, Pp = [(p + p.T) / 2 for p in P]
             np.fill_diagonal(Pc, 0.0)
             np.fill_diagonal(Pp, 0.0)
-            kind = kinds[trial]
+            kind = kinds[trial % len(kinds)]
 
             def total_loss():
                 return fused_loss(Pc, Pp, forward(g.features, N, params), 1.0, 0.7, kind)[0].total

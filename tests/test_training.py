@@ -92,6 +92,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key", ["learning_rate", "alpha", "nu_input", "nu_latent", "q_p", "p_minus", "lambda_"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key.rstrip('_')} must be a finite number"):
+            TrainConfig(**{key: value})
+
+    def test_bregman_error_names_the_kinds(self):
+        with pytest.raises(ValueError, match=r"bregman must be one of \['sed', 'logi'\]"):
+            TrainConfig(bregman="sed_plus_logi")
+        assert [k.value for k in BregmanKind] == ["sed", "logi"]
+
     def test_json_round_trip(self):
         # the manifest holds to_dict(); a run reproduces from it
         cfg = TrainConfig(lambda_=5.0, metric="cosine", hidden_dims=(32, 16))
@@ -369,12 +382,12 @@ class TestAdamOptimizer:
 
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
-    def test_row_blocks_bit_identical_to_whole_array_update(self, delta):
-        """Five steps against a frozen copy of the whole-array update, with
-        tensors one element below, at and above a block, and special values."""
-        chunk = training._ADAM_CHUNK
+    def test_whole_tensor_update_bit_identical_to_frozen_reference(self, delta):
+        """Five steps against a frozen copy of the whole-array update, on
+        tensors of 8192 + delta elements (in all, or per row) and one small
+        one, with special values in the gradients."""
         rng = np.random.default_rng(40 + delta)
-        shapes = [(chunk + delta,), (2, chunk + delta), (3 * (chunk // 64) + delta, 64), (5, 3)]
+        shapes = [(8192 + delta,), (2, 8192 + delta), (384 + delta, 64), (5, 3)]
         tensors = [rng.standard_normal(s) for s in shapes]
         params = NetworkParams((), tensors[:2], tensors[2:], 0)
         ref = [t.copy() for t in tensors]
@@ -388,7 +401,7 @@ class TestAdamOptimizer:
                     flat = gr.reshape(-1)
                     flat[rng.integers(0, flat.size, 6)] = [-0.0, 0.0, 1e-310, -5e-324, 1e154, -1e154]
                 if t == 4:  # non-finite values in one late step
-                    grads[0].reshape(-1)[[0, chunk // 2, -1]] = [np.nan, np.inf, -np.inf]
+                    grads[0].reshape(-1)[[0, 4096, -1]] = [np.nan, np.inf, -np.inf]
                 opt.step(params, grads[:2], grads[2:])
                 c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
                 for x, g, m, v in zip(ref, grads, ref_m, ref_v):
@@ -493,11 +506,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="exceeds"):
             train(small_graph(n=10), TrainConfig(batch_size=64, **SMALL))
 
-    def test_too_few_nodes(self):
+    def test_too_few_nodes(self, monkeypatch):
+        # calibration needs two off-diagonal distances per row, so the
+        # minimum is 3 nodes, refused before any distance is computed
+        monkeypatch.setattr(training, "complete_graph_distances", None)
         g = random_graph(np.random.default_rng(0), n=4)
-        one = g.__class__(1, frozenset(), g.features[:1], None)
-        with pytest.raises(ValueError, match="at least 2"):
-            train(one, TrainConfig(**SMALL))
+        for n in (1, 2):
+            small = g.__class__(n, frozenset({(0, 1)} if n == 2 else ()), g.features[:n], None)
+            for run in (train, precompute):
+                with pytest.raises(ValueError, match=f"has {n} nodes; embedding needs at least 3"):
+                    run(small, TrainConfig(**SMALL))
 
     def test_divergence_raises_with_epoch_info(self):
         g = small_graph()
