@@ -188,11 +188,15 @@ def load_checkpoint(path) -> NetworkParams:
 
 
 def content_hash(*chunks) -> str:
-    """SHA-256 over a sequence of byte chunks, arrays, and strings."""
+    """SHA-256 over a sequence of byte chunks, arrays, and strings.
+
+    An array is hashed as its C-order bytes, read in place when it is
+    C-contiguous rather than copied out.
+    """
     h = hashlib.sha256()
     for c in chunks:
         if isinstance(c, np.ndarray):
-            h.update(np.ascontiguousarray(c).tobytes(order="C"))
+            h.update(memoryview(np.ravel(c)).cast("B"))
         elif isinstance(c, bytes):
             h.update(c)
         else:

@@ -3,14 +3,20 @@
 Clustering runs Lloyd's algorithm with k-means++ seeding on the embedding
 and scores the assignment against ground-truth labels with ACC (after
 Hungarian cluster-to-label matching), NMI (arithmetic normalization), and
-macro F1 over the matched classes.  The restarts of one ``kmeans`` call run
-in lockstep, so each Lloyd iteration reads the embedding once for the
-distances and once for the means of every live restart.  Each restart keeps
-what it computes alone, bit for bit: its k-means++ seeding, the squared
-distance formula, means summed in index order, and its own re-seeding,
-cycle, cap and convergence rules.  The one caveat is BLAS: a restart's
-columns of the stacked product must have the bits of its own width-k
-product, which was checked for 7 clusters at widths 7 to 70.
+macro F1 over the matched classes.  The matching is a port of scipy's
+rectangular linear-sum-assignment solver with its tie rules, so it picks the
+matching ``scipy.optimize.linear_sum_assignment`` picks; AUC ranks the scores
+with ties sharing their mean rank, as ``scipy.stats.rankdata`` does.  Neither
+scipy module is imported: each would load most of scipy into every process.
+
+The restarts of one ``kmeans`` call run in lockstep, so each Lloyd iteration
+reads the embedding once for the distances and once for the means of every
+live restart.  Each restart keeps what it computes alone, bit for bit: its
+k-means++ seeding, the squared distance formula, means summed in index
+order, and its own re-seeding, cycle, cap and convergence rules.  The one
+caveat is BLAS: a restart's columns of the stacked product must have the
+bits of its own width-k product, or bits that change no choice the restart
+makes (see :func:`kmeans`).
 
 Link prediction holds out edge sets, retrains on the remaining graph,
 scores held-out pairs from the embedding, and reports AUC and average
@@ -26,9 +32,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csc_array
-from scipy.stats import rankdata
 
 from .container import atomic_write_text
 from .graph import AttributedGraph
@@ -176,8 +180,11 @@ def kmeans(Z, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
 
     Each restart's assignment is bit for bit the one it gets run alone
     wherever BLAS gives its columns of the stacked product the bits of its
-    own width-k product; OpenBLAS did at every width from 7 to 70 (10
-    restarts of 7 clusters), but not at 210.
+    own width-k product, or bits that change no choice it makes.  OpenBLAS
+    gave the same bits at every width from 7 to 70 (10 restarts of 7
+    clusters), but not in every block at 210.  The tests compare whole
+    results with the restarts run one at a time at stacked widths up to 70
+    and, for 7 clusters, at 210 and 280 (30 and 40 restarts).
 
     Raises ``ValueError`` when ``k`` is outside [1, n], ``restarts`` is below
     1 or ``Z`` holds a value that is not finite.
@@ -275,6 +282,83 @@ def _macro_f1(table, rows, cols):
     return float(np.mean(2 * tp / (2 * tp + fp + fn)))
 
 
+def _shortest_augmenting_path(cost, u, v, path, row4col, i):
+    """Crouse's shortest path from free row ``i`` to a free column; fills ``path`` in place.
+
+    Returns the sink column, the path's reduced cost, every column's
+    shortest-path cost and the masks of the rows and columns visited.  The
+    unvisited columns are scanned from the last one down, and the next column
+    visited is a free one among the cheapest if there is one (the last such in
+    scan order), else the first of the cheapest; a visited column leaves the
+    scan by swapping the last unvisited one into its place.
+    """
+    nr, nc = cost.shape
+    remaining = np.arange(nc - 1, -1, -1)
+    spc = np.full(nc, np.inf)
+    rows_seen = np.zeros(nr, dtype=bool)
+    cols_seen = np.zeros(nc, dtype=bool)
+    min_val = 0.0
+    while True:
+        rows_seen[i] = True
+        r = min_val + cost[i, remaining] - u[i] - v[remaining]
+        better = r < spc[remaining]
+        path[remaining[better]] = i
+        spc[remaining[better]] = r[better]
+        reach = spc[remaining]
+        min_val = reach.min()
+        cheapest = np.flatnonzero(reach == min_val)
+        free = cheapest[row4col[remaining[cheapest]] == -1]
+        index = free[-1] if free.size else cheapest[0]
+        j = remaining[index]
+        cols_seen[j] = True
+        if row4col[j] == -1:
+            return j, min_val, spc, rows_seen, cols_seen
+        i = row4col[j]
+        remaining[index] = remaining[-1]
+        remaining = remaining[:-1]
+
+
+def _linear_sum_assignment(cost):
+    """Minimum-cost matching ``(rows, cols)`` of a finite cost table, as scipy's ``linear_sum_assignment``.
+
+    A port of scipy's rectangular solver, Crouse's shortest augmenting path
+    (IEEE TAES, 2016), with its tie rules (see
+    :func:`_shortest_augmenting_path`), so that it picks the same matching
+    where several cost the same.  A table with more rows than columns is
+    solved transposed and its pairs are sorted back by row.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    path = np.full(nc, -1)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+    for row in range(nr):
+        sink, min_val, spc, rows_seen, cols_seen = _shortest_augmenting_path(
+            cost, u, v, path, row4col, row
+        )
+        # dual update, then flip the assignments along the path from the sink back to row
+        u[row] += min_val
+        rows_seen[row] = False
+        u[rows_seen] += min_val - spc[col4row[rows_seen]]
+        v[cols_seen] -= min_val - spc[cols_seen]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def clustering_metrics(pred, truth, seed: int = 0) -> ClusteringReport:
     """Score a cluster assignment against labels; ACC and macro F1 use Hungarian matching."""
     pred = np.asarray(pred)
@@ -284,7 +368,7 @@ def clustering_metrics(pred, truth, seed: int = 0) -> ClusteringReport:
     if pred.size < 2:
         raise ValueError("need at least 2 points to score a clustering")
     table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(-table)
+    rows, cols = _linear_sum_assignment(-table)
     acc = float(table[rows, cols].sum() / pred.size)
     return ClusteringReport(acc, _nmi(table), _macro_f1(table, rows, cols), seed, pred)
 
@@ -356,18 +440,35 @@ def edge_scores(Z, pairs, scorer: str = "t_kernel", nu: float = 1.0) -> np.ndarr
     return t_kernel(np.linalg.norm(Z[pairs[:, 0]] - Z[pairs[:, 1]], axis=1), nu)
 
 
+def _average_ranks(x):
+    """1-based ranks of ``x``, tied values sharing their mean rank; all NaN if ``x`` holds a NaN.
+
+    These are ``scipy.stats.rankdata``'s default ranks, bit for bit: each is
+    a whole or half number.
+    """
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.append(first, x.size))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2, counts)
+    return ranks
+
+
 def auc_ap(scores_pos, scores_neg):
     """AUC (rank statistic, ties count half) and average precision."""
     pos = np.asarray(scores_pos, dtype=np.float64)
     neg = np.asarray(scores_neg, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need at least one positive and one negative score")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    scores = np.concatenate([pos, neg])
+    ranks = _average_ranks(scores)
     auc = (ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
 
     # average precision: step through descending score thresholds, tied
     # scores enter together
-    scores = np.concatenate([pos, neg])
     labels = np.concatenate([np.ones(pos.size, bool), np.zeros(neg.size, bool)])
     order = np.argsort(-scores, kind="stable")
     scores, labels = scores[order], labels[order]

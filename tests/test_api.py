@@ -1,5 +1,8 @@
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +75,23 @@ def test_kernel_and_loss_signatures():
     assert list(inspect.signature(dmage.fused_loss).parameters) == [
         "P_complete", "P_prior", "Z", "nu_latent", "alpha", "kind", "batch"
     ]
+
+
+def test_scoring_imports_no_scipy_stats_or_optimize():
+    # ACC matching and AUC ranks are numpy code; importing scipy.stats or
+    # scipy.optimize would add about 40 MB to every dmage process
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import dmage\n"
+        "Z = np.random.default_rng(0).standard_normal((30, 2))\n"
+        "dmage.cluster_eval(Z, np.arange(30) % 3, [0])\n"
+        "dmage.auc_ap([0.9, 0.5], [0.5, 0.1])\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmage.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

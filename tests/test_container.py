@@ -316,3 +316,24 @@ class TestContentHash:
     def test_non_contiguous_array_matches_contiguous(self):
         a = np.arange(16.0).reshape(4, 4)
         assert content_hash(a[:, :2]) == content_hash(np.ascontiguousarray(a[:, :2]))
+
+    @pytest.mark.parametrize(
+        "layout", ["c", "fortran", "strided", "reversed", "empty-2d", "0-d", "bool", "int32"]
+    )
+    def test_digest_is_sha256_of_c_order_bytes(self, layout):
+        # arrays are hashed in place, but the digest is that of the copy
+        # ``tobytes()`` makes, so cache names written before stay valid
+        x = np.arange(24.0).reshape(4, 6)
+        a = {
+            "c": x,
+            "fortran": np.asfortranarray(x),
+            "strided": x[::2, 1::2],
+            "reversed": x[::-1],
+            "empty-2d": np.zeros((0, 2), dtype=np.int64),
+            "0-d": np.array(2.5),
+            "bool": x > 7,
+            "int32": x.astype(np.int32).T,
+        }[layout]
+        want = hashlib.sha256(a.tobytes(order="C") + b"\x1f" + b"7\x1f").hexdigest()
+        assert content_hash(a, 7) == want
+        assert content_hash(a, 7) == content_hash(np.ascontiguousarray(a), 7)

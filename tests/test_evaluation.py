@@ -321,8 +321,19 @@ class TestKmeansMatchesOracle:
 
     @pytest.mark.parametrize(
         "n, dim, k, restarts",
-        [(40, 3, 1, 10), (12, 3, 12, 10), (200, 5, 4, 1), (180, 1, 3, 10), (60, 2, 5, 3)],
-        ids=["k=1", "k=n", "one-restart", "one-column", "three-restarts"],
+        [
+            (40, 3, 1, 10),
+            (12, 3, 12, 10),
+            (200, 5, 4, 1),
+            (180, 1, 3, 10),
+            (60, 2, 5, 3),
+            # 7 centers per restart stacked into one product 210 and 280 wide
+            (504, 16, 7, 30),
+            (504, 16, 7, 40),
+        ],
+        ids=[
+            "k=1", "k=n", "one-restart", "one-column", "three-restarts", "width-210", "width-280"
+        ],
     )
     def test_edge_shapes(self, n, dim, k, restarts):
         rng = np.random.default_rng(n + dim + k)
@@ -507,6 +518,22 @@ class TestClusteringMetrics:
         assert [r.seed for r in reports] == [0, 1]
         assert all(r.acc >= 0.9 for r in reports)
 
+    def test_matching_is_scipys_on_tied_tables(self):
+        # scipy is the reference here only; the library does not import it
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(17)
+        shapes = set()
+        for _ in range(20_000):
+            rows, cols = rng.integers(1, 9, 2)
+            table = rng.integers(0, int(rng.integers(1, 6)), (rows, cols))
+            want = linear_sum_assignment(-table)
+            got = evaluation._linear_sum_assignment(-table)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and g.dtype == w.dtype, table
+            shapes.add(int(np.sign(rows - cols)))
+        assert shapes == {-1, 0, 1}  # wide, square and tall
+
 
 class TestLinkpredSplit:
     def graph(self, seed=0):
@@ -626,6 +653,21 @@ class TestAucAp:
         auc, ap = auc_ap(pos, neg)
         assert auc == pytest.approx(auc_oracle(pos, neg), rel=1e-12)
         assert ap == pytest.approx(ap_oracle(pos, neg), rel=1e-12)
+
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan"])
+    def test_ranks_are_scipys(self, with_nan):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(31)
+        for _ in range(2_000):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(0, int(rng.integers(1, 10)), n) / 4.0
+            x[rng.random(n) < 0.1] = -0.0
+            if with_nan:
+                x[rng.integers(n)] = np.nan
+            want = rankdata(x)
+            got = evaluation._average_ranks(x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), x
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
