@@ -9,6 +9,7 @@ than any connected pair.
 
 from __future__ import annotations
 
+import logging
 import math
 import mmap
 import os
@@ -20,6 +21,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
 from .graph import AttributedGraph, DistanceMetric
+
+log = logging.getLogger("dmage")
 
 __all__ = [
     "GeodesicDistanceMatrix",
@@ -35,6 +38,10 @@ __all__ = [
 _BLOCK = 1 << 16
 # output elements per Dijkstra call: a worker's temporary stays small
 _DIJKSTRA_BLOCK = 1 << 19
+# Floyd–Warshall seconds per 1000^3 node triples (2 cores), and the node
+# count from which :func:`complete_graph_distances` warns before running it
+_FLOYD_WARSHALL_S = 1.7
+_FLOYD_WARSHALL_WARN_N = 2048
 # least work per worker of :func:`_fill_rows`, in elements: about 30 ms of
 # kernel passes, a few times what a fork and wait cost
 _MIN_WORK = 1 << 21
@@ -232,8 +239,8 @@ def _gram(x):
     return np.sum(x * x, axis=1), x @ x.T
 
 
-def _euclidean_rows(sq, gram, rows, start=0):
-    """Rows ``rows`` (a slice), columns ``start`` on, of the Euclidean distances from :func:`_gram`.
+def _euclidean_rows(sq, gram, rows):
+    """Rows ``rows`` (a slice) of the Euclidean distances from :func:`_gram`.
 
     Entry (i, j) is the mean of the distances computed from ``gram[i, j]``
     and ``gram[j, i]``, so the matrix is exactly symmetric even where BLAS
@@ -244,7 +251,7 @@ def _euclidean_rows(sq, gram, rows, start=0):
     only on its own pair, so a block equals the same part of the whole
     matrix bit for bit.
     """
-    sums = sq[rows, None] + sq[None, start:]
+    sums = sq[rows, None] + sq[None, :]
 
     def from_gram(g):
         d2 = np.multiply(g, 2.0)
@@ -252,12 +259,12 @@ def _euclidean_rows(sq, gram, rows, start=0):
         np.clip(d2, 0.0, None, out=d2)
         return np.sqrt(d2, out=d2)
 
-    g, g_t = gram[rows, start:], gram.T[rows, start:]
+    g, g_t = gram[rows], gram.T[rows]
     dist = from_gram(g)
     if not np.array_equal(g, g_t):
         dist += from_gram(g_t)
         dist /= 2.0
-    dist[_diagonal(rows, start)] = 0.0
+    dist[_diagonal(rows)] = 0.0
     return dist
 
 
@@ -363,11 +370,21 @@ def complete_graph_distances(features, metric=DistanceMetric.EUCLIDEAN) -> np.nd
     inequality, so shortest paths are computed explicitly, by Floyd–Warshall
     in one process: O(n³), about 1.7 s at n = 1000 and eight times that for
     every doubling of n.  A kNN graph (``knn_k > 0`` in training) avoids it.
+    From n = 2048 on, a warning on the ``dmage`` logger says so first.
     """
     metric = DistanceMetric(metric)
     direct = pairwise_distance(features, metric)
-    if metric is not DistanceMetric.COSINE or direct.shape[0] <= 2:
+    n = direct.shape[0]
+    if metric is not DistanceMetric.COSINE or n <= 2:
         return direct
+    if n >= _FLOYD_WARSHALL_WARN_N:
+        log.warning(
+            "cosine distances on the complete graph of %d nodes run Floyd-Warshall, "
+            "O(n^3): about %.0f s at %.1f s per 1000^3; knn_k > 0 avoids it",
+            n,
+            _FLOYD_WARSHALL_S * (n / 1000.0) ** 3,
+            _FLOYD_WARSHALL_S,
+        )
     # null_value=inf keeps zero-distance pairs as genuine weight-0 edges
     graph = csgraph_from_dense(direct, null_value=np.inf)
     dist = floyd_warshall(graph, directed=False)

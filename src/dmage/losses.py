@@ -10,30 +10,42 @@ the squared difference ``sed`` and the logistic ``logi``; a run uses one of
 them for both terms.
 
 Every divergence, and ``fused_loss`` with its gradient, runs as one loop over
-row blocks of about 32k pairs (``_BLOCK``).  The loss takes some forty
-elementwise passes; on a block they read buffers that stay in cache, where
-on whole (m, m) arrays each pass streams from memory.  Each element goes
-through the same floating-point operations in the same order as the
-whole-array expressions, and the reductions whose result depends on how they
-are split stay on full arrays: the two divergence sums (numpy's pairwise
-summation over each (m, m) term array), the row sums of the gradient
-coefficients and ``coef @ Z`` (BLAS blocking).  Values and gradients are
-therefore bit-identical to the unblocked computation.
+row blocks of about 32k pairs (``_BLOCK``): the loss takes a few dozen
+elementwise passes, and on a block they read buffers that stay in cache,
+where on whole (m, m) arrays each pass streams from memory.  The divergences
+keep the operation order of the whole-array expressions and sum their (n, n)
+term array in one call, so their values are bit-identical to the unblocked
+computation.
 
 ``fused_loss`` computes each unordered pair once.  Its blocks are trapezoids,
 rows ``a:b`` and columns ``a:m`` of the batch, so pair (i, j) with i <= j is
-computed in the block that holds row i.  The diagonal square ``[a:b, a:b]``
-is computed in full; the part right of it is copied, transposed, into rows
-``b:m``, columns ``a:b``.  The copy is exact because every per-pair
-value is symmetric bit for bit: the latent distance averages ``gram[i, j]``
-and ``gram[j, i]`` in an order-free sum, and every later operation is
-elementwise on ``(P[i, j], Q[i, j])``.  That needs both input matrices to be
-exactly symmetric.  Every joint :class:`SimilarityMatrix` is (``symmetrize``
-computes ``a + b - 2ab``, the same bits in either order), and so is the 0/1
-adjacency of ``hard_similarity``.  The gradient needed it before the mirror
-too: it doubles each ordered pair's coefficient, which is the true gradient
-only when dL/dQ_ij = dL/dQ_ji.  The divergences themselves accept asymmetric
-matrices and compute every ordered pair.
+computed in the block that holds row i.  Each block takes its own Gram
+product of the batch rows, works on squared latent distances (the Student-t
+kernel and its derivative need no square root), and sums its divergence
+terms where it makes them: the diagonal square ``[a:b, a:b]`` holds both
+orders of its pairs, and every pair right of it counts twice.  The gradient
+coefficients of the part right of the square are copied, transposed, into
+rows ``b:m``, columns ``a:b``; ``coef @ Z`` needs the whole (m, m) matrix,
+and it is the only one the loss holds.
+
+What is exact: each pair's divergence term and dLoss/dQ are the same
+elementwise operations, in the same order, as in ``bregman_sed`` and
+``bregman_logistic`` (one kernel, ``_terms_and_dq``); the symmetry check on
+the input matrices compares bits; and a call gives the same bits every time.
+What is not: the per-block Gram products and the per-block sums round
+otherwise than one (m, m) product and one sum, so the loss terms and the
+gradient differ from the older whole-array arithmetic (square roots, a
+division by the distance, one term array per divergence) in the last bits:
+about 1e-16 relative for the terms, and 1e-15 of the largest entry for the
+gradient.
+
+The mirror needs both input matrices to be exactly symmetric.  Every joint
+:class:`SimilarityMatrix` is (``symmetrize`` computes ``a + b - 2ab``, the
+same bits in either order), and so is the 0/1 adjacency of
+``hard_similarity``.  The gradient needs it too: it doubles each ordered
+pair's coefficient, which is the true gradient only when dL/dQ_ij = dL/dQ_ji.
+The divergences themselves accept asymmetric matrices and compute every
+ordered pair.
 """
 
 from __future__ import annotations
@@ -43,8 +55,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distances import _diagonal, _euclidean_rows, _feature_rows, _gram, _row_blocks
-from .similarity import SimilarityMatrix, t_kernel
+from .distances import _diagonal, _feature_rows, _row_blocks
+from .similarity import SimilarityMatrix, _t_kernel_of_squares
 
 __all__ = [
     "BregmanKind",
@@ -111,18 +123,24 @@ def bregman_logistic(P, Q) -> float:
     return _divergence(P, Q, BregmanKind.LOGI)
 
 
-def _latent_rows(sq, gram, rows: slice, nu_latent: float, start: int = 0):
-    """Distances ``d``, kernel ``k`` and joint similarity ``Q`` of the latent block ``[rows, start:]``.
+def _latent_rows(Zb, sq, rows: slice, nu_latent: float, start: int = 0):
+    """Squared distances ``d2``, kernel ``k`` and joint similarity ``Q`` of the latent block ``[rows, start:]``.
 
+    ``Zb`` holds the batch rows and ``sq`` their squared norms.  The block
+    takes its own Gram product, and ``d2 = max(|z_i|^2 + |z_j|^2 - 2 z_i.z_j, 0)``.
     In latent space the normalization is fixed (shift 0, bandwidth 1), so the
     conditional matrix ``k`` is already symmetric and the joint form reduces
     to ``Q = 2k - 2k^2`` per pair.  ``k`` and ``Q`` have zero diagonals.
     """
-    d = _euclidean_rows(sq, gram, rows, start)
-    k = t_kernel(d, nu_latent)
+    # scaling by -2 is exact, so the product is -2 times the Gram block
+    d2 = np.multiply(Zb[rows], -2.0) @ Zb[start:].T
+    d2 += sq[rows, None]
+    d2 += sq[None, start:]
+    np.maximum(d2, 0.0, out=d2)
+    k = _t_kernel_of_squares(d2, nu_latent, np.empty(d2.shape))
     k[_diagonal(rows, start)] = 0.0
     two_k = 2.0 * k
-    return d, k, np.subtract(two_k, two_k * k, out=two_k)
+    return d2, k, np.subtract(two_k, two_k * k, out=two_k)
 
 
 def _q_side(Q, kind: BregmanKind):
@@ -183,6 +201,15 @@ def _trapezoid_blocks(m: int, elements: int):
         a = b
 
 
+def _pair_sum(terms, width: int):
+    """Sum over ordered pairs of a trapezoid block whose diagonal square is ``width`` wide.
+
+    The square holds both orders of its pairs; each pair right of it stands
+    for itself and its mirror.
+    """
+    return np.sum(terms[:, :width]) + 2.0 * np.sum(terms[:, width:])
+
+
 def fused_loss(
     P_complete,
     P_prior,
@@ -204,6 +231,13 @@ def fused_loss(
     docstring).  A ``ValueError`` is raised when the part of either matrix
     on a block's diagonal square, which is gathered in full, is not
     symmetric; that catches a conditional matrix passed by mistake.
+
+    The result is deterministic.  Each pair's term is computed as in the
+    divergences, but the terms are summed per block and the kernel is taken
+    on squared distances from per-block Gram products, so values and
+    gradient agree with older versions to rounding, not bit for bit.
+    Memory beyond the inputs is one (m, m) coefficient matrix plus a
+    block's buffers.
     """
     Pc_full, Pp_full = _as_matrix(P_complete), _as_matrix(P_prior)
     if Pc_full.shape != Pp_full.shape:
@@ -222,12 +256,18 @@ def fused_loss(
     m = batch.size
     M = m * m - m
 
-    sq, gram = _gram(Zb)
-    terms = np.empty((2, m, m))
+    sq = np.sum(Zb * Zb, axis=1)
     coef = np.empty((m, m))
+    feat = struct = 0.0
+    # chain rule on the squared distance s: dQ/dk = 2 - 4k,
+    # dk/ds = -k (nu + 1) / (2 (nu + s)) and ds/dz_i = 2 (z_i - z_j), and each
+    # unordered pair appears twice in the ordered sums; so the coefficient of
+    # z_i - z_j is g_q (2 - 4k) k c / (nu + s).  It is finite at s = 0, where
+    # coincident rows add c_ij (z_i - z_j) = 0.
+    c = -2.0 * (nu_latent + 1.0)
     for rows in _trapezoid_blocks(m, _BLOCK):
         a, b = rows.start, rows.stop
-        d, k, Q = _latent_rows(sq, gram, rows, nu_latent, a)
+        d2, k, Q = _latent_rows(Zb, sq, rows, nu_latent, a)
         q_side = _q_side(Q, kind)
         # the same as P[np.ix_(batch[rows], batch[a:])], gathered faster
         Pc, Pp = Pc_full[batch[rows]][:, batch[a:]], Pp_full[batch[rows]][:, batch[a:]]
@@ -235,31 +275,24 @@ def fused_loss(
             square = P[:, : b - a]
             if not np.array_equal(square, square.T):
                 raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
-        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms[0, rows, a:], a)
-        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms[1, rows, a:], a)
-        # In place, in the operand order of the whole-array expressions:
-        # g_q = g_feat + alpha * g_struct
+        terms = np.empty(Q.shape)
+        g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms, a)
+        feat += _pair_sum(terms, b - a)
+        g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms, a)
+        struct += _pair_sum(terms, b - a)
         g_struct *= alpha
         g_q += g_struct
-        # chain: dL/dQ -> dQ/dk = 2 - 4k -> dk/dd = -k (nu + 1) d / (nu + d^2)
-        work = 4.0 * k
-        g_q *= np.subtract(2.0, work, out=work)
-        dk_dd = np.negative(k, out=k)
-        dk_dd *= nu_latent + 1.0
-        dk_dd *= d
-        dk_dd /= np.add(d * d, nu_latent, out=work)
-        g_q *= dk_dd
-        # dd_ij/dz_i = (z_i - z_j)/d_ij; zero subgradient at coincident rows.
-        # Each unordered pair appears twice in the ordered sums, hence the 2.
-        g_q *= 2.0
+        # Q is spent; its buffer takes (2 - 4k) c
+        work = np.multiply(k, -4.0 * c, out=Q)
+        work += 2.0 * c
+        g_q *= work
+        g_q *= k
+        d2 += nu_latent
         block = coef[rows, a:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(g_q, d, out=block)
-        block[~(d > 0)] = 0.0
+        np.divide(g_q, d2, out=block)
         # the pairs right of the diagonal square, mirrored into the rows below it
         coef[b:, rows] = block[:, b - a :].T
-        terms[:, b:, rows] = terms[:, rows, b:].swapaxes(1, 2)
 
-    feat, struct = float(np.sum(terms[0]) / M), float(np.sum(terms[1]) / M)
+    feat, struct = float(feat / M), float(struct / M)
     grad = coef.sum(axis=1)[:, None] * Zb - coef @ Zb
     return LossTerms(feat, struct, alpha, feat + alpha * struct), grad

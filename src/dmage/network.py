@@ -65,8 +65,6 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.01
-_LEAKY_DERIVATIVE = np.array([LEAKY_SLOPE, 1.0])
-_LEAKY_DERIVATIVE.flags.writeable = False
 # largest share of nonzero feature entries for which layer 0 runs on a CSR copy
 _SPARSE_DENSITY = 1 / 32
 
@@ -204,11 +202,13 @@ def _activation_backward(g, pre, activation):
     """Upstream gradient ``g`` times the activation's derivative at ``pre``."""
     if activation == "linear":
         return g
-    # the derivative, 1 where pre > 0 and LEAKY_SLOPE elsewhere, is gathered
-    # from a two-entry table: unlike a masked select, the gather does not
-    # branch on each element
-    out = _LEAKY_DERIVATIVE[(pre > 0).view(np.uint8)]
-    return np.multiply(out, g, out=out)
+    # the derivative, 1 where pre > 0 and LEAKY_SLOPE elsewhere, built
+    # without a branch per element: (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds
+    # to exactly 1.0
+    out = np.multiply(pre > 0, 1.0 - LEAKY_SLOPE)
+    out += LEAKY_SLOPE
+    out *= g
+    return out
 
 
 def _affine(Z, W, B):

@@ -121,12 +121,17 @@ def t_kernel(d, nu: float, out=None):
     if out is None:
         out = np.empty(d.shape)
     np.multiply(d, d, out=out)
-    out /= nu
+    _t_kernel_of_squares(out, nu, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _t_kernel_of_squares(d2, nu: float, out):
+    """:func:`t_kernel` of the squared distances ``d2``, written into ``out`` (which may be ``d2``)."""
+    np.divide(d2, nu, out=out)
     np.log1p(out, out=out)
     out *= 0.5 * (nu + 1.0)
     np.subtract(_kernel_log_const(nu), out, out=out)
-    np.exp(out, out=out)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(out, out=out)
 
 
 def _kernel_mass(rows, rho, nu, sigma):

@@ -414,6 +414,9 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     # one tape for the run, the final forward included, so layer 0's input
     # rows are built once
     tape = GradientTape()
+    # fused_loss reads rows ``batch`` of an n-row embedding; each batch
+    # writes its rows before the call, so the other rows are never read
+    Z = np.empty((n, cfg.latent_dim))
     for epoch in range(cfg.epochs):
         if augmenting:
             N_epoch = _aggregation_operator(n, augment(g, hop2, aug_cfg, epoch).result, specs)
@@ -429,8 +432,6 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
             Zr = forward(X, N_epoch, params, tape, rows)
             if not np.isfinite(Zr).all():
                 raise TrainingDivergedError(epoch, last_finite, "embedding")
-            # fused_loss reads rows ``batch`` of an n-row embedding
-            Z = np.zeros((n, Zr.shape[1]))
             Z[rows] = Zr
             terms, dZb = fused_loss(Pc, Pp, Z, cfg.nu_latent, cfg.alpha, kind, batch)
             if not np.isfinite(terms.total):

@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 import time
@@ -110,9 +111,8 @@ class TestPairwiseDistance:
         want = (want + want.T) / 2.0
         np.fill_diagonal(want, 0.0)
         for rows in (slice(0, 5), slice(5, 12), slice(12, 23)):
-            for start in (0, rows.start):
-                got = distances._euclidean_rows(sq, gram, rows, start)
-                assert got.tobytes() == want[rows, start:].tobytes()
+            got = distances._euclidean_rows(sq, gram, rows)
+            assert got.tobytes() == want[rows].tobytes()
 
     def test_cosine_zero_norm_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
@@ -312,6 +312,26 @@ class TestCompleteGraphDistances:
             w = direct.copy()
             got = complete_graph_distances(x, metric)
             assert np.allclose(got, floyd_warshall_oracle(w), atol=1e-12)
+
+    @pytest.mark.parametrize("n, warns", [(2047, False), (2048, True)])
+    def test_large_cosine_graph_warns_before_floyd_warshall(self, n, warns, caplog, monkeypatch):
+        calls = []
+
+        def stub(graph, directed):
+            calls.append(len(caplog.records))
+            return np.zeros((n, n))
+
+        monkeypatch.setattr(distances, "floyd_warshall", stub)
+        x = np.random.default_rng(6).standard_normal((n, 3))
+        with caplog.at_level(logging.WARNING, logger="dmage"):
+            complete_graph_distances(x, "cosine")
+        assert calls == [int(warns)]  # the warning comes before the O(n^3) run
+        if warns:
+            (record,) = caplog.records
+            assert record.name == "dmage"
+            message = record.getMessage()
+            assert f"{n} nodes" in message and "knn_k > 0" in message
+            assert f"about {1.7 * (n / 1000) ** 3:.0f} s" in message
 
 
 def components_graph(rng):

@@ -629,6 +629,13 @@ def old_activate_grad(pre, activation):
     return np.where(pre > 0, 1.0, network.LEAKY_SLOPE)
 
 
+def gather_activate_grad(g, pre):
+    """Frozen copy of the LeakyReLU backward that gathered the derivative from a table."""
+    table = np.array([network.LEAKY_SLOPE, 1.0])
+    out = table[(pre > 0).view(np.uint8)]
+    return np.multiply(out, g, out=out)
+
+
 def special_values(rng, size):
     """Random values mixed with -0.0, 0.0, NaN, +-inf, subnormals and huge values."""
     x = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5, size)
@@ -649,6 +656,15 @@ class TestElementwiseBitIdentity:
             assert got.tobytes() == old_activate(pre, activation).tobytes()
             got = network._activation_backward(g, pre, activation)
             assert got.tobytes() == (g * old_activate_grad(pre, activation)).tobytes()
+
+    def test_leaky_backward_equals_table_gather(self):
+        rng = np.random.default_rng(37)
+        pre = special_values(rng, 4000).reshape(200, 20)
+        g = special_values(rng, 4000).reshape(200, 20)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = network._activation_backward(g, pre, "leaky_relu")
+            assert got.tobytes() == gather_activate_grad(g, pre).tobytes()
+        assert (1.0 - network.LEAKY_SLOPE) + network.LEAKY_SLOPE == 1.0
 
     def test_bias_added_in_place(self):
         rng = np.random.default_rng(36)
