@@ -5,6 +5,11 @@ over the graph's edge set, with every edge weighted by the chosen feature
 metric between its endpoints.  Pairs with no connecting path are assigned
 ``lambda_ * max(connected distances)`` so that they end up strictly farther
 than any connected pair.
+
+The passes over a whole n x n matrix work in the buffer they fill: the
+mean of each pair's two orders (cosine and Manhattan) runs tile pair by
+tile pair, and the unconnected rule is applied in place, only to a
+disconnected graph.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ __all__ = [
 # matrix elements per row block of the Euclidean distance pass: a block's
 # buffers stay in cache
 _BLOCK = 1 << 16
+# side of the square tiles that :func:`_mirror` pairs with their mirrors
+_TILE = 64
 # output elements per Dijkstra call: a worker's temporary stays small
 _DIJKSTRA_BLOCK = 1 << 19
 # Floyd–Warshall seconds per 1000^3 node triples (2 cores), and the node
@@ -77,6 +84,12 @@ def pairwise_distance(features, metric) -> np.ndarray:
     be at distance 1 from everything and 0 from themselves.  Euclidean
     distance is exactly 0 between equal rows.  The output is exactly
     symmetric with a zero diagonal and no negative entries.
+
+    Cosine and Manhattan entries are the mean of the two orders of their
+    pair, ``(d_ij + d_ji) / 2``.  That pass runs in the one n x n buffer,
+    tile pair by tile pair (:func:`_mirror`); for cosine it also forms
+    ``1 - G`` from the Gram matrix ``G`` of the unit rows and clips it into
+    [0, 2], so the matrix is never copied or transposed whole.
     """
     metric = DistanceMetric(metric)
     x = _feature_rows(features)
@@ -94,20 +107,60 @@ def pairwise_distance(features, metric) -> np.ndarray:
         from scipy.spatial.distance import cdist
 
         dist = cdist(x, x, metric="cityblock")
+        _mirror(dist, dist, _mean_of_orders)
     else:  # cosine
         norms = np.linalg.norm(x, axis=1)
         zero = norms == 0.0
         safe = np.where(zero, 1.0, norms)
         unit = x / safe[:, None]
-        dist = 1.0 - unit @ unit.T
-        np.clip(dist, 0.0, 2.0, out=dist)
+        dist = unit @ unit.T
+        _mirror(dist, dist, _mean_cosine_of_orders)
         if np.any(zero):
+            # the mean of 1 and 1, had these rows and columns been set first
             dist[zero, :] = 1.0
             dist[:, zero] = 1.0
-
-    dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def _mean_of_orders(a, b):
+    """``(a + b) / 2`` as a new tile."""
+    mean = np.add(a, b)
+    mean /= 2.0
+    return mean
+
+
+def _mean_cosine_of_orders(a, b):
+    """The mean of the cosine distances ``clip(1 - g, 0, 2)`` of Gram tiles ``a`` and ``b``."""
+    a, b = np.subtract(1.0, a), np.subtract(1.0, b)
+    np.clip(a, 0.0, 2.0, out=a)
+    np.clip(b, 0.0, 2.0, out=b)
+    a += b
+    a /= 2.0
+    return a
+
+
+def _mirror(src, out, combine):
+    """``out[i, j] = out[j, i] = combine(src[i, j], src[j, i])`` over square ``src``, by tile pairs.
+
+    ``combine(a, b)`` gets a tile of ``src`` and the transpose of its mirror
+    tile, writes into neither, and returns a new tile; it is called once per
+    pair of tiles, a diagonal tile paired with itself.  Its tile goes to
+    ``out[I, J]`` and its transpose to ``out[J, I]``, so ``out`` is exactly
+    symmetric, and it is the elementwise result wherever ``combine`` gives
+    the same bits with its arguments swapped, as sums and products do.
+    ``out`` may be ``src``: both tiles of a pair are read before either is
+    written.  A pair of ``_TILE``-wide tiles stays in cache, so the strided
+    reads and writes of the transposes cost little, and no n x n
+    temporary or transposed copy is made.
+    """
+    n = src.shape[0]
+    cuts = [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
+    for i, rows in enumerate(cuts):
+        for cols in cuts[i:]:
+            tile = combine(src[rows, cols], src[cols, rows].T)
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
 
 
 def _row_blocks(count, width, elements, start=0):
@@ -328,35 +381,44 @@ def geodesic_distances(
     Each edge is weighted by the metric distance between its endpoint
     features.  Unconnected pairs get ``lambda_ * max(connected distances)``.
     Runs Dijkstra from every source, with the sources split over the usable
-    cores (:func:`_fill_rows`).
+    cores (:func:`_fill_rows`).  Each worker takes its rows' connected
+    maxima as it goes: one maximum per row, and, in a disconnected graph,
+    where every row holds an unreachable node, a maximum over the finite
+    entries instead.  The rule's value, known once every row is in, is
+    then written in place, and only when the graph is disconnected.  An
+    edgeless graph of two or more nodes has no connected pairs; it warns,
+    and every distance is 0.
     """
     if not lambda_ > 1.0:
         raise ValueError(f"lambda_ must be > 1, got {lambda_}")
     graph = _edge_weight_graph(g, metric)
 
-    def fill(rows, dist, row_max, row_finite):
+    def fill(rows, dist, row_max):
         for block in _row_blocks(rows.stop, g.n, _DIJKSTRA_BLOCK, rows.start):
             # the weight graph stores both directions of every edge
             d = dijkstra(graph, directed=True, indices=np.arange(block.start, block.stop))
             dist[block] = d
-            finite = np.isfinite(d)
-            # the diagonal is 0 and no distance is negative, so the maximum
-            # over a row's finite entries is its connected maximum, or 0
-            row_max[block] = np.where(finite, d, 0.0).max(axis=1)
-            row_finite[block] = np.count_nonzero(finite, axis=1)
+            # no distance is negative, so a row's maximum is its connected
+            # maximum unless the row holds an unreachable (infinite) entry
+            top = d.max(axis=1)
+            if np.isinf(top).any():
+                top = np.where(np.isinf(d), 0.0, d).max(axis=1)
+            row_max[block] = top
 
     # each source's search passes every node and every stored edge
-    dist, row_max, row_finite = _fill_rows(
-        g.n, g.n + graph.nnz, fill, ((g.n,), np.float64), ((), np.float64), ((), np.int64)
-    )
+    dist, row_max = _fill_rows(g.n, g.n + graph.nnz, fill, ((g.n,), np.float64), ((), np.float64))
 
     connected_max = float(row_max.max(initial=0.0))
-    if g.n > 1 and row_finite.sum() == g.n:
+    if g.n > 1 and g.num_edges == 0:
         warnings.warn(
             "graph has no connected pairs; all geodesic distances are 0",
             DegenerateGraphWarning,
         )
-    np.copyto(dist, lambda_ * connected_max, where=np.isinf(dist))
+    # a disconnected graph leaves every row an unreachable node, row 0's
+    # included; every connected distance is at most connected_max, below
+    # the rule's value, so the minimum replaces exactly the infinite entries
+    if np.isinf(dist[:1]).any():
+        np.minimum(dist, lambda_ * connected_max, out=dist)
     np.fill_diagonal(dist, 0.0)
     return GeodesicDistanceMatrix(dist, float(lambda_), connected_max)
 

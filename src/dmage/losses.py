@@ -118,7 +118,7 @@ def bregman_logistic(P, Q) -> float:
     """Logistic divergence: mean of p log(p/q) + (1-p) log((1-p)/(1-q)).
 
     ``q`` is clamped into [LOGI_EPS, 1-LOGI_EPS]; terms with p in {0, 1}
-    follow the convention 0 log 0 = 0.
+    follow the convention 0 log 0 = 0.  A NaN in P makes the result NaN.
     """
     return _divergence(P, Q, BregmanKind.LOGI)
 
@@ -179,9 +179,9 @@ def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, s
         term_a *= P
         term_b = np.log(ratio_c)
         term_b *= one_minus_p
-    # the convention 0 log 0 = 0 at p = 0 and at p = 1
-    term_a[~(P > 0)] = 0.0
-    term_b[~(P < 1)] = 0.0
+    # the convention 0 log 0 = 0 at p = 0 and at p = 1; a NaN in P stays NaN
+    term_a[P == 0] = 0.0
+    term_b[P == 1] = 0.0
     np.add(term_a, term_b, out=terms)
     terms[diag] = 0.0
     grad = np.subtract(ratio_c, ratio, out=ratio_c)
@@ -230,7 +230,9 @@ def fused_loss(
     the upper trapezoid of its row block, and mirrored (see the module
     docstring).  A ``ValueError`` is raised when the part of either matrix
     on a block's diagonal square, which is gathered in full, is not
-    symmetric; that catches a conditional matrix passed by mistake.
+    symmetric; that catches a conditional matrix passed by mistake.  When
+    the square differs from its transpose only by holding NaN, the error
+    says so; a NaN elsewhere makes the loss NaN.
 
     The result is deterministic.  Each pair's term is computed as in the
     divergences, but the terms are summed per block and the kernel is taken
@@ -274,6 +276,8 @@ def fused_loss(
         for P, name in ((Pc, "P_complete"), (Pp, "P_prior")):
             square = P[:, : b - a]
             if not np.array_equal(square, square.T):
+                if np.array_equal(square, square.T, equal_nan=True):
+                    raise ValueError(f"{name} holds NaN")
                 raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
         terms = np.empty(Q.shape)
         g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms, a)

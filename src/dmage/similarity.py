@@ -20,9 +20,17 @@ bound bracket the objective.  Widened by a rounding margin of
 ``1e-9 * q_p``, far above the ~1e-14 by which another summation order moves
 the objective and far below the tolerance, the bracket decides each
 comparison of the search (within ``tol``, below or above the target)
-unless it straddles -tol, 0 or +tol; only then is that row summed in full,
-exactly as the one-row search sums it.  Every decision therefore goes the
-way the row-at-a-time search goes, and sigma is the same bit for bit.
+unless it straddles -tol, 0 or +tol.  A row whose bracket does is
+bracketed again in the same way on its ``_MIDDLE`` (1024) nearest
+distances, partitioned from the row the first time it needs them; only
+where that bracket straddles too is the row summed in full, exactly as
+the one-row search sums it.  Every decision therefore goes the way the
+row-at-a-time search goes, and sigma is the same bit for bit.
+
+The kernel pass and the symmetrization can write into a given buffer
+(``out=``), the distance matrix included, so that ``precompute`` turns one
+n x n buffer from distances into the joint similarity.  Their bytes are
+the same either way.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import GeodesicDistanceMatrix, _fill_rows, _row_blocks
+from .distances import GeodesicDistanceMatrix, _fill_rows, _mirror, _row_blocks
 
 __all__ = [
     "CalibrationParams",
@@ -52,11 +60,14 @@ DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 100
 # rows are searched on this many nearest distances, the rest bounded
 _NEAREST = 128
+# a row whose bracket on its _NEAREST nearest is open is bracketed again on
+# this many nearest, before it is summed in full
+_MIDDLE = 1024
 # rounding margin on the objective, relative to q_p
 _MARGIN = 1e-9
 # matrix elements per row block when partitioning or gathering full rows
 _BLOCK = 1 << 20
-# matrix elements per row block of the kernel and symmetrization passes
+# matrix elements per row block of the kernel pass
 _KERNEL_BLOCK = 1 << 16
 
 
@@ -162,12 +173,15 @@ class _Rows:
     ``near[i]`` holds its ``_NEAREST`` smallest off-diagonal distances, in
     any order, and the other ``count`` are at least ``d_k[i]``.  With
     ``count == 0``, ``near[i]`` is the whole off-diagonal row in index order
-    and ``d`` is not needed.
+    and ``d`` is not needed.  A row's ``_MIDDLE`` smallest distances, the
+    second tier, are partitioned from ``d`` the first time the row needs
+    them, and kept.
     """
 
     def __init__(self, near, rho, count=0, d_k=None, d=None, start=0):
         self.near, self.rho, self.count, self.d_k, self.d = near, rho, count, d_k, d
         self.start = start
+        self.mid = self.mid_k = self.has_mid = None
 
     @classmethod
     def of_matrix(cls, d, rows):
@@ -180,16 +194,29 @@ class _Rows:
         near = np.empty((r, _NEAREST))
         rho, d_k = np.empty(r), np.empty(r)
         for b in _row_blocks(rows.stop, n, _BLOCK, rows.start):
-            block = d[b].copy()
-            block[np.arange(block.shape[0]), np.arange(b.start, b.stop)] = np.inf
+            block = _nearest_first(d, np.arange(b.start, b.stop), _NEAREST)
             local = slice(b.start - rows.start, b.stop - rows.start)
             # the minimum over the whole row, so that a NaN anywhere in it
             # gives rho = NaN, as the one-row search does
             rho[local] = block.min(axis=1)
-            block.partition(_NEAREST - 1, axis=1)
             near[local] = block[:, :_NEAREST]
             d_k[local] = block[:, _NEAREST - 1]
         return cls(near, rho, n - 1 - _NEAREST, d_k, d, rows.start)
+
+    def middle(self, idx):
+        """Rows ``idx``'s ``_MIDDLE`` smallest distances, in any order, and the largest of them."""
+        if self.mid is None:
+            r = self.rho.size
+            # pages are touched only for the rows that get here
+            self.mid, self.mid_k = np.empty((r, _MIDDLE)), np.empty(r)
+            self.has_mid = np.zeros(r, dtype=bool)
+        new = idx[~self.has_mid[idx]]
+        for b in _row_blocks(new.size, self.d.shape[0], _BLOCK):
+            block = _nearest_first(self.d, self.start + new[b], _MIDDLE)
+            self.mid[new[b]] = block[:, :_MIDDLE]
+            self.mid_k[new[b]] = block[:, _MIDDLE - 1]
+        self.has_mid[new] = True
+        return self.mid[idx], self.mid_k[idx]
 
     def full_mass(self, idx, sigma, nu):
         """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
@@ -204,24 +231,57 @@ class _Rows:
 
         Each value takes the same side of -tol, 0 and +tol as the objective
         computed on the full row in index order, so every decision of the
-        search goes the same way.
+        search goes the same way.  A row is bracketed on its ``_NEAREST``
+        nearest distances, then, where that bracket is open, on its
+        ``_MIDDLE`` nearest, and only where that is open too summed in full.
         """
         rho = self.rho[idx]
         mass = _kernel_mass(self.near[idx], rho, nu, sigma)
         if self.count == 0:
             return _exp2(mass) - q_p
-        # the kernel falls with distance, so each left-out distance adds at
-        # most kernel(d_k)^2 to the exponent
-        k = t_kernel((self.d_k[idx] - rho) / sigma, nu)
-        margin = _MARGIN * q_p
-        low = _exp2(mass) - q_p - margin
-        high = _exp2(mass + self.count * (k * k)) - q_p + margin
-        open_ = np.isnan(low) | np.isnan(high)
-        for t in (-tol, 0.0, tol):
-            open_ |= (low <= t) & (t <= high)
+        value, open_ = _bracket(mass, self.count, self.d_k[idx], rho, sigma, q_p, nu, tol)
+        n = self.d.shape[0]
+        if open_.any() and n - 1 > _MIDDLE:
+            at = np.flatnonzero(open_)
+            mid, mid_k = self.middle(idx[at])
+            mass = _kernel_mass(mid, rho[at], nu, sigma[at])
+            value[at], open_[at] = _bracket(
+                mass, n - 1 - _MIDDLE, mid_k, rho[at], sigma[at], q_p, nu, tol
+            )
         if open_.any():
-            low[open_] = _exp2(self.full_mass(idx[open_], sigma[open_], nu)) - q_p
-        return low
+            value[open_] = _exp2(self.full_mass(idx[open_], sigma[open_], nu)) - q_p
+        return value
+
+
+def _nearest_first(d, idx, k):
+    """Rows ``idx`` of the square matrix ``d``, their ``k`` smallest off-diagonal entries first.
+
+    A copy, partitioned; the diagonal entry is set to inf before the
+    partition, so it lands among the ``n - 1 - k`` others (as a NaN of the
+    row would).
+    """
+    block = d[idx]
+    block[np.arange(idx.size), idx] = np.inf
+    block.partition(k - 1, axis=1)
+    return block
+
+
+def _bracket(mass, count, d_k, rho, sigma, q_p, nu, tol):
+    """The lower bound on ``compactness - q_p`` from a truncated kernel mass, and where it is open.
+
+    ``mass`` sums a row's nearest distances, and the ``count`` others are
+    each at least ``d_k``.  The kernel falls with distance, so each of them
+    adds at most ``kernel(d_k)^2`` to the exponent.  Widened by the rounding
+    margin, the bracket is open where it holds -tol, 0 or +tol, or is NaN.
+    """
+    k = t_kernel((d_k - rho) / sigma, nu)
+    margin = _MARGIN * q_p
+    low = _exp2(mass) - q_p - margin
+    high = _exp2(mass + count * (k * k)) - q_p + margin
+    open_ = np.isnan(low) | np.isnan(high)
+    for t in (-tol, 0.0, tol):
+        open_ |= (low <= t) & (t <= high)
+    return low, open_
 
 
 # per-row outcome of the search
@@ -341,22 +401,28 @@ def calibrate_all(d_matrix: np.ndarray, nu: float, q_p: float) -> CalibrationPar
 
     The diagonal is excluded both from ``rho`` (min over j != i) and from
     the calibration sum.  Every row runs the search of
-    :func:`calibrate_sigma` at once, and the result is the same bit for bit.
-    A row longer than ``_NEAREST`` is searched on its ``_NEAREST`` nearest
-    distances, whose kernel mass ``S`` is the exponent's lower end.  The
-    kernel falls with distance, so the ``c`` left-out distances, each at
-    least the ``_NEAREST``-th nearest ``d_k``, add at most
-    ``B = c * kernel((d_k - rho) / sigma)^2``: the objective lies in
-    ``[2^S - q_p - m, 2^(S+B) - q_p + m]``, where the rounding margin
-    ``m = 1e-9 * q_p`` is far above the ~1e-14 by which another summation
-    order moves it and far below the tolerance ``tol = DEFAULT_TOL``.  When
-    that interval holds none of -tol, 0 and +tol, it settles every
-    comparison the search makes; only otherwise is the row summed over its
-    full off-diagonal row, in index order, exactly as the one-row search
-    sums it.  The matrix is read in row blocks, so no second n x n array is
-    allocated, and the rows are split over the usable cores
-    (``distances._fill_rows``).  At most one warning is issued, counting the
-    rows that missed the target.  The result holds ``rho`` and ``sigma``.
+    :func:`calibrate_sigma` at once, and ``rho`` and ``sigma`` are the same
+    bit for bit.  A row longer than ``_NEAREST`` is searched on its
+    ``_NEAREST`` nearest distances, whose kernel mass ``S`` is the
+    exponent's lower end.  The kernel falls with distance, so the ``c``
+    left-out distances, each at least the ``_NEAREST``-th nearest ``d_k``,
+    add at most ``B = c * kernel((d_k - rho) / sigma)^2``: the objective
+    lies in ``[2^S - q_p - m, 2^(S+B) - q_p + m]``, where the rounding
+    margin ``m = 1e-9 * q_p`` is far above the ~1e-14 by which another
+    summation order moves it and far below the tolerance
+    ``tol = DEFAULT_TOL``.  When that interval holds none of -tol, 0 and
+    +tol, it settles every comparison the search makes.  Otherwise, in a
+    row longer than ``_MIDDLE``, the same interval is formed on its
+    ``_MIDDLE`` nearest distances, which are partitioned once, when the row
+    first gets there, and kept for the rest of its search.  Only when that
+    interval also holds one of the three is the row summed over its full
+    off-diagonal row, in index order, exactly as the one-row search sums
+    it.  The tiers change how often a row is summed in full, never a
+    decision.  The matrix is read in row blocks, so no second n x n array
+    is allocated, and the rows are split over the usable cores
+    (``distances._fill_rows``).  At most one warning is issued, counting
+    the rows that missed the target.  The result holds ``rho`` and
+    ``sigma``.
     """
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     n = d_matrix.shape[0]
@@ -373,15 +439,19 @@ def calibrate_all(d_matrix: np.ndarray, nu: float, q_p: float) -> CalibrationPar
     return CalibrationParams(rho, sigma)
 
 
-def conditional_similarity(distances, nu: float, calib: CalibrationParams) -> SimilarityMatrix:
+def conditional_similarity(
+    distances, nu: float, calib: CalibrationParams, out=None
+) -> SimilarityMatrix:
     """Row-normalized kernel similarities ``P[i, j] = kernel((d_ij - rho_i)/sigma_i)``.
 
     The kernel is :func:`t_kernel` with ``nu`` degrees of freedom.  Generally
     asymmetric, since each row carries its own rho and sigma.  The diagonal
-    is zeroed by convention.
+    is zeroed by convention.  The result is written into ``out`` when given
+    (a float64 array of the distances' shape, which may be the distance
+    matrix itself), in row blocks; the bytes are the same either way.
     """
     d = distances.matrix if isinstance(distances, GeodesicDistanceMatrix) else np.asarray(distances)
-    p = np.empty(d.shape)
+    p = np.empty(d.shape) if out is None else out
     for rows in _row_blocks(d.shape[0], d.shape[0], _KERNEL_BLOCK):
         block = p[rows]
         np.subtract(d[rows], calib.rho[rows, None], out=block)
@@ -391,21 +461,29 @@ def conditional_similarity(distances, nu: float, calib: CalibrationParams) -> Si
     return SimilarityMatrix(p, "conditional")
 
 
-def symmetrize(p: SimilarityMatrix) -> SimilarityMatrix:
+def _joint(a, b):
+    """``a + b - 2ab`` as a new tile, the product taken as ``(2a) b``."""
+    joint = np.add(a, b)
+    twice = np.multiply(a, 2.0)
+    twice *= b
+    joint -= twice
+    return joint
+
+
+def symmetrize(p: SimilarityMatrix, out=None) -> SimilarityMatrix:
     """Symmetrize conditional similarities into the joint form.
 
-    ``p_ij = p_i|j + p_j|i - 2 p_i|j p_j|i``, the paper's joint similarity,
-    computed in row blocks; the result is exactly symmetric.
+    ``p_ij = p_i|j + p_j|i - 2 p_i|j p_j|i``, the paper's joint similarity.
+    Each tile is computed with its mirror tile, once for both
+    (``distances._mirror``), so the result is exactly symmetric and no
+    transposed copy of the matrix is made.  The result is written into
+    ``out`` when given (a float64 array of the matrix's shape, which may be
+    ``p.matrix`` itself); the bytes are the same either way.
     """
     if p.kind != "conditional":
         raise ValueError("symmetrize expects a conditional similarity matrix")
     m = p.matrix
-    joint = np.empty(m.shape, np.result_type(m, 2.0))
-    for rows in _row_blocks(m.shape[0], m.shape[0], _KERNEL_BLOCK):
-        # the transposed rows, copied once so the passes below read them in order
-        a, b = m[rows], np.ascontiguousarray(m[:, rows].T)
-        block = np.add(a, b, out=joint[rows])
-        b *= 2.0 * a
-        block -= b
+    joint = np.empty(m.shape, np.result_type(m, 2.0)) if out is None else out
+    _mirror(m, joint, _joint)
     np.fill_diagonal(joint, 0.0)
     return SimilarityMatrix(joint, "joint")

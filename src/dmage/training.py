@@ -13,6 +13,7 @@ forward pass over every node with the unaugmented priori adjacency.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 import numbers
@@ -262,25 +263,46 @@ def _cache_dir(explicit=None):
     return os.environ.get("DMAGE_CACHE_DIR") or None
 
 
-def _cached_matrix(cache, name, magic, compute, stages):
+def _cached_matrix(cache, name, magic, compute, stages, check=None):
     """Load ``<cache>/<name>`` if present, else compute and persist.
 
-    The time spent writing adds to ``stages["cache write"]``.
+    ``check(matrix)``, when given, returns None for a matrix fit for use and
+    otherwise what is wrong with it.  A loaded matrix that fails it is a
+    cache miss, logged, and is computed again; a computed one raises
+    ``ValueError``.  The time spent writing adds to ``stages["cache write"]``.
     """
-    if cache is None:
-        return compute()
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, name)
-    if os.path.exists(path):
-        matrix, _ = load_matrix(path, expect_magic=magic)
-        log.info("cache hit: %s", path)
-        return matrix
+    if cache is not None:
+        os.makedirs(cache, exist_ok=True)
+        path = os.path.join(cache, name)
+        if os.path.exists(path):
+            matrix, _ = load_matrix(path, expect_magic=magic)
+            problem = check and check(matrix)
+            if not problem:
+                log.info("cache hit: %s", path)
+                return matrix
+            del matrix
+            log.warning("cache miss: %s: %s; computing it again", path, problem)
     matrix = compute()
-    t0 = time.perf_counter()
-    save_matrix(path, matrix, magic)
-    stages["cache write"] += time.perf_counter() - t0
-    log.info("cache write: %s", path)
+    problem = check and check(matrix)
+    if problem:
+        raise ValueError(problem)
+    if cache is not None:
+        t0 = time.perf_counter()
+        save_matrix(path, matrix, magic)
+        stages["cache write"] += time.perf_counter() - t0
+        log.info("cache write: %s", path)
     return matrix
+
+
+def _similarity_problem(what, matrix):
+    """None when every entry of ``matrix`` is in [0, 1], else what is wrong with it.
+
+    One minimum and one maximum; a NaN fails both comparisons.
+    """
+    low, high = matrix.min(), matrix.max()
+    if low >= 0.0 and high <= 1.0:
+        return None
+    return f"{what} holds values outside [0, 1] (min {low!r}, max {high!r})"
 
 
 def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
@@ -290,8 +312,14 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     Distances and similarities are cached under ``cache_dir`` (or the
     DMAGE_CACHE_DIR environment variable) keyed by a content hash of the
     graph and the relevant config fields; cache hits reload bit-identically.
-    With ``hard_similarity`` the priori matrix is the 0/1 adjacency instead
-    of the geodesic similarity.  A graph of fewer than 3 nodes raises
+    A loaded similarity is checked to lie in [0, 1] (one minimum and one
+    maximum, which a NaN fails); one that does not is a logged cache miss
+    and is computed again, and a computed one that does not raises
+    ``ValueError`` naming the matrix.  Each similarity is built in the
+    buffer of its distances: once they are cached and calibrated, the
+    kernel and then the joint form overwrite them.  With
+    ``hard_similarity`` the priori matrix is the 0/1 adjacency instead of
+    the geodesic similarity.  A graph of fewer than 3 nodes raises
     ``ValueError``.
     """
     _require_nodes(g)
@@ -310,9 +338,10 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
             t1 = time.perf_counter()
             calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
             t2 = time.perf_counter()
-            cond = conditional_similarity(d, cfg.nu_input, calib)
-            del d  # one n x n matrix fewer while symmetrize adds one
-            joint = symmetrize(cond).matrix
+            # the distances are cached by now, or not kept: their buffer
+            # takes the kernel, then the joint form
+            cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
+            joint = symmetrize(cond, out=d).matrix
             stages["distances"] = t1 - t0 - stages["cache write"]
             stages["calibration"] = t2 - t1
             stages["kernel+symmetrize"] = time.perf_counter() - t2
@@ -321,7 +350,8 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
         # the one value of the retired symmetrize_variant, so existing cache names still hit
         sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, "paper")
         name = f"{tag}-{sim_key[:32]}.dmgs"
-        s = _cached_matrix(cache, name, MAGIC_SIMILARITY, similarity, stages)
+        check = functools.partial(_similarity_problem, f"{tag} similarity")
+        s = _cached_matrix(cache, name, MAGIC_SIMILARITY, similarity, stages, check)
         if "distances" in stages:  # computed, not read from the cache
             log.info(
                 "%s similarity, up to %d workers: distances %.3f s, calibration %.3f s, "

@@ -68,10 +68,12 @@ def test_method_constants_are_not_parameters(name):
 
 
 def test_kernel_and_loss_signatures():
-    # nu is passed directly; the bench's loss observer reads the batch as args[6]
+    # nu is passed directly; the bench's loss observer reads the batch as args[6];
+    # the kernel and the joint form can be written into a given buffer
     assert list(inspect.signature(dmage.conditional_similarity).parameters) == [
-        "distances", "nu", "calib"
+        "distances", "nu", "calib", "out"
     ]
+    assert list(inspect.signature(dmage.symmetrize).parameters) == ["p", "out"]
     assert list(inspect.signature(dmage.fused_loss).parameters) == [
         "P_complete", "P_prior", "Z", "nu_latent", "alpha", "kind", "batch"
     ]

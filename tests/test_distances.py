@@ -514,3 +514,96 @@ class TestEuclideanEqualRows:
         sq, gram = distances._gram(g.features)
         want = distances._euclidean_rows(sq, gram, slice(0, 600))
         assert pairwise_distance(g.features, "euclidean").tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- in-place passes
+# Frozen copies of the cosine and Manhattan distances and of the geodesic
+# statistics and unconnected rule as they stood before these passes ran in
+# place: 1 - G, the clip and the mean with the transpose over whole arrays,
+# and every infinite entry replaced through a whole-matrix mask.
+
+
+def frozen_pairwise(x, metric):
+    if metric == "manhattan":
+        from scipy.spatial.distance import cdist
+
+        dist = cdist(x, x, metric="cityblock")
+    else:
+        norms = np.linalg.norm(x, axis=1)
+        zero = norms == 0.0
+        unit = x / np.where(zero, 1.0, norms)[:, None]
+        dist = 1.0 - unit @ unit.T
+        np.clip(dist, 0.0, 2.0, out=dist)
+        if np.any(zero):
+            dist[zero, :] = 1.0
+            dist[:, zero] = 1.0
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def frozen_geodesic(g, metric, lambda_):
+    d = distances.dijkstra(distances._edge_weight_graph(g, metric), directed=True)
+    finite = np.isfinite(d)
+    connected_max = float(np.where(finite, d, 0.0).max(axis=1).max(initial=0.0))
+    np.copyto(d, lambda_ * connected_max, where=np.isinf(d))
+    np.fill_diagonal(d, 0.0)
+    return d, connected_max
+
+
+def feature_rows(rng, n):
+    """Sparse binary rows with zero rows and repeats, and Gaussian rows."""
+    x = (rng.random((n, 9)) < 0.2).astype(float)
+    x[: n // 3] = rng.standard_normal((n // 3, 9))
+    x[n // 2 : n // 2 + 2] = x[n // 2]
+    x[-1] = 0.0
+    return x
+
+
+class TestInPlacePassesMatchFrozenCopies:
+    @pytest.mark.parametrize("tile", [None, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 150])
+    @pytest.mark.parametrize("metric", ["cosine", "manhattan"])
+    def test_pairwise_distance_bit_for_bit(self, metric, n, tile, monkeypatch):
+        # tiles of 64 and of 5 over sides below, at and past one tile
+        if tile is not None:
+            monkeypatch.setattr(distances, "_TILE", tile)
+        x = feature_rows(np.random.default_rng(n), n)
+        assert pairwise_distance(x, metric).tobytes() == frozen_pairwise(x, metric).tobytes()
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_geodesic_distances_bit_for_bit(self, w, workers, monkeypatch):
+        workers(w)
+        rng = np.random.default_rng(41)
+        graphs = [
+            components_graph(rng),  # isolated nodes and several components
+            random_graph(rng, n=30, density=0.5),  # one component: nothing to replace
+            random_graph(rng, n=40, density=0.03),
+            AttributedGraph(5, normalize_edges([(0, 1)]), rng.standard_normal((5, 2)), None),
+        ]
+        for block in (1 << 19, 40):  # single source rows per Dijkstra block, too
+            monkeypatch.setattr(distances, "_DIJKSTRA_BLOCK", block)
+            for g in graphs:
+                for metric in ("euclidean", "cosine"):
+                    got = geodesic_distances(g, metric, lambda_=4.0)
+                    want, want_max = frozen_geodesic(g, metric, 4.0)
+                    assert got.matrix.tobytes() == want.tobytes()
+                    assert got.connected_max == want_max
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_edgeless_graph_warns_once(self, w, workers):
+        workers(w)
+        for n, warns in ((1, 0), (2, 1), (9, 1)):
+            g = AttributedGraph(n, frozenset(), np.ones((n, 2)), None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = geodesic_distances(g)
+            assert [w.category for w in caught] == [DegenerateGraphWarning] * warns
+            want, _ = frozen_geodesic(g, "euclidean", 10.0)
+            assert got.matrix.tobytes() == want.tobytes()
+        # a graph with an edge has a connected pair, however small
+        g = AttributedGraph(3, normalize_edges([(0, 2)]), np.ones((3, 2)), None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = geodesic_distances(g)
+        assert caught == [] and (got.matrix == 0).all()

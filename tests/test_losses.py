@@ -141,6 +141,38 @@ class TestBregmanLogistic:
             assert s > 0.0
 
 
+class TestNaNInP:
+    """A NaN similarity is not dropped as if it were 0 or 1."""
+
+    def nan_pair(self):
+        P = np.full((4, 4), 0.3)
+        P[0, 1] = P[1, 0] = np.nan
+        return P
+
+    @pytest.mark.parametrize("divergence", [bregman_sed, bregman_logistic])
+    def test_divergences_give_nan(self, divergence):
+        Q = np.full((4, 4), 0.2)
+        assert math.isnan(divergence(self.nan_pair(), Q))
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_fused_loss_names_nan_on_a_diagonal_square(self, kind):
+        Z = np.random.default_rng(0).standard_normal((4, 2))
+        P = self.nan_pair()
+        with pytest.raises(ValueError, match="P_prior holds NaN"):
+            fused_loss(np.full((4, 4), 0.3), P, Z, 1.0, 0.5, kind)
+        P[2, 3] = 0.4  # asymmetric as well: that is the error
+        with pytest.raises(ValueError, match="P_prior is not symmetric"):
+            fused_loss(np.full((4, 4), 0.3), P, Z, 1.0, 0.5, kind)
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_fused_loss_is_nan_past_the_diagonal_square(self, kind, monkeypatch):
+        # one row per block: pair (0, 1) lies right of row 0's square
+        monkeypatch.setattr(losses, "_BLOCK", 1)
+        Z = np.random.default_rng(0).standard_normal((4, 2))
+        terms, _ = fused_loss(self.nan_pair(), np.full((4, 4), 0.3), Z, 1.0, 0.5, kind)
+        assert math.isnan(terms.feature_term) and math.isnan(terms.total)
+
+
 class TestLatentSimilarity:
     def test_matches_scalar_pipeline_oracle(self):
         rng = np.random.default_rng(4)

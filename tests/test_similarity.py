@@ -16,7 +16,7 @@ from dmage.similarity import (
     symmetrize,
     t_kernel,
 )
-from dmage import similarity
+from dmage import distances, similarity
 from dmage.distances import geodesic_distances, pairwise_distance
 from dmage.similarity import MAX_DOUBLINGS
 from dmage.training import TrainConfig, precompute
@@ -543,3 +543,102 @@ class TestWorkerCounts:
         want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
         assert got[0] == [want.tobytes(), _oracle_symmetrize(want).tobytes()]
         assert got[1] == got[0] and got[2] == got[0]
+
+
+class TestOutArguments:
+    """The kernel and the joint form written into a given buffer, the distances' own included."""
+
+    @pytest.mark.parametrize("tile", [None, 7])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_out_forms_equal_copying_forms(self, w, tile, workers, monkeypatch):
+        workers(w)
+        if tile is not None:  # 7-wide tiles: many pairs and a ragged last tile
+            monkeypatch.setattr(distances, "_TILE", tile)
+        rng = np.random.default_rng(11)
+        n = 150
+        d = rng.uniform(0.1, 3.0, (n, n))
+        d[rng.random((n, n)) < 0.05] = 1e6  # the kernel underflows to 0 there
+        d = symmetric(d)
+        calib = calibrate_all(d, 100.0, 4.0)
+        rho, sigma, d_bytes = calib.rho.tobytes(), calib.sigma.tobytes(), d.tobytes()
+        cond = conditional_similarity(d, 100.0, calib)
+        cond_bytes = cond.matrix.tobytes()
+        joint = symmetrize(cond).matrix
+        want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
+        assert cond_bytes == want.tobytes()
+        assert joint.tobytes() == _oracle_symmetrize(want).tobytes()
+        assert d.tobytes() == d_bytes and cond.matrix.tobytes() == cond_bytes
+
+        # into separate buffers: the inputs stay as they were
+        buf = np.full((n, n), np.nan)
+        got = conditional_similarity(d, 100.0, calib, out=buf)
+        assert got.matrix is buf and buf.tobytes() == cond_bytes
+        buf = np.full((n, n), np.nan)
+        got = symmetrize(cond, out=buf)
+        assert got.matrix is buf and buf.tobytes() == joint.tobytes()
+        assert d.tobytes() == d_bytes and cond.matrix.tobytes() == cond_bytes
+
+        # in the distance buffer itself, as precompute runs them; a
+        # GeodesicDistanceMatrix gives its matrix
+        work = d.copy()
+        geodesic = distances.GeodesicDistanceMatrix(work, 10.0, 3.0)
+        got = conditional_similarity(geodesic, 100.0, calib, out=work)
+        assert got.matrix is work and work.tobytes() == cond_bytes
+        got = symmetrize(got, out=work)
+        assert got.matrix is work and work.tobytes() == joint.tobytes()
+        assert calib.rho.tobytes() == rho and calib.sigma.tobytes() == sigma
+
+
+class TestSecondTier:
+    """Open brackets on the nearest distances are bracketed again on more of them."""
+
+    def record(self, monkeypatch):
+        """Tier sizes 16 and 48; records the rows partitioned for the second tier and summed in full."""
+        monkeypatch.setattr(similarity, "_NEAREST", 16)
+        monkeypatch.setattr(similarity, "_MIDDLE", 48)
+        seen = {"middle": [], "full": 0}
+        nearest, full = similarity._nearest_first, similarity._Rows.full_mass
+
+        def nearest_first(d, idx, k):
+            if k == similarity._MIDDLE:
+                seen["middle"] += idx.tolist()
+            return nearest(d, idx, k)
+
+        def full_mass(rows, idx, sigma, nu):
+            seen["full"] += idx.size
+            return full(rows, idx, sigma, nu)
+
+        monkeypatch.setattr(similarity, "_nearest_first", nearest_first)
+        monkeypatch.setattr(similarity._Rows, "full_mass", full_mass)
+        return seen
+
+    def calibrate(self, d, nu, q_p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            return calibrate_all(d, nu, q_p)
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_small_tiers_match_row_by_row_oracle_bit_for_bit(self, case, workers, monkeypatch):
+        # two cases of every oracle_case kind; one worker, so the calls are seen here
+        workers(1)
+        seen = self.record(monkeypatch)
+        d, nu, q_p = oracle_case(case)
+        calib = self.calibrate(d, nu, q_p)
+        rho, sigma = oracle_calibrate_all(d, nu, q_p)
+        assert calib.rho.tobytes() == rho.tobytes()
+        assert calib.sigma.tobytes() == sigma.tobytes()
+        # the second tier is entered, and each row is partitioned for it once at most
+        assert seen["middle"]
+        assert len(set(seen["middle"])) == len(seen["middle"]) <= d.shape[0]
+
+    def test_fewer_full_rescans_on_sparse_graph_geodesics(self, workers, monkeypatch):
+        workers(1)
+        seen = self.record(monkeypatch)
+        d, nu, q_p = oracle_case(3)  # geodesics of a sparse graph with many components
+        two = self.calibrate(d, nu, q_p)
+        two_tiers = seen["full"]
+        seen["full"] = 0
+        monkeypatch.setattr(similarity, "_MIDDLE", d.shape[0])  # no second tier
+        one = self.calibrate(d, nu, q_p)
+        assert two.sigma.tobytes() == one.sigma.tobytes()
+        assert 0 < two_tiers < seen["full"]

@@ -228,6 +228,38 @@ class TestPrecompute:
             precompute(g, TrainConfig(), cache_dir=str(tmp_path))
         assert not [r for r in caplog.records if "similarity, up to" in r.message]
 
+    @pytest.mark.parametrize("bad", [np.nan, 2.0], ids=["nan", "two"])
+    def test_cached_similarity_outside_unit_interval_is_recomputed(self, bad, tmp_path, caplog):
+        g = small_graph()
+        cfg = TrainConfig()
+        want = [m.matrix.tobytes() for m in precompute(g, cfg, cache_dir=str(tmp_path))]
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (prior,) = tmp_path.glob("prior-*.dmgs")
+        raw = bytearray(files[prior.name])
+        raw[12 + 8 * 5 : 12 + 8 * 6] = np.float64(bad).tobytes()  # entry (0, 5)
+        prior.write_bytes(bytes(raw))
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            got = precompute(g, cfg, cache_dir=str(tmp_path))
+        misses = [r for r in caplog.records if "cache miss" in r.message]
+        assert len(misses) == 1 and prior.name in misses[0].message
+        assert misses[0].levelno == logging.WARNING
+        assert "prior similarity holds values outside [0, 1]" in misses[0].message
+        assert [m.matrix.tobytes() for m in got] == want
+        # the file is written again, as it was
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_computed_similarity_outside_unit_interval_raises(self, monkeypatch):
+        real = training.symmetrize
+
+        def with_nan(p, out=None):
+            joint = real(p, out=out)
+            joint.matrix[0, 1] = joint.matrix[1, 0] = np.nan
+            return joint
+
+        monkeypatch.setattr(training, "symmetrize", with_nan)
+        with pytest.raises(ValueError, match="complete similarity holds values outside"):
+            precompute(small_graph(), TrainConfig())
+
     def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMAGE_CACHE_DIR", str(tmp_path))
         precompute(small_graph(), TrainConfig())
