@@ -62,10 +62,13 @@ class DegenerateGraphWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GeodesicDistanceMatrix:
-    """Symmetric geodesic distances with the metadata of the unconnected rule.
+    """Geodesic distances with the metadata of the unconnected rule.
 
     ``matrix[i, j]`` is the shortest-path distance for connected pairs and
-    exactly ``lambda_ * connected_max`` for unconnected ones.
+    exactly ``lambda_ * connected_max`` for unconnected ones.  Dijkstra
+    sums each path from its own source, so ``d_ij`` and ``d_ji`` can differ
+    in the last bits (by up to 3.6e-15 on a Cora-sized cosine graph); the
+    joint similarity built from them is still exactly symmetric.
     """
 
     matrix: np.ndarray

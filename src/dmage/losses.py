@@ -25,7 +25,7 @@ kernel and its derivative need no square root), and sums its divergence
 terms where it makes them: the diagonal square ``[a:b, a:b]`` holds both
 orders of its pairs, and every pair right of it counts twice.  The gradient
 coefficients of the part right of the square are copied, transposed, into
-rows ``b:m``, columns ``a:b``; ``coef @ Z`` needs the whole (m, m) matrix,
+rows ``b:m``, columns ``a:b``; ``coef @ Zb`` needs the whole (m, m) matrix,
 and it is the only one the loss holds.
 
 What is exact: each pair's divergence term and dLoss/dQ are the same
@@ -221,9 +221,12 @@ def fused_loss(
 ):
     """Two-term objective on a batch and its gradient w.r.t. the batch rows.
 
-    Both input similarity matrices and the embedding are restricted to
-    ``batch`` (all nodes when None); the latent similarity of the batch rows
-    is compared to each.  Returns ``(LossTerms, dTotal/dZ_batch)``.
+    ``Z`` holds the embedding rows of ``batch`` in batch order (every node
+    when ``batch`` is None), as ``forward(..., rows=batch)`` returns them;
+    another row count raises ``ValueError``.  The latent similarity of
+    those rows is compared to both input similarity matrices restricted to
+    ``batch``.  Returns ``(LossTerms, dTotal/dZ)``, whose rows follow ``Z``.
+    The order of ``batch`` moves the result only in the last bits.
 
     Both input matrices must be exactly symmetric, as every joint
     :class:`SimilarityMatrix` is: each unordered pair is computed once, in
@@ -244,18 +247,14 @@ def fused_loss(
     Pc_full, Pp_full = _as_matrix(P_complete), _as_matrix(P_prior)
     if Pc_full.shape != Pp_full.shape:
         raise ValueError(f"shape mismatch: {Pc_full.shape} vs {Pp_full.shape}")
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[0] != Pc_full.shape[0]:
-        raise ValueError(f"embedding has {Z.shape[0]} rows but similarities are {Pc_full.shape}")
     kind = BregmanKind(kind)
-
-    if batch is None:
-        batch = np.arange(Z.shape[0])
-    batch = np.asarray(batch, dtype=np.int64)
+    batch = np.arange(Pc_full.shape[0]) if batch is None else np.asarray(batch, dtype=np.int64)
     if batch.size < 2:
         raise ValueError("batch needs at least 2 nodes to form a pair")
-    Zb = _feature_rows(Z[batch])
+    Zb = _feature_rows(Z)
     m = batch.size
+    if Zb.shape[0] != m:
+        raise ValueError(f"embedding has {Zb.shape[0]} rows but the batch has {m} nodes")
     M = m * m - m
 
     sq = np.sum(Zb * Zb, axis=1)

@@ -4,10 +4,10 @@ The pipeline has two phases.  ``precompute`` turns the graph into two joint
 similarity matrices — one over the priori edge set, one over the complete
 (or k-NN substituted) graph — and caches both distances and similarities on
 disk keyed by a content hash.  ``train`` then runs the epoch/batch loop:
-augment edges, forward each batch's nodes through the network (computing
-only their receptive field), evaluate the fused loss on the batch pairs, and
-update parameters with Adam.  The final embedding always comes from a
-forward pass over every node with the unaugmented priori adjacency.
+augment edges, forward each sorted batch's nodes through the network
+(computing only their receptive field), evaluate the fused loss on those
+rows, and update parameters with Adam.  The final embedding always comes
+from a forward pass over every node with the unaugmented priori adjacency.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .augmentation import AugmentationConfig, augment
 from .container import (
     MAGIC_DISTANCE,
     MAGIC_SIMILARITY,
+    ContainerFormatError,
     atomic_write_text,
     content_hash,
     load_matrix,
@@ -267,21 +268,26 @@ def _cached_matrix(cache, name, magic, compute, stages, check=None):
     """Load ``<cache>/<name>`` if present, else compute and persist.
 
     ``check(matrix)``, when given, returns None for a matrix fit for use and
-    otherwise what is wrong with it.  A loaded matrix that fails it is a
-    cache miss, logged, and is computed again; a computed one raises
+    otherwise what is wrong with it.  A file that does not load (wrong
+    magic, truncated) or whose matrix fails it is a cache miss, logged, and
+    is computed again; a computed matrix that fails it raises
     ``ValueError``.  The time spent writing adds to ``stages["cache write"]``.
     """
     if cache is not None:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, name)
         if os.path.exists(path):
-            matrix, _ = load_matrix(path, expect_magic=magic)
-            problem = check and check(matrix)
-            if not problem:
-                log.info("cache hit: %s", path)
-                return matrix
-            del matrix
-            log.warning("cache miss: %s: %s; computing it again", path, problem)
+            try:
+                matrix, _ = load_matrix(path, expect_magic=magic)
+            except ContainerFormatError as e:
+                problem = e  # its message names the path
+            else:
+                if not (problem := check and check(matrix)):
+                    log.info("cache hit: %s", path)
+                    return matrix
+                del matrix
+                problem = f"{path}: {problem}"
+            log.warning("cache miss: %s; computing it again", problem)
     matrix = compute()
     problem = check and check(matrix)
     if problem:
@@ -396,12 +402,11 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
 
 
 def _batches(perm, batch_size):
-    """Chunk a permutation; a trailing singleton merges into the previous batch."""
-    chunks = [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
-    if len(chunks) > 1 and chunks[-1].size < 2:
-        chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-        chunks.pop()
-    return chunks
+    """Chunk a permutation into sorted batches; a trailing singleton joins the batch before it."""
+    bounds = list(range(batch_size, perm.size, batch_size))
+    if bounds and perm.size - bounds[-1] < 2:
+        bounds.pop()
+    return [np.sort(chunk) for chunk in np.split(perm, bounds)]
 
 
 def _aggregation_operator(n: int, edges, specs):
@@ -441,32 +446,24 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     N_prior = _aggregation_operator(n, g.edge_array(), specs)
     history = []
     last_finite = -1
-    # one tape for the run, the final forward included, so layer 0's input
-    # rows are built once
+    # one tape for the run and the final forward: layer 0's input rows are built once
     tape = GradientTape()
-    # fused_loss reads rows ``batch`` of an n-row embedding; each batch
-    # writes its rows before the call, so the other rows are never read
-    Z = np.empty((n, cfg.latent_dim))
     for epoch in range(cfg.epochs):
+        N_epoch = N_prior
         if augmenting:
             N_epoch = _aggregation_operator(n, augment(g, hop2, aug_cfg, epoch).result, specs)
-        else:
-            N_epoch = N_prior
         perm = np.random.default_rng([4 * cfg.seed + _SHUFFLE_STREAM, epoch]).permutation(n)
-        sums = np.zeros(3)
         chunks = _batches(perm, batch_size)
+        sums = np.zeros(3)
         for batch in chunks:
-            # the network computes the batch rows only, in sorted order
-            order = np.argsort(batch)
-            rows = batch[order]
-            Zr = forward(X, N_epoch, params, tape, rows)
-            if not np.isfinite(Zr).all():
+            # forward, the loss and backward hold the batch rows in batch order
+            Zb = forward(X, N_epoch, params, tape, batch)
+            if not np.isfinite(Zb).all():
                 raise TrainingDivergedError(epoch, last_finite, "embedding")
-            Z[rows] = Zr
-            terms, dZb = fused_loss(Pc, Pp, Z, cfg.nu_latent, cfg.alpha, kind, batch)
+            terms, dZb = fused_loss(Pc, Pp, Zb, cfg.nu_latent, cfg.alpha, kind, batch)
             if not np.isfinite(terms.total):
                 raise TrainingDivergedError(epoch, last_finite)
-            dW, dB = backward(tape, dZb[order])
+            dW, dB = backward(tape, dZb)
             if not all(np.isfinite(t).all() for t in (*dW, *dB)):
                 raise TrainingDivergedError(epoch, last_finite, "gradient")
             optimizer.step(params, dW, dB)

@@ -197,14 +197,15 @@ class TestLatentSimilarity:
 
 def finite_difference_error(Pc, Pp, Z, nu, kind, batch, alpha=0.6, h=1e-5):
     """Largest relative gap between ``fused_loss``'s gradient and central differences."""
+    Z = Z[batch]
     _, grad = fused_loss(Pc, Pp, Z, nu, alpha, kind, batch)
     worst = 0.0
-    for bi, node in enumerate(batch):
+    for bi in range(batch.size):
         for d in range(Z.shape[1]):
             zp = Z.copy()
-            zp[node, d] += h
+            zp[bi, d] += h
             zm = Z.copy()
-            zm[node, d] -= h
+            zm[bi, d] -= h
             fp = fused_loss(Pc, Pp, zp, nu, alpha, kind, batch)[0].total
             fm = fused_loss(Pc, Pp, zm, nu, alpha, kind, batch)[0].total
             fd = (fp - fm) / (2 * h)
@@ -238,7 +239,7 @@ class TestFusedLoss:
 
     def test_batch_restriction_matches_submatrix(self):
         batch = np.array([1, 3, 4, 6])
-        terms, grad = fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED, batch)
+        terms, grad = fused_loss(self.Pc, self.Pp, self.Z[batch], 1.0, 0.5, BregmanKind.SED, batch)
         sub = np.ix_(batch, batch)
         sub_terms, sub_grad = fused_loss(
             self.Pc[sub], self.Pp[sub], self.Z[batch], 1.0, 0.5, BregmanKind.SED
@@ -248,7 +249,7 @@ class TestFusedLoss:
 
     def test_batch_too_small(self):
         with pytest.raises(ValueError):
-            fused_loss(self.Pc, self.Pp, self.Z, 1.0, 0.5, BregmanKind.SED, np.array([2]))
+            fused_loss(self.Pc, self.Pp, self.Z[[2]], 1.0, 0.5, BregmanKind.SED, np.array([2]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -264,6 +265,31 @@ class TestFusedLoss:
         )
         assert t1.total == pytest.approx(t2.total, rel=1e-12)
         assert np.allclose(g1[perm], g2, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_batch_order_changes_only_rounding(self, kind):
+        # Z holds the batch rows in batch order; a permuted batch with its
+        # rows permuted alike sums the same pairs in another order
+        rng = np.random.default_rng(14)
+        n = 300
+        Pc, Pp = rand_similarity(rng, n), rand_similarity(rng, n)
+        Z = rng.standard_normal((n, 4))
+        batch = np.sort(rng.permutation(n)[:257])
+        perm = rng.permutation(batch.size)
+        t1, g1 = fused_loss(Pc, Pp, Z[batch], 1.0, 0.5, kind, batch)
+        t2, g2 = fused_loss(Pc, Pp, Z[batch[perm]], 1.0, 0.5, kind, batch[perm])
+        assert (t2.feature_term, t2.structure_term, t2.total) == pytest.approx(
+            (t1.feature_term, t1.structure_term, t1.total), rel=1e-12, abs=0.0
+        )
+        assert np.abs(g1[perm] - g2).max() <= 1e-12 * np.abs(g1).max()
+
+    @pytest.mark.parametrize("batch", [None, np.array([1, 3, 4, 6])])
+    def test_embedding_of_another_row_count_rejected(self, batch):
+        m = self.n if batch is None else batch.size
+        for rows in (m - 1, m + 1):
+            Z = np.zeros((rows, 3))
+            with pytest.raises(ValueError, match=f"embedding has {rows} rows but the batch has {m} nodes"):
+                fused_loss(self.Pc, self.Pp, Z, 1.0, 0.5, BregmanKind.LOGI, batch)
 
     @pytest.mark.parametrize("kind", list(BregmanKind))
     def test_gradient_matches_finite_differences(self, kind):
@@ -422,7 +448,7 @@ def assert_matches_oracle(got, Pc, Pp, Z, nu, alpha, kind, batch):
 
 
 def _assert_fused_matches_oracle(Pc, Pp, Z, batch, kind, alpha, nu=1.0):
-    got = fused_loss(Pc, Pp, Z, nu, alpha, kind, batch)
+    got = fused_loss(Pc, Pp, Z[batch], nu, alpha, kind, batch)
     assert_matches_oracle(got, Pc, Pp, Z, nu, alpha, kind, batch)
 
 

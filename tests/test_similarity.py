@@ -19,6 +19,8 @@ from dmage.similarity import (
 from dmage import distances, similarity
 from dmage.distances import geodesic_distances, pairwise_distance
 from dmage.similarity import MAX_DOUBLINGS
+from dmage.losses import BregmanKind, fused_loss
+from dmage.synthetic import two_block_sbm
 from dmage.training import TrainConfig, precompute
 
 from conftest import random_graph
@@ -389,6 +391,21 @@ class TestSymmetrize:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_paper_variant_stays_in_unit_interval(self, a, b):
         assert 0.0 <= self.joint_of(a, b) <= 1.0
+
+    def test_joint_of_bitwise_asymmetric_geodesics_is_symmetric(self):
+        # Dijkstra sums each path from its own source, so d_ij and d_ji
+        # can differ in the last bits; the joint form is symmetric anyway
+        g = two_block_sbm(n=40, p_intra=0.15, p_inter=0.02, seed=0)
+        d = geodesic_distances(g, "euclidean", 10.0)
+        assert not np.array_equal(d.matrix, d.matrix.T)
+        assert np.allclose(d.matrix, d.matrix.T, rtol=1e-14, atol=0.0)
+        calib = calibrate_all(d.matrix, 100.0, 16.0)
+        joint = symmetrize(conditional_similarity(d, 100.0, calib))
+        assert np.array_equal(joint.matrix, joint.matrix.T)
+        Z = np.random.default_rng(0).standard_normal((g.n, 3))
+        for kind in BregmanKind:
+            terms, grad = fused_loss(joint, joint, Z, 1.0, 0.5, kind)
+            assert np.isfinite(terms.total) and np.isfinite(grad).all()
 
 
 # Frozen copy of the whole-array kernel and symmetrization that the row

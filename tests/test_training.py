@@ -248,6 +248,40 @@ class TestPrecompute:
         # the file is written again, as it was
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
+    @pytest.mark.parametrize(
+        "suffix, damage, says",
+        [
+            (".dmgs", "truncate", "expected 28800 payload bytes for n=60, found 28792"),
+            (".dmgd", "truncate", "expected 28800 payload bytes for n=60, found 28792"),
+            (".dmgs", "magic", "expected magic b'DMGS', found b'DMGD'"),
+            (".dmgd", "magic", "unknown magic b'XXXX'"),
+            (".dmgs", "header", "truncated header"),
+        ],
+    )
+    def test_unreadable_cache_file_is_recomputed(self, suffix, damage, says, tmp_path, caplog):
+        g = two_block_sbm(seed=0)
+        cfg = TrainConfig()
+        want = [m.matrix.tobytes() for m in precompute(g, cfg, cache_dir=str(tmp_path))]
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (bad,) = tmp_path.glob(f"prior-*{suffix}")
+        raw = files[bad.name]
+        if damage == "truncate":
+            bad.write_bytes(raw[:-8])
+        elif damage == "header":
+            bad.write_bytes(raw[:11])
+        else:
+            bad.write_bytes((b"DMGD" if suffix == ".dmgs" else b"XXXX") + raw[4:])
+        if suffix == ".dmgd":  # the distances are read on a similarity miss only
+            next(tmp_path.glob("prior-*.dmgs")).unlink()
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            got = precompute(g, cfg, cache_dir=str(tmp_path))
+        misses = [r for r in caplog.records if "cache miss" in r.message]
+        assert len(misses) == 1 and misses[0].levelno == logging.WARNING
+        assert bad.name in misses[0].message and says in misses[0].message
+        assert [m.matrix.tobytes() for m in got] == want
+        # the file is written again, as it was
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
     def test_computed_similarity_outside_unit_interval_raises(self, monkeypatch):
         real = training.symmetrize
 
@@ -352,7 +386,7 @@ class TestFusedLossOnPrecomputedMatrices:
         batch = rng.permutation(g.n)[:m]
         for kind in BregmanKind:
             for alpha in (0.0, 0.5, 1.0):
-                got = losses.fused_loss(pc, pp, Z, 2.5, alpha, kind, batch)
+                got = losses.fused_loss(pc, pp, Z[batch], 2.5, alpha, kind, batch)
                 assert_matches_oracle(got, pc.matrix, pp.matrix, Z, 2.5, alpha, kind, batch)
 
 
@@ -374,6 +408,12 @@ class TestBatches:
     def test_single_batch(self):
         out = _batches(np.arange(5), 5)
         assert len(out) == 1
+
+    def test_each_batch_sorted_after_the_merge(self):
+        perm = np.random.default_rng(1).permutation(13)
+        out = _batches(perm, 4)
+        want = [perm[:4], perm[4:8], perm[8:]]  # the trailing singleton merged
+        assert [b.tolist() for b in out] == [sorted(b.tolist()) for b in want]
 
 
 class TestAdamOptimizer:
@@ -617,7 +657,7 @@ def full_pass(monkeypatch):
         return Z if rows is None else Z[rows]
 
     def fused_loss(Pc, Pp, Z, nu_latent, alpha, kind, batch):
-        terms, last["dZb"] = real_loss(Pc, Pp, last["Z"], nu_latent, alpha, kind, batch)
+        terms, last["dZb"] = real_loss(Pc, Pp, last["Z"][batch], nu_latent, alpha, kind, batch)
         last["batch"] = batch
         return terms, last["dZb"]
 
@@ -654,23 +694,40 @@ class TestBatchRowsOnly:
         assert err <= 1e-8 * np.abs(want.embeddings).max()
 
     def test_forward_gets_each_batch_sorted(self, monkeypatch):
+        """One sorted index array orders a batch step: forward computes its
+        rows, the loss reads that output with that array, and backward takes
+        the loss's gradient against the same tape."""
         g = small_graph(n=23)
         cfg = TrainConfig(seed=0, batch_size=6, **SMALL)
         seen = []
-        real_forward = training.forward
+        last = {}
+        real_forward, real_loss, real_backward = training.forward, training.fused_loss, training.backward
 
-        def spy(X, N, params, tape=None, rows=None):
+        def forward(X, N, params, tape=None, rows=None):
             seen.append(rows)
-            return real_forward(X, N, params, tape, rows)
+            last["Z"] = real_forward(X, N, params, tape, rows)
+            return last["Z"]
 
-        monkeypatch.setattr(training, "forward", spy)
+        def fused_loss(Pc, Pp, Z, nu_latent, alpha, kind, batch):
+            assert batch is seen[-1] and Z is last["Z"]
+            terms, last["dZ"] = real_loss(Pc, Pp, Z, nu_latent, alpha, kind, batch)
+            return terms, last["dZ"]
+
+        def backward(tape, dZ):
+            assert tape.output is last["Z"] and dZ is last["dZ"]
+            assert dZ.shape == (seen[-1].size, cfg.latent_dim)
+            return real_backward(tape, dZ)
+
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(training, "fused_loss", fused_loss)
+        monkeypatch.setattr(training, "backward", backward)
         train(g, cfg)
         assert seen[-1] is None  # the final embedding covers every node
         for epoch in range(cfg.epochs):
             perm = np.random.default_rng([4 * cfg.seed + training._SHUFFLE_STREAM, epoch]).permutation(g.n)
-            want = [np.sort(b) for b in _batches(perm, 6)]
+            want = [np.sort(b) for b in np.split(perm, [6, 12, 18])]
             got = seen[epoch * len(want) : (epoch + 1) * len(want)]
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def sparse_feature_graph(n=40, dims=128, seed=3):
