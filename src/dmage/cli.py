@@ -169,7 +169,7 @@ def cmd_precompute(args):
     outputs = {
         "cache_dir": cache,
         "cache_files": sorted(
-            os.path.basename(p) for p in glob.glob(os.path.join(cache, "*.dmg[ds]"))
+            os.path.basename(p) for p in glob.glob(os.path.join(cache, "*.dmgs"))
         ),
     }
     _write_manifest(
@@ -391,7 +391,7 @@ def build_parser():
                        help="cache location (default: $DMAGE_CACHE_DIR or <out>/cache)")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
-    p = sub.add_parser("precompute", help="compute and cache distance/similarity matrices")
+    p = sub.add_parser("precompute", help="compute and cache the two similarity matrices")
     common(p)
     p.set_defaults(func=cmd_precompute)
 

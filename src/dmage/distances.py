@@ -7,9 +7,8 @@ metric between its endpoints.  Pairs with no connecting path are assigned
 than any connected pair.
 
 The passes over a whole n x n matrix work in the buffer they fill: the
-mean of each pair's two orders (cosine and Manhattan) runs tile pair by
-tile pair, and the unconnected rule is applied in place, only to a
-disconnected graph.
+mean of each pair's two orders (cosine) runs tile pair by tile pair, and
+the unconnected rule is applied in place, only to a disconnected graph.
 """
 
 from __future__ import annotations
@@ -88,11 +87,13 @@ def pairwise_distance(features, metric) -> np.ndarray:
     distance is exactly 0 between equal rows.  The output is exactly
     symmetric with a zero diagonal and no negative entries.
 
-    Cosine and Manhattan entries are the mean of the two orders of their
-    pair, ``(d_ij + d_ji) / 2``.  That pass runs in the one n x n buffer,
-    tile pair by tile pair (:func:`_mirror`); for cosine it also forms
-    ``1 - G`` from the Gram matrix ``G`` of the unit rows and clips it into
-    [0, 2], so the matrix is never copied or transposed whole.
+    Cosine entries are the mean of the two orders of their pair,
+    ``(d_ij + d_ji) / 2``.  That pass runs in the one n x n buffer, tile
+    pair by tile pair (:func:`_mirror`), and also forms ``1 - G`` from the
+    Gram matrix ``G`` of the unit rows and clips it into [0, 2], so the
+    matrix is never copied or transposed whole.  Manhattan entries sum
+    ``|x_ik - x_jk|`` in the same order for both orders of a pair, so they
+    are exactly symmetric as computed.
     """
     metric = DistanceMetric(metric)
     x = _feature_rows(features)
@@ -110,7 +111,6 @@ def pairwise_distance(features, metric) -> np.ndarray:
         from scipy.spatial.distance import cdist
 
         dist = cdist(x, x, metric="cityblock")
-        _mirror(dist, dist, _mean_of_orders)
     else:  # cosine
         norms = np.linalg.norm(x, axis=1)
         zero = norms == 0.0
@@ -124,13 +124,6 @@ def pairwise_distance(features, metric) -> np.ndarray:
             dist[:, zero] = 1.0
     np.fill_diagonal(dist, 0.0)
     return dist
-
-
-def _mean_of_orders(a, b):
-    """``(a + b) / 2`` as a new tile."""
-    mean = np.add(a, b)
-    mean /= 2.0
-    return mean
 
 
 def _mean_cosine_of_orders(a, b):

@@ -396,8 +396,17 @@ def calibrate_sigma(d_row, rho_i: float, nu: float, q_p: float) -> float:
     return float(sigma[0])
 
 
-def calibrate_all(d_matrix: np.ndarray, nu: float, q_p: float) -> CalibrationParams:
+def _distance_array(distances) -> np.ndarray:
+    """The float64 array of a distance matrix or of a :class:`GeodesicDistanceMatrix`."""
+    if isinstance(distances, GeodesicDistanceMatrix):
+        distances = distances.matrix
+    return np.asarray(distances, dtype=np.float64)
+
+
+def calibrate_all(d_matrix, nu: float, q_p: float) -> CalibrationParams:
     """Row-wise rho and calibrated sigma for a full distance matrix.
+
+    ``d_matrix`` is an array or a :class:`GeodesicDistanceMatrix`.
 
     The diagonal is excluded both from ``rho`` (min over j != i) and from
     the calibration sum.  Every row runs the search of
@@ -424,7 +433,7 @@ def calibrate_all(d_matrix: np.ndarray, nu: float, q_p: float) -> CalibrationPar
     the rows that missed the target.  The result holds ``rho`` and
     ``sigma``.
     """
-    d_matrix = np.asarray(d_matrix, dtype=np.float64)
+    d_matrix = _distance_array(d_matrix)
     n = d_matrix.shape[0]
     if n < 3:
         raise ValueError("calibration needs at least 3 nodes")
@@ -450,7 +459,7 @@ def conditional_similarity(
     (a float64 array of the distances' shape, which may be the distance
     matrix itself), in row blocks; the bytes are the same either way.
     """
-    d = distances.matrix if isinstance(distances, GeodesicDistanceMatrix) else np.asarray(distances)
+    d = _distance_array(distances)
     p = np.empty(d.shape) if out is None else out
     for rows in _row_blocks(d.shape[0], d.shape[0], _KERNEL_BLOCK):
         block = p[rows]

@@ -2,9 +2,9 @@
 
 The pipeline has two phases.  ``precompute`` turns the graph into two joint
 similarity matrices — one over the priori edge set, one over the complete
-(or k-NN substituted) graph — and caches both distances and similarities on
-disk keyed by a content hash.  ``train`` then runs the epoch/batch loop:
-augment edges, forward each sorted batch's nodes through the network
+(or k-NN substituted) graph — and caches both similarities on disk, keyed
+by a content hash of what each reads.  ``train`` then runs the epoch/batch
+loop: augment edges, forward each sorted batch's nodes through the network
 (computing only their receptive field), evaluate the fused loss on those
 rows, and update parameters with Adam.  The final embedding always comes
 from a forward pass over every node with the unaugmented priori adjacency.
@@ -26,7 +26,6 @@ import numpy as np
 from . import distances
 from .augmentation import AugmentationConfig, augment
 from .container import (
-    MAGIC_DISTANCE,
     MAGIC_SIMILARITY,
     ContainerFormatError,
     atomic_write_text,
@@ -264,38 +263,37 @@ def _cache_dir(explicit=None):
     return os.environ.get("DMAGE_CACHE_DIR") or None
 
 
-def _cached_matrix(cache, name, magic, compute, stages, check=None):
-    """Load ``<cache>/<name>`` if present, else compute and persist.
+def _cached_matrix(cache, name, compute, check, stages):
+    """Load the similarity ``<cache>/<name>`` if present, else compute and persist it.
 
-    ``check(matrix)``, when given, returns None for a matrix fit for use and
-    otherwise what is wrong with it.  A file that does not load (wrong
-    magic, truncated) or whose matrix fails it is a cache miss, logged, and
-    is computed again; a computed matrix that fails it raises
-    ``ValueError``.  The time spent writing adds to ``stages["cache write"]``.
+    ``check(matrix)`` returns None for a matrix fit for use and otherwise
+    what is wrong with it.  A file that does not load (wrong magic,
+    truncated) or whose matrix fails it is a cache miss, logged, and is
+    computed again; a computed matrix that fails it raises ``ValueError``.
+    The time spent writing goes to ``stages["cache write"]``.
     """
     if cache is not None:
         os.makedirs(cache, exist_ok=True)
         path = os.path.join(cache, name)
         if os.path.exists(path):
             try:
-                matrix, _ = load_matrix(path, expect_magic=magic)
+                matrix, _ = load_matrix(path, expect_magic=MAGIC_SIMILARITY)
             except ContainerFormatError as e:
                 problem = e  # its message names the path
             else:
-                if not (problem := check and check(matrix)):
+                if not (problem := check(matrix)):
                     log.info("cache hit: %s", path)
                     return matrix
                 del matrix
                 problem = f"{path}: {problem}"
             log.warning("cache miss: %s; computing it again", problem)
     matrix = compute()
-    problem = check and check(matrix)
-    if problem:
+    if problem := check(matrix):
         raise ValueError(problem)
     if cache is not None:
         t0 = time.perf_counter()
-        save_matrix(path, matrix, magic)
-        stages["cache write"] += time.perf_counter() - t0
+        save_matrix(path, matrix, MAGIC_SIMILARITY)
+        stages["cache write"] = time.perf_counter() - t0
         log.info("cache write: %s", path)
     return matrix
 
@@ -315,49 +313,43 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     """Input similarity matrices: complete-graph ("feature") and priori-graph.
 
     Returns ``(P_complete, P_prior)`` as joint :class:`SimilarityMatrix`.
-    Distances and similarities are cached under ``cache_dir`` (or the
-    DMAGE_CACHE_DIR environment variable) keyed by a content hash of the
-    graph and the relevant config fields; cache hits reload bit-identically.
-    A loaded similarity is checked to lie in [0, 1] (one minimum and one
-    maximum, which a NaN fails); one that does not is a logged cache miss
-    and is computed again, and a computed one that does not raises
-    ``ValueError`` naming the matrix.  Each similarity is built in the
-    buffer of its distances: once they are cached and calibrated, the
-    kernel and then the joint form overwrite them.  With
-    ``hard_similarity`` the priori matrix is the 0/1 adjacency instead of
-    the geodesic similarity.  A graph of fewer than 3 nodes raises
-    ``ValueError``.
+    The two similarities are cached under ``cache_dir`` (or the
+    DMAGE_CACHE_DIR environment variable) as ``.dmgs`` files, keyed by a
+    content hash of what each reads, and cache hits reload bit-identically:
+    the complete one by the features and its config fields, so graphs that
+    differ only in their edges share it, the priori one by the whole graph
+    and its config fields.  Distances are not cached: a similarity miss
+    computes its distances into the buffer that, once they are calibrated,
+    takes the kernel and then the joint form.  A loaded similarity is
+    checked to lie in [0, 1] (one minimum and one maximum, which a NaN
+    fails); one that does not is a logged cache miss and is computed again,
+    and a computed one that does not raises ``ValueError`` naming the
+    matrix.  With ``hard_similarity`` the priori matrix is the 0/1
+    adjacency instead of the geodesic similarity.  A graph of fewer than 3
+    nodes raises ``ValueError``.
     """
     _require_nodes(g)
     cache = _cache_dir(cache_dir)
-    base = content_hash(g.n, g.edge_array(), g.features)
 
-    def sim_from(dist_key, dist_fn, tag):
+    def sim_from(key, distances_of, tag):
         stages = {"cache write": 0.0}
 
-        # the similarity key depends on the distances only through their key,
-        # so the distances are loaded or computed on a similarity miss only
         def similarity():
             t0 = time.perf_counter()
-            name = f"{tag}-{dist_key[:32]}.dmgd"
-            d = _cached_matrix(cache, name, MAGIC_DISTANCE, dist_fn, stages)
+            d = distances_of()
             t1 = time.perf_counter()
             calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
             t2 = time.perf_counter()
-            # the distances are cached by now, or not kept: their buffer
-            # takes the kernel, then the joint form
+            # the distances are not kept: their buffer takes the kernel, then the joint form
             cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
             joint = symmetrize(cond, out=d).matrix
-            stages["distances"] = t1 - t0 - stages["cache write"]
+            stages["distances"] = t1 - t0
             stages["calibration"] = t2 - t1
             stages["kernel+symmetrize"] = time.perf_counter() - t2
             return joint
 
-        # the one value of the retired symmetrize_variant, so existing cache names still hit
-        sim_key = content_hash(dist_key, cfg.nu_input, cfg.q_p, "paper")
-        name = f"{tag}-{sim_key[:32]}.dmgs"
         check = functools.partial(_similarity_problem, f"{tag} similarity")
-        s = _cached_matrix(cache, name, MAGIC_SIMILARITY, similarity, stages, check)
+        s = _cached_matrix(cache, f"{tag}-{key[:32]}.dmgs", similarity, check, stages)
         if "distances" in stages:  # computed, not read from the cache
             log.info(
                 "%s similarity, up to %d workers: distances %.3f s, calibration %.3f s, "
@@ -371,20 +363,20 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
             )
         return SimilarityMatrix(s, "joint")
 
+    # the complete similarity reads the features and not the edges
+    reads = (g.features.shape, g.features, cfg.metric, cfg.nu_input, cfg.q_p)
     if cfg.knn_k > 0:
         # the key does not depend on the kNN graph, so it is built on a miss only
-        complete_key = content_hash(base, "knn", cfg.knn_k, cfg.metric, cfg.lambda_)
         p_complete = sim_from(
-            complete_key,
+            content_hash(*reads, "knn", cfg.knn_k, cfg.lambda_),
             lambda: geodesic_distances(
                 knn_graph(g.features, cfg.knn_k, cfg.metric), cfg.metric, cfg.lambda_
             ).matrix,
             "complete",
         )
     else:
-        complete_key = content_hash(base, "complete", cfg.metric)
         p_complete = sim_from(
-            complete_key,
+            content_hash(*reads, "complete"),
             lambda: complete_graph_distances(g.features, cfg.metric),
             "complete",
         )
@@ -392,9 +384,12 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     if cfg.hard_similarity:
         p_prior = SimilarityMatrix(adjacency(g).toarray(), "joint")
     else:
-        prior_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
+        # hashed in two steps, with the one value of the retired
+        # symmetrize_variant, so existing prior cache names still hit
+        base = content_hash(g.n, g.edge_array(), g.features)
+        graph_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
         p_prior = sim_from(
-            prior_key,
+            content_hash(graph_key, cfg.nu_input, cfg.q_p, "paper"),
             lambda: geodesic_distances(g, cfg.metric, cfg.lambda_).matrix,
             "prior",
         )

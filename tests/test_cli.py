@@ -1,3 +1,4 @@
+import glob
 import json
 import logging
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from dmage.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from dmage.container import MAGIC_DISTANCE, load_matrix, save_matrix
 from dmage.training import read_embeddings
 
 from test_training import DEFAULTS_WITH_RETIRED_KEYS
@@ -129,7 +131,7 @@ class TestTrainCommand:
         monkeypatch.setenv("DMAGE_CACHE_DIR", str(cache))
         cfg = write_config(tmp_path, toy_dataset)
         assert run("train", "--config", cfg, "--out", str(tmp_path / "run")) == EXIT_OK
-        assert any(p.suffix in (".dmgd", ".dmgs") for p in cache.iterdir())
+        assert any(p.suffix == ".dmgs" for p in cache.iterdir())
 
 
 class TestPrecomputeCommand:
@@ -141,9 +143,32 @@ class TestPrecomputeCommand:
             manifest = json.load(f)
         assert manifest["command"] == "precompute"
         files = manifest["outputs"]["cache_files"]
-        assert sum(f.endswith(".dmgd") for f in files) == 2
-        assert sum(f.endswith(".dmgs") for f in files) == 2
+        assert len(files) == 2 and all(f.endswith(".dmgs") for f in files)
         assert manifest["outputs"]["cache_dir"] == os.path.join(out, "cache")
+
+    def test_stale_distance_file_neither_read_nor_listed(self, tmp_path, toy_dataset, monkeypatch):
+        # a distance file as older versions wrote them, on a prior similarity miss
+        cfg = write_config(tmp_path, toy_dataset)
+        out = str(tmp_path / "run")
+        assert run("precompute", "--config", cfg, "--out", out) == EXIT_OK
+        cache = os.path.join(out, "cache")
+        (prior,) = glob.glob(os.path.join(cache, "prior-*.dmgs"))
+        os.unlink(prior)
+        stale = os.path.join(cache, "prior-" + "0" * 32 + ".dmgd")
+        save_matrix(stale, np.ones((3, 3)), MAGIC_DISTANCE)
+        loaded = []
+
+        def spy(path, expect_magic=None):
+            loaded.append(os.path.basename(path))
+            return load_matrix(path, expect_magic)
+
+        monkeypatch.setattr("dmage.training.load_matrix", spy)
+        assert run("precompute", "--config", cfg, "--out", out) == EXIT_OK
+        with open(os.path.join(out, "manifest.json")) as f:
+            files = json.load(f)["outputs"]["cache_files"]
+        assert [os.path.basename(p) for p in glob.glob(os.path.join(cache, "complete-*"))] == loaded
+        assert len(files) == 2 and os.path.basename(prior) in files
+        assert all(f.endswith(".dmgs") for f in files)
 
 
 class TestEvalCommand:

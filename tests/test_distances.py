@@ -571,6 +571,14 @@ class TestInPlacePassesMatchFrozenCopies:
         x = feature_rows(np.random.default_rng(n), n)
         assert pairwise_distance(x, metric).tobytes() == frozen_pairwise(x, metric).tobytes()
 
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_manhattan_exactly_symmetric_as_computed(self, scale):
+        # cdist sums |x_ik - x_jk| in one order for both orders of a pair
+        x = np.random.default_rng(7).standard_normal((300, 200)) * scale
+        d = pairwise_distance(x, "manhattan")
+        assert np.array_equal(d, d.T)
+        assert d.tobytes() == frozen_pairwise(x, "manhattan").tobytes()
+
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_geodesic_distances_bit_for_bit(self, w, workers, monkeypatch):
         workers(w)

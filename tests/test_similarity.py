@@ -487,6 +487,16 @@ class TestEndToEnd:
         assert s.n == 10
         assert (s.matrix == s.matrix.T).all()
 
+    def test_geodesic_object_and_its_matrix_give_the_same_bytes(self):
+        # geodesic_distances returns the object; both steps take it or its array
+        g = random_graph(np.random.default_rng(6), n=10, density=0.4)
+        d = geodesic_distances(g, "euclidean", 10.0)
+        by_object, by_array = calibrate_all(d, 100.0, 8.0), calibrate_all(d.matrix, 100.0, 8.0)
+        assert by_object.rho.tobytes() == by_array.rho.tobytes()
+        assert by_object.sigma.tobytes() == by_array.sigma.tobytes()
+        got = conditional_similarity(d, 100.0, by_object).matrix
+        assert got.tobytes() == conditional_similarity(d.matrix, 100.0, by_array).matrix.tobytes()
+
 
 class TestWorkerCounts:
     """Calibration, kernel and symmetrization split over workers give the same bytes."""

@@ -45,6 +45,13 @@ DEFAULTS_WITH_RETIRED_KEYS = {
 }
 
 
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
 def small_graph(seed=3, n=20):
     # dense enough that no node is isolated (keeps calibration warning-free)
     return two_block_sbm(n=n, p_intra=0.5, p_inter=0.1, seed=seed)
@@ -168,22 +175,35 @@ class TestPrecompute:
         g = small_graph()
         cfg = TrainConfig()
         first = precompute(g, cfg, cache_dir=str(tmp_path))
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert any(f.endswith(".dmgd") for f in files)
-        assert any(f.endswith(".dmgs") for f in files)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".dmgs", ".dmgs"]
         second = precompute(g, cfg, cache_dir=str(tmp_path))
         for a, b in zip(first, second):
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
     def test_cache_names_are_stable(self, tmp_path):
-        # caches written by earlier versions must keep hitting
+        # caches written by earlier versions must keep hitting; the complete
+        # similarity took this name when its key dropped the edge set
         precompute(two_block_sbm(seed=0), TrainConfig(), cache_dir=str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "complete-038bded6863028ea2bcb95996c125656.dmgs",
-            "complete-2b55dcd32dd9f18e4f47bf11e58fdcf3.dmgd",
-            "prior-9b20dd3e357c04774d91fe99e594672d.dmgd",
+            "complete-8c6905683f74ba54fe992e34c624612f.dmgs",
             "prior-dbb94ee3d927762999e5af2771536fb4.dmgs",
         ]
+
+    @pytest.mark.parametrize("knn_k", [0, 4], ids=["complete", "knn"])
+    def test_graphs_differing_in_edges_share_the_complete_file(self, knn_k, tmp_path, monkeypatch):
+        g = small_graph()
+        other = g.with_edges(g.edge_array()[::2])
+        cfg = TrainConfig(knn_k=knn_k)
+        fresh = [precompute(h, cfg)[0].matrix.tobytes() for h in (g, other)]
+        assert fresh[0] == fresh[1]
+        precompute(g, cfg, cache_dir=str(tmp_path))
+        for name in ("complete_graph_distances", "knn_graph"):
+            monkeypatch.setattr(training, name, refuse(name))
+        got, _ = precompute(other, cfg, cache_dir=str(tmp_path))
+        (complete,) = tmp_path.glob("complete-*.dmgs")
+        assert len(list(tmp_path.glob("prior-*.dmgs"))) == 2
+        assert got.matrix.tobytes() == fresh[1]
+        assert load_matrix(complete)[0].tobytes() == fresh[1]
 
     def test_cache_hit_logged(self, tmp_path, caplog):
         g = small_graph()
@@ -209,7 +229,7 @@ class TestPrecompute:
                 warnings.simplefilter("ignore")
                 precompute(g, cfg, cache_dir=str(cache))
             files.append({p.name: p.read_bytes() for p in cache.iterdir()})
-        assert len(files[0]) == 4
+        assert len(files[0]) == 2
         assert files[1] == files[0] and files[2] == files[0]
 
     def test_one_timing_line_per_computed_matrix(self, tmp_path, caplog, workers):
@@ -249,30 +269,26 @@ class TestPrecompute:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
     @pytest.mark.parametrize(
-        "suffix, damage, says",
+        "damage, says",
         [
-            (".dmgs", "truncate", "expected 28800 payload bytes for n=60, found 28792"),
-            (".dmgd", "truncate", "expected 28800 payload bytes for n=60, found 28792"),
-            (".dmgs", "magic", "expected magic b'DMGS', found b'DMGD'"),
-            (".dmgd", "magic", "unknown magic b'XXXX'"),
-            (".dmgs", "header", "truncated header"),
+            ("truncate", "expected 28800 payload bytes for n=60, found 28792"),
+            ("magic", "expected magic b'DMGS', found b'DMGD'"),
+            ("header", "truncated header"),
         ],
     )
-    def test_unreadable_cache_file_is_recomputed(self, suffix, damage, says, tmp_path, caplog):
+    def test_unreadable_cache_file_is_recomputed(self, damage, says, tmp_path, caplog):
         g = two_block_sbm(seed=0)
         cfg = TrainConfig()
         want = [m.matrix.tobytes() for m in precompute(g, cfg, cache_dir=str(tmp_path))]
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        (bad,) = tmp_path.glob(f"prior-*{suffix}")
+        (bad,) = tmp_path.glob("prior-*.dmgs")
         raw = files[bad.name]
         if damage == "truncate":
             bad.write_bytes(raw[:-8])
         elif damage == "header":
             bad.write_bytes(raw[:11])
         else:
-            bad.write_bytes((b"DMGD" if suffix == ".dmgs" else b"XXXX") + raw[4:])
-        if suffix == ".dmgd":  # the distances are read on a similarity miss only
-            next(tmp_path.glob("prior-*.dmgs")).unlink()
+            bad.write_bytes(b"DMGD" + raw[4:])
         with caplog.at_level(logging.INFO, logger="dmage"):
             got = precompute(g, cfg, cache_dir=str(tmp_path))
         misses = [r for r in caplog.records if "cache miss" in r.message]
@@ -297,30 +313,31 @@ class TestPrecompute:
     def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMAGE_CACHE_DIR", str(tmp_path))
         precompute(small_graph(), TrainConfig())
-        assert any(p.suffix == ".dmgd" for p in tmp_path.iterdir())
+        assert any(p.suffix == ".dmgs" for p in tmp_path.iterdir())
 
-    def test_config_change_invalidates_similarity_only(self, tmp_path):
+    def test_config_change_writes_one_similarity_per_matrix(self, tmp_path):
         g = small_graph()
         precompute(g, TrainConfig(q_p=16.0), cache_dir=str(tmp_path))
-        n_before = len(list(tmp_path.iterdir()))
-        # q_p only affects the similarity stage; distances are reused
+        before = {p.name for p in tmp_path.iterdir()}
         precompute(g, TrainConfig(q_p=8.0), cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == n_before + 2  # one new .dmgs per matrix
-        assert sum(p.suffix == ".dmgd" for p in files) == 2
+        after = {p.name for p in tmp_path.iterdir()}
+        assert len(before) == 2 and before < after and len(after) == 4
+        assert sorted(name.split("-")[0] for name in after - before) == ["complete", "prior"]
+        assert all(name.endswith(".dmgs") for name in after)
 
-    def test_warm_cache_reads_no_distance_file(self, tmp_path, monkeypatch):
+    def test_warm_cache_computes_no_distances(self, tmp_path, monkeypatch):
         g = small_graph()
         cfg = TrainConfig()
         first = precompute(g, cfg, cache_dir=str(tmp_path))
         loaded = []
 
-        def only_similarities(path, expect_magic=None):
-            assert not str(path).endswith(".dmgd"), f"distance file read on a warm cache: {path}"
+        def spy(path, expect_magic=None):
             loaded.append(path)
             return load_matrix(path, expect_magic)
 
-        monkeypatch.setattr("dmage.training.load_matrix", only_similarities)
+        monkeypatch.setattr("dmage.training.load_matrix", spy)
+        for name in ("complete_graph_distances", "geodesic_distances", "calibrate_all"):
+            monkeypatch.setattr(training, name, refuse(name))
         second = precompute(g, cfg, cache_dir=str(tmp_path))
         assert len(loaded) == 2
         for a, b in zip(first, second):
@@ -361,7 +378,7 @@ class TestPrecompute:
                 matrices = precompute(g, cfg, cache_dir=str(tmp_path))
             for sm in matrices:
                 assert np.array_equal(sm.matrix, sm.matrix.T), lookup
-            assert len(list(tmp_path.iterdir())) == (2 if hard else 4)
+            assert len(list(tmp_path.iterdir())) == (1 if hard else 2)
 
     def test_knn_substitution_changes_complete_matrix(self):
         g = small_graph()
