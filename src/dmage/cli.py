@@ -122,6 +122,17 @@ def _load_data(cfg, data, check=_require_nodes):
         raise DataError(str(e)) from e
 
 
+def _trainable(cfg, check=_require_nodes):
+    """A ``_load_data`` check: ``check(g)``, then ``train``'s batch rule as a config error."""
+
+    def trainable(g):
+        check(g)
+        if cfg.batch_size > g.n:  # 0, the default, never is
+            raise ConfigError(f"batch_size {cfg.batch_size} exceeds node count {g.n}")
+
+    return trainable
+
+
 def _file_hash(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -181,7 +192,7 @@ def cmd_precompute(args):
 
 def cmd_train(args):
     cfg, data, extras = _resolve_config(args)
-    g = _load_data(cfg, data)
+    g = _load_data(cfg, data, check=_trainable(cfg))
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
@@ -274,7 +285,7 @@ def cmd_eval(args):
         write_report(report_path, "cluster", rows, {"f1_variant": "macro"})
         outputs = {"report": report_path}
     else:
-        g = _load_data(cfg, data, check=_split_sizes)
+        g = _load_data(cfg, data, check=_trainable(cfg, _split_sizes))
         cache = _cache_dir(args, out_dir)
         reports, _ = linkpred_eval(g, cfg, seeds, cache, out_dir)
         rows = [{"seed": r.seed, "auc": r.auc, "ap": r.ap} for r in reports]
@@ -315,7 +326,7 @@ def cmd_ablate(args):
         variants = _ablate_variants(cfg, args)
     except ValueError as e:  # a grid value TrainConfig refuses
         raise ConfigError(str(e)) from e
-    g = _load_data(cfg, data)
+    g = _load_data(cfg, data, check=_trainable(cfg))
     if g.labels is None:
         raise DataError("ablation scoring requires label_path")
     out_dir = args.out

@@ -1,10 +1,10 @@
 """Binary containers for matrices and network checkpoints.
 
-Matrix files carry a 4-byte magic ("DMGD" for distances, "DMGS" for
-similarities), a little-endian u64 node count, then n*n row-major float64
-values.  Checkpoints ("DMGW" plus a version byte) store the layer specs and
-their weight/bias tensors.  All writes go through a temp file and an atomic
-rename, so readers never observe a partial file.
+Matrix files carry the 4-byte magic "DMGS" (a similarity matrix, the one
+kind of matrix the cache holds), a little-endian u64 node count, then n*n
+row-major float64 values.  Checkpoints ("DMGW" plus a version byte) store
+the layer specs and their weight/bias tensors.  All writes go through a
+temp file and an atomic rename, so readers never observe a partial file.
 
 Each layer block of a checkpoint starts with its kind, its dims and three
 code bytes: the activation (0 linear, 2 leaky_relu), the aggregation
@@ -27,7 +27,6 @@ import numpy as np
 from .network import LayerSpec, NetworkParams
 
 __all__ = [
-    "MAGIC_DISTANCE",
     "MAGIC_SIMILARITY",
     "MAGIC_CHECKPOINT",
     "ContainerFormatError",
@@ -40,7 +39,6 @@ __all__ = [
     "content_hash",
 ]
 
-MAGIC_DISTANCE = b"DMGD"
 MAGIC_SIMILARITY = b"DMGS"
 MAGIC_CHECKPOINT = b"DMGW"
 CHECKPOINT_VERSION = 1
@@ -89,31 +87,27 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def save_matrix(path, matrix: np.ndarray, magic: bytes = MAGIC_DISTANCE):
-    """Persist a square float64 matrix under the given magic."""
-    if magic not in (MAGIC_DISTANCE, MAGIC_SIMILARITY):
-        raise ValueError(f"unknown matrix magic {magic!r}")
+def save_matrix(path, matrix: np.ndarray):
+    """Persist a square float64 matrix under ``MAGIC_SIMILARITY``."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    atomic_write_bytes(path, magic + struct.pack("<Q", matrix.shape[0]), matrix)
+    atomic_write_bytes(path, MAGIC_SIMILARITY + struct.pack("<Q", matrix.shape[0]), matrix)
 
 
-def load_matrix(path, expect_magic: bytes | None = None):
+def load_matrix(path):
     """Load a matrix container; returns ``(matrix, magic)``.
 
     The header is checked before the payload is read, straight into the
-    returned array.
+    returned array.  Any magic but ``MAGIC_SIMILARITY`` is unknown.
     """
     with open(path, "rb") as f:
         head = f.read(12)
         if len(head) < 12:
             raise ContainerFormatError(f"{path}: truncated header")
         magic = head[:4]
-        if magic not in (MAGIC_DISTANCE, MAGIC_SIMILARITY):
+        if magic != MAGIC_SIMILARITY:
             raise ContainerFormatError(f"{path}: unknown magic {magic!r}")
-        if expect_magic is not None and magic != expect_magic:
-            raise ContainerFormatError(f"{path}: expected magic {expect_magic!r}, found {magic!r}")
         (n,) = struct.unpack("<Q", head[4:])
         size = os.fstat(f.fileno()).st_size - 12
         if size != n * n * 8:

@@ -7,8 +7,10 @@ metric between its endpoints.  Pairs with no connecting path are assigned
 than any connected pair.
 
 The passes over a whole n x n matrix work in the buffer they fill: the
-mean of each pair's two orders (cosine) runs tile pair by tile pair, and
-the unconnected rule is applied in place, only to a disconnected graph.
+mean of each pair's two orders (Euclidean and cosine distances, from their
+Gram matrix) and the symmetric minimum of the cosine complete-graph
+geodesics run tile pair by tile pair, and the unconnected rule is applied
+in place, only to a disconnected graph.
 """
 
 from __future__ import annotations
@@ -87,35 +89,35 @@ def pairwise_distance(features, metric) -> np.ndarray:
     distance is exactly 0 between equal rows.  The output is exactly
     symmetric with a zero diagonal and no negative entries.
 
-    Cosine entries are the mean of the two orders of their pair,
-    ``(d_ij + d_ji) / 2``.  That pass runs in the one n x n buffer, tile
-    pair by tile pair (:func:`_mirror`), and also forms ``1 - G`` from the
-    Gram matrix ``G`` of the unit rows and clips it into [0, 2], so the
-    matrix is never copied or transposed whole.  Manhattan entries sum
-    ``|x_ik - x_jk|`` in the same order for both orders of a pair, so they
-    are exactly symmetric as computed.
+    Euclidean and cosine distances are built in the one n x n buffer that
+    first holds the Gram matrix ``G`` (Euclidean turns it into squared
+    distances ``|x_i|^2 + |x_j|^2 - 2G``, row block by row block), and each
+    entry is the mean of its pair's two orders, ``(d_ij + d_ji) / 2``, taken
+    tile pair by tile pair (:func:`_mirror`): the matrix is never copied or
+    transposed whole.  Manhattan entries sum ``|x_ik - x_jk|`` in the same
+    order for both orders of a pair, so they are exactly symmetric as computed.
     """
     metric = DistanceMetric(metric)
     x = _feature_rows(features)
     if metric is DistanceMetric.EUCLIDEAN:
-        sq, gram = _gram(x)
         group = _equal_rows(x)
-        dist = np.empty(gram.shape)
+        sq = np.sum(x * x, axis=1)
+        dist = x @ x.T
         for rows in _row_blocks(len(sq), len(sq), _BLOCK):
-            dist[rows] = _euclidean_rows(sq, gram, rows)
+            block = dist[rows]
+            block *= 2.0
+            np.subtract(sq[rows, None] + sq[None, :], block, out=block)
             if group is not None:
-                # the Gram formula leaves up to ~1e-7 between equal rows
-                dist[rows][group[rows, None] == group] = 0.0
-        return dist
-    if metric is DistanceMetric.MANHATTAN:
+                # the Gram formula leaves up to ~1e-7 between equal rows;
+                # both orders of such a pair become 0
+                block[group[rows, None] == group] = 0.0
+        _mirror(dist, dist, _mean_euclidean_of_orders)
+    elif metric is DistanceMetric.MANHATTAN:
         from scipy.spatial.distance import cdist
 
         dist = cdist(x, x, metric="cityblock")
     else:  # cosine
-        norms = np.linalg.norm(x, axis=1)
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
-        unit = x / safe[:, None]
+        unit, zero = _unit_rows(x)
         dist = unit @ unit.T
         _mirror(dist, dist, _mean_cosine_of_orders)
         if np.any(zero):
@@ -123,6 +125,19 @@ def pairwise_distance(features, metric) -> np.ndarray:
             dist[zero, :] = 1.0
             dist[:, zero] = 1.0
     np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def _mean_euclidean_of_orders(a, b):
+    """The mean of the distances ``sqrt(max(d2, 0))`` of squared-distance tiles ``a`` and ``b``.
+
+    Only tiles that differ, as BLAS may round a Gram matrix asymmetrically, are
+    averaged: for equal ones the mean ``(x + x) / 2`` is ``x``.
+    """
+    dist = np.sqrt(np.clip(a, 0.0, None))
+    if not np.array_equal(a, b):
+        dist += np.sqrt(np.clip(b, 0.0, None))
+        dist /= 2.0
     return dist
 
 
@@ -275,46 +290,19 @@ def _feature_rows(features):
     return x
 
 
+def _unit_rows(x):
+    """Rows ``x`` scaled to unit norm, and a mask of the zero rows, which stay zero."""
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms == 0.0
+    return x / np.where(zero, 1.0, norms)[:, None], zero
+
+
 def _equal_rows(x):
     """A group id per row, shared by rows equal as vectors; None when no two rows are equal."""
     # adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes
     ids = {}
     group = [ids.setdefault(row.tobytes(), len(ids)) for row in np.ascontiguousarray(x + 0.0)]
     return np.array(group) if len(ids) < len(group) else None
-
-
-def _gram(x):
-    """Squared row norms and Gram matrix of finite 2-D rows ``x``."""
-    return np.sum(x * x, axis=1), x @ x.T
-
-
-def _euclidean_rows(sq, gram, rows):
-    """Rows ``rows`` (a slice) of the Euclidean distances from :func:`_gram`.
-
-    Entry (i, j) is the mean of the distances computed from ``gram[i, j]``
-    and ``gram[j, i]``, so the matrix is exactly symmetric even where BLAS
-    rounds the Gram matrix asymmetrically; the diagonal is zero.  Where the
-    block's Gram entries equal their transposes, as they usually do, that
-    mean ``(x + x) / 2`` is ``x`` exactly, so the second distance is only
-    computed for a block that has an asymmetric entry.  Each entry depends
-    only on its own pair, so a block equals the same part of the whole
-    matrix bit for bit.
-    """
-    sums = sq[rows, None] + sq[None, :]
-
-    def from_gram(g):
-        d2 = np.multiply(g, 2.0)
-        np.subtract(sums, d2, out=d2)
-        np.clip(d2, 0.0, None, out=d2)
-        return np.sqrt(d2, out=d2)
-
-    g, g_t = gram[rows], gram.T[rows]
-    dist = from_gram(g)
-    if not np.array_equal(g, g_t):
-        dist += from_gram(g_t)
-        dist /= 2.0
-    dist[_diagonal(rows)] = 0.0
-    return dist
 
 
 def _diagonal(rows, start=0):
@@ -334,8 +322,7 @@ def _edge_weights(features, edges, metric) -> np.ndarray:
     metric = DistanceMetric(metric)
     x = _feature_rows(features)
     if metric is DistanceMetric.COSINE:
-        norms = np.linalg.norm(x, axis=1)
-        x = x / np.where(norms == 0.0, 1.0, norms)[:, None]
+        x, _ = _unit_rows(x)
     w = np.empty(len(edges))
     for block in _row_blocks(len(edges), x.shape[1], _BLOCK):
         a, b = x[edges[block, 0]], x[edges[block, 1]]
@@ -446,6 +433,6 @@ def complete_graph_distances(features, metric=DistanceMetric.EUCLIDEAN) -> np.nd
     # null_value=inf keeps zero-distance pairs as genuine weight-0 edges
     graph = csgraph_from_dense(direct, null_value=np.inf)
     dist = floyd_warshall(graph, directed=False)
-    dist = np.minimum(dist, dist.T)
+    _mirror(dist, dist, np.minimum)
     np.fill_diagonal(dist, 0.0)
     return dist

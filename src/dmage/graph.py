@@ -165,7 +165,7 @@ def _parse_edge_file(path: Path):
 
 
 def _parse_dense_features(path: Path) -> np.ndarray:
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -183,9 +183,14 @@ def _parse_dense_features(path: Path) -> np.ndarray:
                     f"{path}:{lineno}: expected {width} values, got {len(row)}"
                 )
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise GraphFormatError(f"{path}: empty feature file")
-    return np.array(rows, dtype=np.float64)
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise GraphFormatError(f"{path}:{linenos[np.argmin(finite)]}: non-finite feature value")
+    return features
 
 
 def _parse_label_file(path: Path) -> np.ndarray:
@@ -210,7 +215,8 @@ def load_graph(edge_path, feature_path, label_path=None, id_map_path=None) -> At
     self-loops are rejected.  The feature file is a dense whitespace-separated
     matrix, one node per line in node-id order; a path ending in ``.coo``,
     the retired sparse ``i j value`` triplet format, raises
-    :class:`GraphFormatError` rather than being read as 3-column rows.  The
+    :class:`GraphFormatError` rather than being read as 3-column rows, as
+    does a value that is not finite (``nan``, ``inf``), naming its line.  The
     optional label file holds one integer class id per line.
 
     When the feature file has at least largest id + 1 rows, node ids are

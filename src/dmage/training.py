@@ -26,7 +26,6 @@ import numpy as np
 from . import distances
 from .augmentation import AugmentationConfig, augment
 from .container import (
-    MAGIC_SIMILARITY,
     ContainerFormatError,
     atomic_write_text,
     content_hash,
@@ -277,7 +276,7 @@ def _cached_matrix(cache, name, compute, check, stages):
         path = os.path.join(cache, name)
         if os.path.exists(path):
             try:
-                matrix, _ = load_matrix(path, expect_magic=MAGIC_SIMILARITY)
+                matrix, _ = load_matrix(path)
             except ContainerFormatError as e:
                 problem = e  # its message names the path
             else:
@@ -292,7 +291,7 @@ def _cached_matrix(cache, name, compute, check, stages):
         raise ValueError(problem)
     if cache is not None:
         t0 = time.perf_counter()
-        save_matrix(path, matrix, MAGIC_SIMILARITY)
+        save_matrix(path, matrix)
         stages["cache write"] = time.perf_counter() - t0
         log.info("cache write: %s", path)
     return matrix

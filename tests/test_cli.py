@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmage.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from dmage.container import MAGIC_DISTANCE, load_matrix, save_matrix
+from dmage.container import atomic_write_bytes, load_matrix
 from dmage.training import read_embeddings
 
 from test_training import DEFAULTS_WITH_RETIRED_KEYS
@@ -155,12 +155,12 @@ class TestPrecomputeCommand:
         (prior,) = glob.glob(os.path.join(cache, "prior-*.dmgs"))
         os.unlink(prior)
         stale = os.path.join(cache, "prior-" + "0" * 32 + ".dmgd")
-        save_matrix(stale, np.ones((3, 3)), MAGIC_DISTANCE)
+        atomic_write_bytes(stale, b"DMGD", np.array(3, "<u8"), np.ones((3, 3)))
         loaded = []
 
-        def spy(path, expect_magic=None):
+        def spy(path):
             loaded.append(os.path.basename(path))
-            return load_matrix(path, expect_magic)
+            return load_matrix(path)
 
         monkeypatch.setattr("dmage.training.load_matrix", spy)
         assert run("precompute", "--config", cfg, "--out", out) == EXIT_OK
@@ -522,6 +522,29 @@ class TestErrorExits:
         rc = run("eval", "--task", "linkpred", "--config", cfg, "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA
         assert "need at least 20 edges to split, got 19" in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+    def test_batch_above_node_count_is_a_config_error(self, tmp_path, toy_dataset, caplog, command):
+        cfg = write_config(tmp_path, toy_dataset, batch_size=1000)
+        cache = tmp_path / "cache"
+        task = ["--task", "linkpred"] if command == "eval" else []
+        rc = run(command, *task, "--config", cfg, "--out", str(tmp_path / "o"), "--cache-dir", str(cache))
+        assert rc == EXIT_CONFIG
+        assert "batch_size 1000 exceeds node count 60" in caplog.text
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_is_a_data_error(self, tmp_path, toy_dataset, caplog, value):
+        features = tmp_path / "f.tsv"
+        rows = [line.split("\t") for line in open(toy_dataset["feature_path"]).read().splitlines()]
+        rows[6][1] = value
+        features.write_text("".join("\t".join(row) + "\n" for row in rows))
+        cfg = write_config(tmp_path, toy_dataset, feature_path=str(features))
+        cache = tmp_path / "cache"
+        rc = run("train", "--config", cfg, "--out", str(tmp_path / "o"), "--cache-dir", str(cache))
+        assert rc == EXIT_DATA
+        assert f"{features}:7: non-finite feature value" in caplog.text
+        assert not cache.exists()
 
     def test_missing_data_keys(self, tmp_path):
         cfg = tmp_path / "c.json"

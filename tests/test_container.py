@@ -7,7 +7,6 @@ import pytest
 
 from dmage.container import (
     MAGIC_CHECKPOINT,
-    MAGIC_DISTANCE,
     MAGIC_SIMILARITY,
     ContainerFormatError,
     atomic_write_bytes,
@@ -79,10 +78,10 @@ class TestAtomicWrite:
 class TestMatrixContainer:
     def test_round_trip_bit_identical(self, tmp_path):
         m = np.random.default_rng(0).standard_normal((7, 7))
-        path = str(tmp_path / "m.dmgd")
-        save_matrix(path, m, MAGIC_DISTANCE)
+        path = str(tmp_path / "m.dmgs")
+        save_matrix(path, m)
         back, magic = load_matrix(path)
-        assert magic == MAGIC_DISTANCE
+        assert magic == MAGIC_SIMILARITY
         assert back.tobytes() == m.tobytes()
         assert back.dtype == np.float64
 
@@ -91,41 +90,32 @@ class TestMatrixContainer:
         m = base[:, ::2]  # a strided view
         assert not m.flags.c_contiguous
         path = str(tmp_path / "m.dmgs")
-        save_matrix(path, m, MAGIC_SIMILARITY)
+        save_matrix(path, m)
         with open(path, "rb") as f:
             assert f.read() == MAGIC_SIMILARITY + struct.pack("<Q", 6) + m.tobytes(order="C")
-        back, _ = load_matrix(path, expect_magic=MAGIC_SIMILARITY)
+        back, _ = load_matrix(path)
         assert back.tobytes() == m.tobytes(order="C")
         assert back.flags.c_contiguous and back.flags.writeable
 
-    def test_similarity_magic(self, tmp_path):
-        path = str(tmp_path / "m.dmgs")
-        save_matrix(path, np.eye(3), MAGIC_SIMILARITY)
-        _, magic = load_matrix(path, expect_magic=MAGIC_SIMILARITY)
-        assert magic == MAGIC_SIMILARITY
-
-    def test_expected_magic_mismatch(self, tmp_path):
+    def test_distance_magic_of_older_versions_is_unknown(self, tmp_path):
+        # older versions also wrote distance matrices, tagged "DMGD"
         path = str(tmp_path / "m.dmgd")
-        save_matrix(path, np.eye(2), MAGIC_DISTANCE)
-        with pytest.raises(ContainerFormatError, match="expected magic"):
-            load_matrix(path, expect_magic=MAGIC_SIMILARITY)
+        atomic_write_bytes(path, b"DMGD" + struct.pack("<Q", 2) + np.eye(2).tobytes())
+        with pytest.raises(ContainerFormatError, match="unknown magic b'DMGD'"):
+            load_matrix(path)
 
     def test_header_layout(self, tmp_path):
-        path = str(tmp_path / "m.dmgd")
-        save_matrix(path, np.arange(4.0).reshape(2, 2), MAGIC_DISTANCE)
+        path = str(tmp_path / "m.dmgs")
+        save_matrix(path, np.arange(4.0).reshape(2, 2))
         with open(path, "rb") as f:
             data = f.read()
-        assert data[:4] == b"DMGD"
+        assert data[:4] == b"DMGS"
         assert struct.unpack("<Q", data[4:12]) == (2,)
         assert np.frombuffer(data[12:], dtype="<f8").tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_rejects_non_square(self, tmp_path):
         with pytest.raises(ValueError, match="square"):
             save_matrix(str(tmp_path / "m.dmgd"), np.zeros((2, 3)))
-
-    def test_rejects_unknown_magic_on_save(self, tmp_path):
-        with pytest.raises(ValueError, match="magic"):
-            save_matrix(str(tmp_path / "m.bin"), np.eye(2), b"XXXX")
 
     def test_unknown_magic_on_load(self, tmp_path):
         path = str(tmp_path / "bad.bin")
@@ -141,13 +131,13 @@ class TestMatrixContainer:
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "bad.dmgd")
-        atomic_write_bytes(path, MAGIC_DISTANCE + struct.pack("<Q", 3) + b"\0" * 16)
+        atomic_write_bytes(path, MAGIC_SIMILARITY + struct.pack("<Q", 3) + b"\0" * 16)
         with pytest.raises(ContainerFormatError, match="payload"):
             load_matrix(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "bad.dmgd")
-        save_matrix(path, np.eye(2), MAGIC_DISTANCE)
+        save_matrix(path, np.eye(2))
         with open(path, "rb") as f:
             data = f.read()
         atomic_write_bytes(path, data + b"extra")

@@ -89,30 +89,41 @@ class TestPairwiseDistance:
             monkeypatch.setattr(distances, "_BLOCK", block)
         x = np.random.default_rng(n).standard_normal((n, 7))
         x[1] = x[0]
-        # frozen copy of the whole-array computation the row blocks replaced
-        sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.clip(d2, 0.0, None, out=d2)
-        want = np.sqrt(d2)
-        want = (want + want.T) / 2.0
+        want = frozen_euclidean(x)
         np.fill_diagonal(want, 0.0)
         assert pairwise_distance(x, "euclidean").tobytes() == want.tobytes()
 
-    def test_euclidean_rows_average_an_asymmetric_gram(self):
-        # BLAS may round gram[i, j] and gram[j, i] differently; only the blocks
-        # holding such a pair take the mean of both distances
+    @pytest.mark.parametrize("tile", [None, 5])
+    def test_euclidean_averages_an_asymmetric_gram(self, tile, monkeypatch):
+        # BLAS may round gram[i, j] and gram[j, i] differently; the entries of
+        # such a pair take the mean of both distances, in either order
+        if tile is not None:
+            monkeypatch.setattr(distances, "_TILE", tile)
         x = np.random.default_rng(5).standard_normal((23, 7))
-        sq, gram = distances._gram(x)
+        sq = np.sum(x * x, axis=1)
+        gram = x @ x.T
         gram = (gram + gram.T) / 2.0
         gram[3, 17] += 0.5
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        np.clip(d2, 0.0, None, out=d2)
-        want = np.sqrt(d2)
+        want = np.sqrt(np.clip(d2, 0.0, None))
         want = (want + want.T) / 2.0
-        np.fill_diagonal(want, 0.0)
-        for rows in (slice(0, 5), slice(5, 12), slice(12, 23)):
-            got = distances._euclidean_rows(sq, gram, rows)
-            assert got.tobytes() == want[rows].tobytes()
+        distances._mirror(d2, d2, distances._mean_euclidean_of_orders)
+        assert d2.tobytes() == want.tobytes()
+        assert d2[3, 17] != np.sqrt(sq[3] + sq[17] - 2.0 * gram[3, 17])
+
+    def test_mean_euclidean_of_orders_averages_only_differing_tiles(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((4, 6))  # negative entries clip to distance 0
+        root = np.sqrt(np.clip(a, 0.0, None))
+        got = distances._mean_euclidean_of_orders(a, a.copy())
+        assert got.tobytes() == root.tobytes()
+        b = a.copy()
+        b[2, 3] = 9.0
+        got = distances._mean_euclidean_of_orders(a, b)
+        want = (root + np.sqrt(np.clip(b, 0.0, None))) / 2.0
+        assert got.tobytes() == want.tobytes() and got[2, 3] == (root[2, 3] + 3.0) / 2.0
+        # neither argument is written
+        assert a.tobytes() != got.tobytes() and b[2, 3] == 9.0
 
     def test_cosine_zero_norm_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
@@ -493,9 +504,8 @@ class TestEuclideanEqualRows:
         equal = (x[:, None, :] == x[None, :, :]).all(axis=2)
         assert equal.sum() > 40
         assert (got[equal] == 0.0).all()
-        # every other entry is the Gram-formula value of before
-        sq, gram = distances._gram(x)
-        want = distances._euclidean_rows(sq, gram, slice(0, 40))
+        # every other entry is the Gram-formula value
+        want = frozen_euclidean(x)
         assert got[~equal].tobytes() == want[~equal].tobytes()
         assert (got == got.T).all() and (got[~equal] > 0).all()
 
@@ -511,20 +521,49 @@ class TestEuclideanEqualRows:
         # so its distances are byte-identical to the plain Gram formula
         g = two_block_sbm(n=600, p_intra=0.08, p_inter=0.01, feature_dim=16, seed=0)
         assert distances._equal_rows(g.features) is None
-        sq, gram = distances._gram(g.features)
-        want = distances._euclidean_rows(sq, gram, slice(0, 600))
+        want = frozen_euclidean(g.features)
+        np.fill_diagonal(want, 0.0)
         assert pairwise_distance(g.features, "euclidean").tobytes() == want.tobytes()
+
+    def test_one_n_by_n_buffer(self):
+        # the Gram matrix becomes the distances in place: the peak is that
+        # buffer and row-block temporaries, not a second n x n matrix
+        import tracemalloc
+
+        n = 1000
+        x = np.random.default_rng(3).standard_normal((n, 16))
+        x[1] = x[0]
+        tracemalloc.start()
+        try:
+            pairwise_distance(x, "euclidean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
 
 
 # ------------------------------------------------------- in-place passes
-# Frozen copies of the cosine and Manhattan distances and of the geodesic
-# statistics and unconnected rule as they stood before these passes ran in
-# place: 1 - G, the clip and the mean with the transpose over whole arrays,
-# and every infinite entry replaced through a whole-matrix mask.
+# Frozen copies of the distances and of the geodesic statistics and
+# unconnected rule as they stood before these passes ran in place: the Gram
+# formulas, the clip and the mean with the transpose over whole arrays, the
+# symmetric minimum of the complete-graph geodesics through a transposed
+# copy, and every infinite entry replaced through a whole-matrix mask.
+
+
+def frozen_euclidean(x):
+    """The whole-array Gram formula, averaged with its transpose; no row is special."""
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.clip(d2, 0.0, None, out=d2)
+    dist = np.sqrt(d2)
+    return (dist + dist.T) / 2.0
 
 
 def frozen_pairwise(x, metric):
-    if metric == "manhattan":
+    if metric == "euclidean":
+        dist = frozen_euclidean(x)
+        dist[(x[:, None, :] == x[None, :, :]).all(axis=2)] = 0.0
+    elif metric == "manhattan":
         from scipy.spatial.distance import cdist
 
         dist = cdist(x, x, metric="cityblock")
@@ -537,7 +576,16 @@ def frozen_pairwise(x, metric):
         if np.any(zero):
             dist[zero, :] = 1.0
             dist[:, zero] = 1.0
-    dist = (dist + dist.T) / 2.0
+    if metric != "euclidean":
+        dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def frozen_complete_cosine(x):
+    graph = distances.csgraph_from_dense(frozen_pairwise(x, "cosine"), null_value=np.inf)
+    dist = distances.floyd_warshall(graph, directed=False)
+    dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -561,15 +609,28 @@ def feature_rows(rng, n):
 
 
 class TestInPlacePassesMatchFrozenCopies:
+    @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("tile", [None, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 150])
-    @pytest.mark.parametrize("metric", ["cosine", "manhattan"])
-    def test_pairwise_distance_bit_for_bit(self, metric, n, tile, monkeypatch):
-        # tiles of 64 and of 5 over sides below, at and past one tile
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "manhattan"])
+    def test_pairwise_distance_bit_for_bit(self, metric, n, tile, block, monkeypatch):
+        # tiles of 64 and of 5 over sides below, at and past one tile; row
+        # blocks of the Euclidean pass of all rows and of 64 elements
+        if tile is not None:
+            monkeypatch.setattr(distances, "_TILE", tile)
+        if block is not None:
+            monkeypatch.setattr(distances, "_BLOCK", block)
+        x = feature_rows(np.random.default_rng(n), n)
+        assert pairwise_distance(x, metric).tobytes() == frozen_pairwise(x, metric).tobytes()
+
+    @pytest.mark.parametrize("tile", [None, 5])
+    @pytest.mark.parametrize("n", [3, 64, 65, 150])
+    def test_cosine_complete_graph_distances_bit_for_bit(self, n, tile, monkeypatch):
         if tile is not None:
             monkeypatch.setattr(distances, "_TILE", tile)
         x = feature_rows(np.random.default_rng(n), n)
-        assert pairwise_distance(x, metric).tobytes() == frozen_pairwise(x, metric).tobytes()
+        got = complete_graph_distances(x, "cosine")
+        assert got.tobytes() == frozen_complete_cosine(x).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
     def test_manhattan_exactly_symmetric_as_computed(self, scale):

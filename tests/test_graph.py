@@ -317,6 +317,13 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError):
             load_graph(e, f)
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, value):
+        # a blank line does not shift the count: the value is on line 4
+        e, f, _ = self.write(tmp_path, "0\t1\n1\t2\n", f"1 2\n\n3 4\n5 {value}\n")
+        with pytest.raises(GraphFormatError, match=r"f\.tsv:4: non-finite feature value"):
+            load_graph(e, f)
+
     def test_label_length_mismatch(self, tmp_path):
         e, f, l = self.write(tmp_path, "0\t1\n", "1\n2\n", "0\n1\n0\n")
         with pytest.raises(GraphFormatError):
