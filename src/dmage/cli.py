@@ -102,7 +102,7 @@ def _resolve_config(args):
     return cfg, data, extras
 
 
-def _load_data(cfg, data, check=_require_nodes):
+def _load_data(data, check=_require_nodes):
     """The config's graph; ``check(g)`` refuses one the command cannot use."""
     if "edge_path" not in data or "feature_path" not in data:
         raise ConfigError("config must set edge_path and feature_path")
@@ -122,11 +122,23 @@ def _load_data(cfg, data, check=_require_nodes):
         raise DataError(str(e)) from e
 
 
+def _precomputable(cfg, check=_require_nodes):
+    """A ``_load_data`` check: ``check(g)``, then ``precompute``'s kNN rule as a config error."""
+
+    def precomputable(g):
+        check(g)
+        if cfg.knn_k >= g.n:  # 0, the default, never is
+            raise ConfigError(f"knn_k {cfg.knn_k} must be below the node count {g.n}")
+
+    return precomputable
+
+
 def _trainable(cfg, check=_require_nodes):
-    """A ``_load_data`` check: ``check(g)``, then ``train``'s batch rule as a config error."""
+    """A ``_load_data`` check: ``_precomputable``'s, then ``train``'s batch rule as a config error."""
+    precomputable = _precomputable(cfg, check)
 
     def trainable(g):
-        check(g)
+        precomputable(g)
         if cfg.batch_size > g.n:  # 0, the default, never is
             raise ConfigError(f"batch_size {cfg.batch_size} exceeds node count {g.n}")
 
@@ -168,12 +180,21 @@ def _cache_dir(args, out_dir):
     return _training_cache_dir(args.cache_dir or None) or os.path.join(out_dir, "cache")
 
 
+def _make_dirs(*paths):
+    """Create each directory; one that cannot be created is a config error naming it."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create directory {path}: {e.strerror or e}") from e
+
+
 def cmd_precompute(args):
     cfg, data, extras = _resolve_config(args)
-    g = _load_data(cfg, data)
+    g = _load_data(data, check=_precomputable(cfg))
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
+    _make_dirs(out_dir, cache)
     t0 = time.perf_counter()
     precompute(g, cfg, cache)
     elapsed = time.perf_counter() - t0
@@ -192,10 +213,10 @@ def cmd_precompute(args):
 
 def cmd_train(args):
     cfg, data, extras = _resolve_config(args)
-    g = _load_data(cfg, data, check=_trainable(cfg))
+    g = _load_data(data, check=_trainable(cfg))
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
+    _make_dirs(out_dir, cache)
     t0 = time.perf_counter()
     result = train(g, cfg, cache)
     train_s = time.perf_counter() - t0
@@ -254,7 +275,7 @@ def cmd_eval(args):
     restarts = _eval_restarts(extras)
     seeds = _eval_seeds(args, extras, list(range(20)))
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dirs(out_dir)
     t0 = time.perf_counter()
 
     if args.task == "cluster":
@@ -266,7 +287,7 @@ def cmd_eval(args):
             raise DataError(f"embeddings file missing: {args.embeddings}") from e
         except ValueError as e:
             raise DataError(str(e)) from e
-        g = _load_data(cfg, data, check=None)
+        g = _load_data(data, check=None)
         if g.labels is None:
             raise DataError("clustering evaluation requires label_path")
         if Z.shape[0] != g.n:
@@ -285,8 +306,9 @@ def cmd_eval(args):
         write_report(report_path, "cluster", rows, {"f1_variant": "macro"})
         outputs = {"report": report_path}
     else:
-        g = _load_data(cfg, data, check=_trainable(cfg, _split_sizes))
+        g = _load_data(data, check=_trainable(cfg, _split_sizes))
         cache = _cache_dir(args, out_dir)
+        _make_dirs(cache)
         reports, _ = linkpred_eval(g, cfg, seeds, cache, out_dir)
         rows = [{"seed": r.seed, "auc": r.auc, "ap": r.ap} for r in reports]
         report_path = os.path.join(out_dir, "linkpred_report.json")
@@ -326,12 +348,12 @@ def cmd_ablate(args):
         variants = _ablate_variants(cfg, args)
     except ValueError as e:  # a grid value TrainConfig refuses
         raise ConfigError(str(e)) from e
-    g = _load_data(cfg, data, check=_trainable(cfg))
+    g = _load_data(data, check=_trainable(cfg))
     if g.labels is None:
         raise DataError("ablation scoring requires label_path")
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     cache = _cache_dir(args, out_dir)
+    _make_dirs(out_dir, cache)
 
     t0 = time.perf_counter()
     rows = []

@@ -7,10 +7,10 @@ metric between its endpoints.  Pairs with no connecting path are assigned
 than any connected pair.
 
 The passes over a whole n x n matrix work in the buffer they fill: the
-mean of each pair's two orders (Euclidean and cosine distances, from their
-Gram matrix) and the symmetric minimum of the cosine complete-graph
-geodesics run tile pair by tile pair, and the unconnected rule is applied
-in place, only to a disconnected graph.
+Euclidean and cosine distances are taken from their Gram matrix tile pair
+by tile pair, each pair's distance computed once, above the diagonal, and
+mirrored; the unconnected rule is applied in place, only to a
+disconnected graph.
 """
 
 from __future__ import annotations
@@ -91,11 +91,14 @@ def pairwise_distance(features, metric) -> np.ndarray:
 
     Euclidean and cosine distances are built in the one n x n buffer that
     first holds the Gram matrix ``G`` (Euclidean turns it into squared
-    distances ``|x_i|^2 + |x_j|^2 - 2G``, row block by row block), and each
-    entry is the mean of its pair's two orders, ``(d_ij + d_ji) / 2``, taken
-    tile pair by tile pair (:func:`_mirror`): the matrix is never copied or
-    transposed whole.  Manhattan entries sum ``|x_ik - x_jk|`` in the same
-    order for both orders of a pair, so they are exactly symmetric as computed.
+    distances ``|x_i|^2 + |x_j|^2 - 2G``, row block by row block).  Each
+    pair's distance is taken from its entry above the diagonal and mirrored
+    below it, tile pair by tile pair (:func:`_mirror`): the matrix is never
+    copied or transposed whole.  The features are used as C-contiguous
+    rows (copied only when they are not), so ``G`` is the one symmetric
+    product and the result does not depend on the input's memory layout.
+    Manhattan entries sum ``|x_ik - x_jk|`` in the same order for both
+    orders of a pair, so they are exactly symmetric as computed.
     """
     metric = DistanceMetric(metric)
     x = _feature_rows(features)
@@ -111,7 +114,7 @@ def pairwise_distance(features, metric) -> np.ndarray:
                 # the Gram formula leaves up to ~1e-7 between equal rows;
                 # both orders of such a pair become 0
                 block[group[rows, None] == group] = 0.0
-        _mirror(dist, dist, _mean_euclidean_of_orders)
+        _mirror(dist, dist, lambda d2, _: np.sqrt(np.clip(d2, 0.0, None)))
     elif metric is DistanceMetric.MANHATTAN:
         from scipy.spatial.distance import cdist
 
@@ -119,57 +122,37 @@ def pairwise_distance(features, metric) -> np.ndarray:
     else:  # cosine
         unit, zero = _unit_rows(x)
         dist = unit @ unit.T
-        _mirror(dist, dist, _mean_cosine_of_orders)
+        _mirror(dist, dist, lambda g, _: np.clip(1.0 - g, 0.0, 2.0))
         if np.any(zero):
-            # the mean of 1 and 1, had these rows and columns been set first
             dist[zero, :] = 1.0
             dist[:, zero] = 1.0
     np.fill_diagonal(dist, 0.0)
     return dist
 
 
-def _mean_euclidean_of_orders(a, b):
-    """The mean of the distances ``sqrt(max(d2, 0))`` of squared-distance tiles ``a`` and ``b``.
-
-    Only tiles that differ, as BLAS may round a Gram matrix asymmetrically, are
-    averaged: for equal ones the mean ``(x + x) / 2`` is ``x``.
-    """
-    dist = np.sqrt(np.clip(a, 0.0, None))
-    if not np.array_equal(a, b):
-        dist += np.sqrt(np.clip(b, 0.0, None))
-        dist /= 2.0
-    return dist
-
-
-def _mean_cosine_of_orders(a, b):
-    """The mean of the cosine distances ``clip(1 - g, 0, 2)`` of Gram tiles ``a`` and ``b``."""
-    a, b = np.subtract(1.0, a), np.subtract(1.0, b)
-    np.clip(a, 0.0, 2.0, out=a)
-    np.clip(b, 0.0, 2.0, out=b)
-    a += b
-    a /= 2.0
-    return a
-
-
 def _mirror(src, out, combine):
-    """``out[i, j] = out[j, i] = combine(src[i, j], src[j, i])`` over square ``src``, by tile pairs.
+    """``out[i, j] = out[j, i] = combine(src[i, j], src[j, i])`` for ``i <= j``, by tile pairs.
 
-    ``combine(a, b)`` gets a tile of ``src`` and the transpose of its mirror
-    tile, writes into neither, and returns a new tile; it is called once per
-    pair of tiles, a diagonal tile paired with itself.  Its tile goes to
-    ``out[I, J]`` and its transpose to ``out[J, I]``, so ``out`` is exactly
-    symmetric, and it is the elementwise result wherever ``combine`` gives
-    the same bits with its arguments swapped, as sums and products do.
-    ``out`` may be ``src``: both tiles of a pair are read before either is
-    written.  A pair of ``_TILE``-wide tiles stays in cache, so the strided
-    reads and writes of the transposes cost little, and no n x n
-    temporary or transposed copy is made.
+    ``src`` is square.  ``combine(a, b)`` gets a tile of ``src`` on or above
+    the diagonal and the transpose of its mirror tile, writes into neither,
+    and returns a new tile; it is called once per pair of tiles, a diagonal
+    tile paired with itself.  Its tile goes to ``out[I, J]`` and its
+    transpose to ``out[J, I]``; a diagonal tile keeps its upper triangle and
+    mirrors it, so ``out`` is exactly symmetric whatever ``combine`` does,
+    and a ``combine`` may read its first tile alone.  ``out`` may be
+    ``src``: both tiles of a pair are read before either is written.  A pair
+    of ``_TILE``-wide tiles stays in cache, so the strided reads and writes
+    of the transposes cost little, and no n x n temporary or transposed copy
+    is made.
     """
     n = src.shape[0]
     cuts = [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
     for i, rows in enumerate(cuts):
         for cols in cuts[i:]:
             tile = combine(src[rows, cols], src[cols, rows].T)
+            if cols is rows:  # a diagonal tile: its upper triangle, mirrored
+                lower = np.tril_indices(len(tile), -1)
+                tile[lower] = tile.T[lower]
             out[rows, cols] = tile
             out[cols, rows] = tile.T
 
@@ -281,13 +264,13 @@ def _shared_array(shape, dtype):
 
 
 def _feature_rows(features):
-    """``features`` as a float64 array, checked to be 2-D and finite."""
+    """``features`` as C-contiguous float64 rows, checked to be 2-D and finite."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    return x
+    return np.ascontiguousarray(x)
 
 
 def _unit_rows(x):
@@ -432,7 +415,8 @@ def complete_graph_distances(features, metric=DistanceMetric.EUCLIDEAN) -> np.nd
         )
     # null_value=inf keeps zero-distance pairs as genuine weight-0 edges
     graph = csgraph_from_dense(direct, null_value=np.inf)
+    # symmetric as it comes: from a symmetric start, step k relaxes d_ij and
+    # d_ji by the same two terms, and leaves row and column k as d_kk = 0
     dist = floyd_warshall(graph, directed=False)
-    _mirror(dist, dist, np.minimum)
     np.fill_diagonal(dist, 0.0)
     return dist

@@ -291,70 +291,54 @@ _FOUND, _BELOW, _ABOVE, _STALLED = range(4)
 def _search(rows: _Rows, q_p, nu):
     """The bandwidth search of :func:`calibrate_sigma`, on every row at once.
 
-    Each row takes the scalar steps: check ``SIGMA_LO``, double from 1 until
-    the objective is non-negative, then bisect until the objective is within
-    ``DEFAULT_TOL`` or ``DEFAULT_MAX_ITER`` bisections are done.  Returns the
-    bandwidths and a per-row outcome (``_FOUND`` .. ``_STALLED``).
+    The scalar search's three loops, each over the rows still in it, which
+    share its step: every row is evaluated at ``SIGMA_LO``; a row neither
+    within ``DEFAULT_TOL`` nor above the target there doubles the upper end
+    from 1 until the objective is non-negative, at most ``MAX_DOUBLINGS``
+    times; a row that got there (or whose objective is NaN) bisects until the
+    objective is within ``DEFAULT_TOL`` or ``DEFAULT_MAX_ITER`` bisections
+    are done.  Each row is evaluated at the scalar search's points, in its
+    order.  Returns the bandwidths and a per-row outcome (``_FOUND`` ..
+    ``_STALLED``).
     """
     if not q_p > 1:
         raise ValueError(f"q_p must be > 1, got {q_p}")
-    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
+    tol = DEFAULT_TOL
     r = rows.rho.size
     sigma = np.full(r, SIGMA_LO)
-    lo = np.full(r, SIGMA_LO)
-    hi = np.ones(r)
-    phase = np.zeros(r, dtype=np.int8)  # 0: SIGMA_LO, 1: doubling, 2: bisection
-    steps = np.zeros(r, dtype=np.int64)
     outcome = np.full(r, _FOUND, dtype=np.int8)
-    live = np.arange(r)
-    while live.size:
-        p = phase[live]
-        x = np.where(p == 0, SIGMA_LO, np.where(p == 1, hi[live], 0.5 * (lo[live] + hi[live])))
+    f = rows.objective(np.arange(r), sigma, q_p, nu, tol)
+    outcome[f > tol] = _BELOW
+    # not within tol and not above: a NaN searches on, as in the scalar search
+    searching = ~(f >= -tol)
+
+    lo, hi = np.full(r, SIGMA_LO), np.ones(r)
+    live = np.flatnonzero(searching)
+    for _ in range(MAX_DOUBLINGS):
+        if not live.size:
+            break
+        live = live[~(rows.objective(live, hi[live], q_p, nu, tol) >= 0)]
+        lo[live] = hi[live]
+        hi[live] *= 2.0
+    # below the target at the last doubling: the upper end is returned
+    f = rows.objective(live, hi[live], q_p, nu, tol)
+    above = live[f < 0]
+    sigma[above] = hi[above]
+    outcome[live[f < -tol]] = _ABOVE
+    searching[above] = False
+
+    live = np.flatnonzero(searching)
+    for _ in range(DEFAULT_MAX_ITER):
+        if not live.size:
+            break
+        x = 0.5 * (lo[live] + hi[live])
         f = rows.objective(live, x, q_p, nu, tol)
-        hit, neg = np.abs(f) <= tol, f < 0
-        done = np.zeros(live.size, dtype=bool)
-
-        # at SIGMA_LO: a hit, an overshoot (no root below), or start doubling
-        at0 = p == 0
-        below = at0 & ~hit & (f > 0)
-        done |= at0 & (hit | below)
-        outcome[live[below]] = _BELOW
-        start = at0 & ~done
-        phase[live[start]] = 1
-
-        # doubling: bisect once the objective is non-negative (or NaN after
-        # the last doubling), stop at the last doubling, otherwise double
-        at1, up = p == 1, f >= 0
-        last = steps[live] == MAX_DOUBLINGS
-        stop = at1 & ~up & last & neg
-        bisect = at1 & (up | last & ~neg)
-        double = at1 & ~up & ~last
-        sigma[live[stop]] = x[stop]
-        outcome[live[stop & ~hit]] = _ABOVE
-        done |= stop
-        grow = live[double]
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        steps[grow] += 1
-        entering = live[bisect]
-        phase[entering] = 2
-        steps[entering] = 0
-
-        # bisection: a hit, or move the bracket end on the objective's side
-        at2 = p == 2
-        idx = live[at2]
-        steps[idx] += 1
-        sigma[idx] = x[at2]
-        found = at2 & hit
-        done |= found
-        move = at2 & ~hit
-        lo[live[move & neg]] = x[move & neg]
-        hi[live[move & ~neg]] = x[move & ~neg]
-        stalled = move & (steps[live] >= max_iter)
-        outcome[live[stalled]] = _STALLED
-        done |= stalled
-
-        live = live[~done]
+        sigma[live] = x
+        neg = f < 0
+        lo[live[neg]] = x[neg]
+        hi[live[~neg]] = x[~neg]
+        live = live[~(np.abs(f) <= tol)]
+    outcome[live] = _STALLED
     return sigma, outcome
 
 

@@ -533,6 +533,44 @@ class TestErrorExits:
         assert "batch_size 1000 exceeds node count 60" in caplog.text
         assert not cache.exists()
 
+    @pytest.mark.parametrize("command", ["precompute", "train", "ablate", "eval"])
+    def test_knn_k_at_node_count_is_a_config_error(self, tmp_path, toy_dataset, caplog, command):
+        cfg = write_config(tmp_path, toy_dataset, knn_k=60)
+        task = ["--task", "linkpred"] if command == "eval" else []
+        rc = run(command, *task, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert rc == EXIT_CONFIG
+        assert "knn_k 60 must be below the node count 60" in caplog.text
+        assert not glob.glob(str(tmp_path / "**" / "*.dmgs"), recursive=True)
+
+    def test_precompute_takes_a_batch_above_node_count(self, tmp_path, toy_dataset):
+        # the batch rule is train's; precompute builds no batch
+        cfg = write_config(tmp_path, toy_dataset, batch_size=1000, knn_k=59)
+        assert run("precompute", "--config", cfg, "--out", str(tmp_path / "o")) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command",
+        [["precompute"], ["train"], ["ablate"], ["eval", "--task", "cluster"], ["eval", "--task", "linkpred"]],
+        ids=["precompute", "train", "ablate", "eval-cluster", "eval-linkpred"],
+    )
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, toy_dataset, caplog, command):
+        cfg = write_config(tmp_path, toy_dataset)
+        taken = toy_dataset["feature_path"]
+        embeddings = ["--embeddings", taken] if "cluster" in command else []
+        assert run(*command, *embeddings, "--config", cfg, "--out", taken) == EXIT_CONFIG
+        assert f"cannot create directory {taken}: File exists" in caplog.text
+
+    @pytest.mark.parametrize(
+        "command",
+        [["precompute"], ["train"], ["ablate"], ["eval", "--task", "linkpred"]],
+        ids=["precompute", "train", "ablate", "eval-linkpred"],
+    )
+    def test_cache_under_a_file_is_a_config_error(self, tmp_path, toy_dataset, caplog, command):
+        cfg = write_config(tmp_path, toy_dataset)
+        cache = os.path.join(toy_dataset["edge_path"], "cache")
+        rc = run(*command, "--config", cfg, "--out", str(tmp_path / "o"), "--cache-dir", cache)
+        assert rc == EXIT_CONFIG
+        assert f"cannot create directory {cache}: Not a directory" in caplog.text
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_feature_is_a_data_error(self, tmp_path, toy_dataset, caplog, value):
         features = tmp_path / "f.tsv"

@@ -94,36 +94,45 @@ class TestPairwiseDistance:
         assert pairwise_distance(x, "euclidean").tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tile", [None, 5])
-    def test_euclidean_averages_an_asymmetric_gram(self, tile, monkeypatch):
-        # BLAS may round gram[i, j] and gram[j, i] differently; the entries of
-        # such a pair take the mean of both distances, in either order
+    def test_mirror_takes_each_pair_above_the_diagonal(self, tile, monkeypatch):
+        # an asymmetric Gram matrix, as BLAS may round one of another layout:
+        # each pair takes the distance of its entry above the diagonal, in
+        # both orders, in diagonal tiles (the only one at tiles of 64) and off
+        # them alike
         if tile is not None:
             monkeypatch.setattr(distances, "_TILE", tile)
-        x = np.random.default_rng(5).standard_normal((23, 7))
-        sq = np.sum(x * x, axis=1)
+        n = 23
+        x = np.random.default_rng(5).standard_normal((n, 7))
+        x /= np.linalg.norm(x, axis=1)[:, None]
         gram = x @ x.T
-        gram = (gram + gram.T) / 2.0
-        gram[3, 17] += 0.5
-        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        want = np.sqrt(np.clip(d2, 0.0, None))
-        want = (want + want.T) / 2.0
-        distances._mirror(d2, d2, distances._mean_euclidean_of_orders)
-        assert d2.tobytes() == want.tobytes()
-        assert d2[3, 17] != np.sqrt(sq[3] + sq[17] - 2.0 * gram[3, 17])
+        gram[1, 2] += 1e-3
+        gram[17, 3] -= 1e-3
+        d2 = 2.0 - 2.0 * gram  # rows of unit norm
+        upper = np.arange(n)[:, None] <= np.arange(n)
+        for src, transform in (
+            (d2, lambda a, _: np.sqrt(np.clip(a, 0.0, None))),
+            (gram, lambda g, _: np.clip(1.0 - g, 0.0, 2.0)),
+        ):
+            assert not np.array_equal(src, src.T)
+            each = transform(src, None)
+            want = np.where(upper, each, each.T)
+            got = src.copy()
+            distances._mirror(got, got, transform)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, got.T)
+            assert got[2, 1] == each[1, 2] != each[2, 1]
+            assert got[17, 3] == each[3, 17] != each[17, 3]
 
-    def test_mean_euclidean_of_orders_averages_only_differing_tiles(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 6))  # negative entries clip to distance 0
-        root = np.sqrt(np.clip(a, 0.0, None))
-        got = distances._mean_euclidean_of_orders(a, a.copy())
-        assert got.tobytes() == root.tobytes()
-        b = a.copy()
-        b[2, 3] = 9.0
-        got = distances._mean_euclidean_of_orders(a, b)
-        want = (root + np.sqrt(np.clip(b, 0.0, None))) / 2.0
-        assert got.tobytes() == want.tobytes() and got[2, 3] == (root[2, 3] + 3.0) / 2.0
-        # neither argument is written
-        assert a.tobytes() != got.tobytes() and b[2, 3] == 9.0
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("shape", [(300, 200), (150, 32)])
+    def test_view_and_copy_give_the_same_bytes(self, metric, shape):
+        # a strided view is used as contiguous rows, so its Gram matrix is the
+        # symmetric product of its copy
+        n, d = shape
+        big = np.random.default_rng(n).standard_normal((n, 2 * d))
+        view = big[:, ::2]
+        got = pairwise_distance(view, metric)
+        assert got.tobytes() == pairwise_distance(view.copy(), metric).tobytes()
 
     def test_cosine_zero_norm_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])

@@ -304,6 +304,49 @@ class TestCalibrateAll:
             if max_iter == 7:
                 assert f"not within tol={tol} after 7 bisections" in str(caught[-1].message)
 
+    @pytest.mark.parametrize("n", [40, 170])
+    def test_nan_rows_match_oracle_bit_for_bit(self, n):
+        # a NaN gives its rows rho = NaN and a NaN objective everywhere: they
+        # pass SIGMA_LO, double to the last, bisect to the last and stall, as
+        # the scalar search does; the other rows are searched as ever
+        rng = np.random.default_rng(n)
+        d = symmetric(rng.uniform(0.1, 3.0, (n, n)))
+        d[5, 9] = d[9, 5] = np.nan
+        d[n - 1] = np.nan  # a row of NaN, not its column
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CalibrationWarning)
+            calib = calibrate_all(d, 100.0, 16.0)
+        rho, sigma = oracle_calibrate_all(d, 100.0, 16.0)
+        assert calib.rho.tobytes() == rho.tobytes()
+        assert calib.sigma.tobytes() == sigma.tobytes()
+        assert np.flatnonzero(np.isnan(rho)).tolist() == [5, 9, n - 1]
+        assert np.isfinite(sigma).all()
+        assert "3 not within tol" in str(caught[-1].message)
+
+    @pytest.mark.parametrize("case", [0, 3])
+    def test_rows_are_evaluated_as_often_as_the_scalar_search_evaluates_them(
+        self, case, workers, monkeypatch
+    ):
+        # one worker, so the calls are seen here
+        workers(1)
+        rows, calls = [], []
+        objective, compactness = similarity._Rows.objective, oracle_compactness
+
+        def spy(self, idx, *args):
+            rows.append(idx.size)
+            return objective(self, idx, *args)
+
+        monkeypatch.setattr(similarity._Rows, "objective", spy)
+        monkeypatch.setitem(
+            globals(), "oracle_compactness", lambda *args: calls.append(1) or compactness(*args)
+        )
+        d, nu, q_p = oracle_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            calibrate_all(d, nu, q_p)
+        oracle_calibrate_all(d, nu, q_p)
+        assert sum(rows) == len(calls) > 2 * d.shape[0]
+
     def test_one_warning_sums_up_the_misses(self):
         d = np.full((140, 140), 2.0)
         d[:40] = np.arange(140.0)
