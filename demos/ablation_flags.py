@@ -21,7 +21,7 @@ g = two_block_sbm(n=60, p_intra=0.3, p_inter=0.02, seed=0)
 base = TrainConfig(epochs=200)
 variants = [
     ("base", {}),
-    ("no_augment", {"no_augment": True}),
+    ("no_augment", {"p_minus": 0.0}),
     ("no_fca", {"no_fca": True}),
     ("hard_similarity", {"hard_similarity": True}),
     ("sed loss", {"bregman": "sed"}),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import hashlib
 import json
 import logging
@@ -31,6 +30,7 @@ from .training import (
     TrainConfig,
     TrainingDivergedError,
     _cache_dir as _training_cache_dir,
+    _cache_names,
     _require_nodes,
     precompute,
     train,
@@ -122,27 +122,12 @@ def _load_data(data, check=_require_nodes):
         raise DataError(str(e)) from e
 
 
-def _precomputable(cfg, check=_require_nodes):
-    """A ``_load_data`` check: ``check(g)``, then ``precompute``'s kNN rule as a config error."""
-
-    def precomputable(g):
-        check(g)
-        if cfg.knn_k >= g.n:  # 0, the default, never is
-            raise ConfigError(f"knn_k {cfg.knn_k} must be below the node count {g.n}")
-
-    return precomputable
-
-
-def _trainable(cfg, check=_require_nodes):
-    """A ``_load_data`` check: ``_precomputable``'s, then ``train``'s batch rule as a config error."""
-    precomputable = _precomputable(cfg, check)
-
-    def trainable(g):
-        precomputable(g)
-        if cfg.batch_size > g.n:  # 0, the default, never is
-            raise ConfigError(f"batch_size {cfg.batch_size} exceeds node count {g.n}")
-
-    return trainable
+def _check_sizes(cfg, g, batches=True):
+    """A ``knn_k``, and with ``batches`` a ``batch_size``, too large for ``g`` is a config error."""
+    if cfg.knn_k >= g.n:  # 0, the default, never is
+        raise ConfigError(f"knn_k {cfg.knn_k} must be below the node count {g.n}")
+    if batches and cfg.batch_size > g.n:  # 0, the default, never is
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds node count {g.n}")
 
 
 def _file_hash(path):
@@ -191,19 +176,17 @@ def _make_dirs(*paths):
 
 def cmd_precompute(args):
     cfg, data, extras = _resolve_config(args)
-    g = _load_data(data, check=_precomputable(cfg))
+    g = _load_data(data)
+    _check_sizes(cfg, g, batches=False)
     out_dir = args.out
     cache = _cache_dir(args, out_dir)
     _make_dirs(out_dir, cache)
     t0 = time.perf_counter()
     precompute(g, cfg, cache)
     elapsed = time.perf_counter() - t0
-    outputs = {
-        "cache_dir": cache,
-        "cache_files": sorted(
-            os.path.basename(p) for p in glob.glob(os.path.join(cache, "*.dmgs"))
-        ),
-    }
+    # the files this run read or wrote, not others that share the directory
+    names = [name for name in _cache_names(g, cfg) if name is not None]
+    outputs = {"cache_dir": cache, "cache_files": names}
     _write_manifest(
         out_dir, "precompute", cfg, data, extras, outputs, {"precompute": elapsed}, args.preset
     )
@@ -213,7 +196,8 @@ def cmd_precompute(args):
 
 def cmd_train(args):
     cfg, data, extras = _resolve_config(args)
-    g = _load_data(data, check=_trainable(cfg))
+    g = _load_data(data)
+    _check_sizes(cfg, g)
     out_dir = args.out
     cache = _cache_dir(args, out_dir)
     _make_dirs(out_dir, cache)
@@ -275,9 +259,9 @@ def cmd_eval(args):
     restarts = _eval_restarts(extras)
     seeds = _eval_seeds(args, extras, list(range(20)))
     out_dir = args.out
-    _make_dirs(out_dir)
     t0 = time.perf_counter()
 
+    # --out is created only once the inputs are read, so a run refused before leaves none
     if args.task == "cluster":
         if not args.embeddings:
             raise ConfigError("eval --task cluster requires --embeddings")
@@ -294,6 +278,7 @@ def cmd_eval(args):
             raise DataError(
                 f"embeddings have {Z.shape[0]} rows but graph has {g.n} nodes"
             )
+        _make_dirs(out_dir)
         Z = _rows_by_node_id(args.embeddings, ids, Z)
         try:
             reports = cluster_eval(Z, g.labels, seeds, restarts)
@@ -306,9 +291,10 @@ def cmd_eval(args):
         write_report(report_path, "cluster", rows, {"f1_variant": "macro"})
         outputs = {"report": report_path}
     else:
-        g = _load_data(data, check=_trainable(cfg, _split_sizes))
+        g = _load_data(data, check=_split_sizes)
+        _check_sizes(cfg, g)
         cache = _cache_dir(args, out_dir)
-        _make_dirs(cache)
+        _make_dirs(out_dir, cache)
         reports, _ = linkpred_eval(g, cfg, seeds, cache, out_dir)
         rows = [{"seed": r.seed, "auc": r.auc, "ap": r.ap} for r in reports]
         report_path = os.path.join(out_dir, "linkpred_report.json")
@@ -328,9 +314,12 @@ def cmd_eval(args):
 
 def _ablate_variants(cfg, args):
     base = cfg.to_dict()
-    variants = [("base", {})]
-    for flag in ("no_augment", "no_fca", "hard_similarity"):
-        variants.append((flag, {flag: True}))
+    variants = [
+        ("base", {}),
+        ("no_augment", {"p_minus": 0.0}),
+        ("no_fca", {"no_fca": True}),
+        ("hard_similarity", {"hard_similarity": True}),
+    ]
     for q_p in args.q_p_grid:
         if q_p != base["q_p"]:
             variants.append((f"q_p={q_p:g}", {"q_p": q_p}))
@@ -348,7 +337,8 @@ def cmd_ablate(args):
         variants = _ablate_variants(cfg, args)
     except ValueError as e:  # a grid value TrainConfig refuses
         raise ConfigError(str(e)) from e
-    g = _load_data(data, check=_trainable(cfg))
+    g = _load_data(data)
+    _check_sizes(cfg, g)
     if g.labels is None:
         raise DataError("ablation scoring requires label_path")
     out_dir = args.out

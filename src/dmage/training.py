@@ -2,18 +2,18 @@
 
 The pipeline has two phases.  ``precompute`` turns the graph into two joint
 similarity matrices — one over the priori edge set, one over the complete
-(or k-NN substituted) graph — and caches both similarities on disk, keyed
-by a content hash of what each reads.  ``train`` then runs the epoch/batch
-loop: augment edges, forward each sorted batch's nodes through the network
-(computing only their receptive field), evaluate the fused loss on those
-rows, and update parameters with Adam.  The final embedding always comes
-from a forward pass over every node with the unaugmented priori adjacency.
+(or k-NN substituted) graph — and caches both on disk under the names that
+``_cache_names`` alone derives from a content hash of what each reads.
+``train`` then runs the epoch/batch loop: augment edges, forward each sorted
+batch's nodes through the network (computing only their receptive field),
+evaluate the fused loss on those rows, and update parameters with Adam.
+The final embedding always comes from a forward pass over every node with
+the unaugmented priori adjacency.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import math
 import numbers
@@ -71,9 +71,10 @@ log = logging.getLogger("dmage")
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 _AUGMENT_STREAM = 2
-# options that every run took at one value, and that value: a config setting
-# one of them to it, such as the manifest of an older run, still loads; the
-# last two were evaluation keys of the CLI config
+# retired options and the one value each still takes: a config setting one of
+# them to it, such as the manifest of an older run, still loads; every run took
+# the first eight at that value, f1_variant and edge_scorer were evaluation
+# keys of the CLI config, and no_augment=True did what p_minus=0 does
 _RETIRED_KEYS = {
     "optimizer": "adam",
     "adam_beta1": 0.9,
@@ -85,6 +86,7 @@ _RETIRED_KEYS = {
     "symmetrize_variant": "paper",
     "f1_variant": "macro",
     "edge_scorer": "t_kernel",
+    "no_augment": False,
 }
 _INT_FIELDS = ("epochs", "batch_size", "knn_k", "seed", "latent_dim")
 _FLOAT_FIELDS = ("learning_rate", "alpha", "nu_input", "nu_latent", "q_p", "p_minus", "lambda_")
@@ -127,7 +129,6 @@ class TrainConfig:
     knn_k: int = 0
     seed: int = 0
     bregman: str = "logi"
-    no_augment: bool = False
     no_fca: bool = False
     hard_similarity: bool = False
     hidden_dims: tuple = (500, 250)
@@ -262,39 +263,29 @@ def _cache_dir(explicit=None):
     return os.environ.get("DMAGE_CACHE_DIR") or None
 
 
-def _cached_matrix(cache, name, compute, check, stages):
-    """Load the similarity ``<cache>/<name>`` if present, else compute and persist it.
+def _cache_names(g: AttributedGraph, cfg: TrainConfig):
+    """The file names of the two similarities under ``cfg``: ``(complete, prior)``.
 
-    ``check(matrix)`` returns None for a matrix fit for use and otherwise
-    what is wrong with it.  A file that does not load (wrong magic,
-    truncated) or whose matrix fails it is a cache miss, logged, and is
-    computed again; a computed matrix that fails it raises ``ValueError``.
-    The time spent writing goes to ``stages["cache write"]``.
+    Each is ``<matrix>-<key>.dmgs``, the key the first 32 hex digits of a
+    content hash of what the matrix reads: the complete one the features and
+    its config fields, so graphs that differ only in their edges share it,
+    the priori one the whole graph and its config fields.  The priori name is
+    None under ``hard_similarity``, which caches no priori matrix.
     """
-    if cache is not None:
-        os.makedirs(cache, exist_ok=True)
-        path = os.path.join(cache, name)
-        if os.path.exists(path):
-            try:
-                matrix, _ = load_matrix(path)
-            except ContainerFormatError as e:
-                problem = e  # its message names the path
-            else:
-                if not (problem := check(matrix)):
-                    log.info("cache hit: %s", path)
-                    return matrix
-                del matrix
-                problem = f"{path}: {problem}"
-            log.warning("cache miss: %s; computing it again", problem)
-    matrix = compute()
-    if problem := check(matrix):
-        raise ValueError(problem)
-    if cache is not None:
-        t0 = time.perf_counter()
-        save_matrix(path, matrix)
-        stages["cache write"] = time.perf_counter() - t0
-        log.info("cache write: %s", path)
-    return matrix
+    reads = (g.features.shape, g.features, cfg.metric, cfg.nu_input, cfg.q_p)
+    if cfg.knn_k > 0:
+        key = content_hash(*reads, "knn", cfg.knn_k, cfg.lambda_)
+    else:
+        key = content_hash(*reads, "complete")
+    complete = f"complete-{key[:32]}.dmgs"
+    if cfg.hard_similarity:
+        return complete, None
+    # hashed in two steps, with the one value of the retired
+    # symmetrize_variant, so existing prior cache names still hit
+    base = content_hash(g.n, g.edge_array(), g.features)
+    graph_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
+    key = content_hash(graph_key, cfg.nu_input, cfg.q_p, "paper")
+    return complete, f"prior-{key[:32]}.dmgs"
 
 
 def _similarity_problem(what, matrix):
@@ -308,90 +299,90 @@ def _similarity_problem(what, matrix):
     return f"{what} holds values outside [0, 1] (min {low!r}, max {high!r})"
 
 
+def _similarity(path, distances_of, cfg: TrainConfig, tag):
+    """The joint similarity saved at ``path``, or computed from ``distances_of()`` and saved there.
+
+    A file that does not load (wrong magic, truncated) or whose matrix is
+    not in [0, 1] is a cache miss, logged, and is computed again; a computed
+    matrix that is not raises ``ValueError``.  ``path`` None caches nothing.
+    """
+    what = f"{tag} similarity"
+    if path is not None and os.path.exists(path):
+        try:
+            matrix, _ = load_matrix(path)
+        except ContainerFormatError as e:
+            problem = e  # its message names the path
+        else:
+            if not (problem := _similarity_problem(what, matrix)):
+                log.info("cache hit: %s", path)
+                return SimilarityMatrix(matrix, "joint")
+            del matrix
+            problem = f"{path}: {problem}"
+        log.warning("cache miss: %s; computing it again", problem)
+    t0 = time.perf_counter()
+    d = distances_of()
+    t1 = time.perf_counter()
+    calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
+    t2 = time.perf_counter()
+    # the distances are not kept: their buffer takes the kernel, then the joint form
+    cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
+    joint = symmetrize(cond, out=d).matrix
+    t3 = time.perf_counter()
+    if problem := _similarity_problem(what, joint):
+        raise ValueError(problem)
+    write = 0.0
+    if path is not None:
+        t4 = time.perf_counter()
+        save_matrix(path, joint)
+        write = time.perf_counter() - t4
+        log.info("cache write: %s", path)
+    log.info(
+        "%s, up to %d workers: distances %.3f s, calibration %.3f s, "
+        "kernel+symmetrize %.3f s, cache write %.3f s",
+        what, distances._usable_cores(), t1 - t0, t2 - t1, t3 - t2, write,
+    )
+    return SimilarityMatrix(joint, "joint")
+
+
 def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     """Input similarity matrices: complete-graph ("feature") and priori-graph.
 
     Returns ``(P_complete, P_prior)`` as joint :class:`SimilarityMatrix`.
     The two similarities are cached under ``cache_dir`` (or the
-    DMAGE_CACHE_DIR environment variable) as ``.dmgs`` files, keyed by a
-    content hash of what each reads, and cache hits reload bit-identically:
-    the complete one by the features and its config fields, so graphs that
-    differ only in their edges share it, the priori one by the whole graph
-    and its config fields.  Distances are not cached: a similarity miss
-    computes its distances into the buffer that, once they are calibrated,
-    takes the kernel and then the joint form.  A loaded similarity is
-    checked to lie in [0, 1] (one minimum and one maximum, which a NaN
-    fails); one that does not is a logged cache miss and is computed again,
-    and a computed one that does not raises ``ValueError`` naming the
-    matrix.  With ``hard_similarity`` the priori matrix is the 0/1
-    adjacency instead of the geodesic similarity.  A graph of fewer than 3
-    nodes raises ``ValueError``.
+    DMAGE_CACHE_DIR environment variable) under the names
+    :func:`_cache_names` gives, and cache hits reload bit-identically.
+    Distances are not cached: a similarity miss computes its distances into
+    the buffer that, once they are calibrated, takes the kernel and then the
+    joint form.  A loaded similarity is checked to lie in [0, 1] (one
+    minimum and one maximum, which a NaN fails); one that does not is a
+    logged cache miss and is computed again, and a computed one that does
+    not raises ``ValueError`` naming the matrix.  With ``hard_similarity``
+    the priori matrix is the 0/1 adjacency instead of the geodesic
+    similarity.  A graph of fewer than 3 nodes raises ``ValueError``.
     """
     _require_nodes(g)
     cache = _cache_dir(cache_dir)
-
-    def sim_from(key, distances_of, tag):
-        stages = {"cache write": 0.0}
-
-        def similarity():
-            t0 = time.perf_counter()
-            d = distances_of()
-            t1 = time.perf_counter()
-            calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
-            t2 = time.perf_counter()
-            # the distances are not kept: their buffer takes the kernel, then the joint form
-            cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
-            joint = symmetrize(cond, out=d).matrix
-            stages["distances"] = t1 - t0
-            stages["calibration"] = t2 - t1
-            stages["kernel+symmetrize"] = time.perf_counter() - t2
-            return joint
-
-        check = functools.partial(_similarity_problem, f"{tag} similarity")
-        s = _cached_matrix(cache, f"{tag}-{key[:32]}.dmgs", similarity, check, stages)
-        if "distances" in stages:  # computed, not read from the cache
-            log.info(
-                "%s similarity, up to %d workers: distances %.3f s, calibration %.3f s, "
-                "kernel+symmetrize %.3f s, cache write %.3f s",
-                tag,
-                distances._usable_cores(),
-                stages["distances"],
-                stages["calibration"],
-                stages["kernel+symmetrize"],
-                stages["cache write"],
-            )
-        return SimilarityMatrix(s, "joint")
-
-    # the complete similarity reads the features and not the edges
-    reads = (g.features.shape, g.features, cfg.metric, cfg.nu_input, cfg.q_p)
+    if cache is not None:
+        os.makedirs(cache, exist_ok=True)
+    complete, prior = (
+        None if cache is None or name is None else os.path.join(cache, name)
+        for name in _cache_names(g, cfg)
+    )
     if cfg.knn_k > 0:
-        # the key does not depend on the kNN graph, so it is built on a miss only
-        p_complete = sim_from(
-            content_hash(*reads, "knn", cfg.knn_k, cfg.lambda_),
-            lambda: geodesic_distances(
-                knn_graph(g.features, cfg.knn_k, cfg.metric), cfg.metric, cfg.lambda_
-            ).matrix,
-            "complete",
-        )
+        # the name does not depend on the kNN graph, so it is built on a miss only
+        def complete_distances():
+            knn = knn_graph(g.features, cfg.knn_k, cfg.metric)
+            return geodesic_distances(knn, cfg.metric, cfg.lambda_).matrix
     else:
-        p_complete = sim_from(
-            content_hash(*reads, "complete"),
-            lambda: complete_graph_distances(g.features, cfg.metric),
-            "complete",
-        )
+        def complete_distances():
+            return complete_graph_distances(g.features, cfg.metric)
 
+    p_complete = _similarity(complete, complete_distances, cfg, "complete")
     if cfg.hard_similarity:
-        p_prior = SimilarityMatrix(adjacency(g).toarray(), "joint")
-    else:
-        # hashed in two steps, with the one value of the retired
-        # symmetrize_variant, so existing prior cache names still hit
-        base = content_hash(g.n, g.edge_array(), g.features)
-        graph_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
-        p_prior = sim_from(
-            content_hash(graph_key, cfg.nu_input, cfg.q_p, "paper"),
-            lambda: geodesic_distances(g, cfg.metric, cfg.lambda_).matrix,
-            "prior",
-        )
+        return p_complete, SimilarityMatrix(adjacency(g).toarray(), "joint")
+    p_prior = _similarity(
+        prior, lambda: geodesic_distances(g, cfg.metric, cfg.lambda_).matrix, cfg, "prior"
+    )
     return p_complete, p_prior
 
 
@@ -432,7 +423,7 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     kind = BregmanKind(cfg.bregman)
 
     # augmentation only perturbs the operator of the FCA layer
-    augmenting = not (cfg.no_augment or cfg.no_fca) and cfg.p_minus > 0 and g.num_edges > 0
+    augmenting = not cfg.no_fca and cfg.p_minus > 0 and g.num_edges > 0
     hop2 = hop_neighborhoods(g) if augmenting else None
     aug_cfg = AugmentationConfig(cfg.p_minus, 4 * cfg.seed + _AUGMENT_STREAM) if augmenting else None
 

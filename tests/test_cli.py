@@ -171,6 +171,31 @@ class TestPrecomputeCommand:
         assert all(f.endswith(".dmgs") for f in files)
 
 
+    def test_shared_cache_manifest_lists_only_its_own_files(self, tmp_path, toy_dataset):
+        cache = str(tmp_path / "shared")
+        manifests = []
+        for q_p in (16.0, 4.0):
+            cfg = write_config(tmp_path, toy_dataset, q_p=q_p)
+            out = str(tmp_path / f"q{q_p:g}")
+            assert run("precompute", "--config", cfg, "--out", out, "--cache-dir", cache) == EXIT_OK
+            with open(os.path.join(out, "manifest.json")) as f:
+                manifests.append(json.load(f)["outputs"]["cache_files"])
+        first, second = manifests
+        assert len(os.listdir(cache)) == 4
+        assert len(second) == 2 and not set(first) & set(second)
+        assert sorted(name.split("-")[0] for name in second) == ["complete", "prior"]
+        assert all(os.path.exists(os.path.join(cache, name)) for name in second)
+
+    def test_hard_similarity_lists_one_file(self, tmp_path, toy_dataset):
+        cfg = write_config(tmp_path, toy_dataset, hard_similarity=True)
+        out = str(tmp_path / "run")
+        assert run("precompute", "--config", cfg, "--out", out) == EXIT_OK
+        with open(os.path.join(out, "manifest.json")) as f:
+            (name,) = json.load(f)["outputs"]["cache_files"]
+        assert name.startswith("complete-")
+        assert os.listdir(os.path.join(out, "cache")) == [name]
+
+
 class TestEvalCommand:
     def test_cluster_report(self, tmp_path, toy_dataset):
         cfg = write_config(tmp_path, toy_dataset)
@@ -522,6 +547,21 @@ class TestErrorExits:
         rc = run("eval", "--task", "linkpred", "--config", cfg, "--out", str(tmp_path / "o"))
         assert rc == EXIT_DATA
         assert "need at least 20 edges to split, got 19" in caplog.text
+
+    @pytest.mark.parametrize(
+        "task, flags, code",
+        [("cluster", [], EXIT_CONFIG), ("cluster", ["--embeddings", "nope.tsv"], EXIT_DATA),
+         ("linkpred", [], EXIT_DATA)],
+        ids=["no-embeddings-flag", "missing-embeddings", "graph-too-small-to-split"],
+    )
+    def test_refused_eval_leaves_no_out(self, tmp_path, toy_dataset, task, flags, code):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(19)))
+        cfg = write_config(tmp_path, toy_dataset, edge_path=str(edges))
+        flags = [str(tmp_path / f) if f.endswith(".tsv") else f for f in flags]
+        out = tmp_path / "o"
+        assert run("eval", "--task", task, *flags, "--config", cfg, "--out", str(out)) == code
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate", "eval"])
     def test_batch_above_node_count_is_a_config_error(self, tmp_path, toy_dataset, caplog, command):

@@ -31,8 +31,8 @@ from test_losses import assert_matches_oracle
 
 SMALL = dict(hidden_dims=(16, 8), latent_dim=3, epochs=5, p_minus=0.3)
 
-# ``TrainConfig().to_dict()`` before eight options that every run took at one
-# value were retired; the last eight keys are those options
+# ``TrainConfig().to_dict()`` before nine options were retired at one value;
+# no_augment and the last eight keys are those options
 DEFAULTS_WITH_RETIRED_KEYS = {
     "learning_rate": 0.001, "epochs": 500, "batch_size": 0, "alpha": 1.0,
     "nu_input": 100.0, "nu_latent": 1.0, "q_p": 16.0, "p_minus": 0.01,
@@ -136,7 +136,7 @@ class TestTrainConfig:
 
     def test_retired_keys_at_their_value_are_dropped(self):
         assert TrainConfig.from_dict(DEFAULTS_WITH_RETIRED_KEYS) == TrainConfig()
-        assert len(dataclasses.fields(TrainConfig)) == len(DEFAULTS_WITH_RETIRED_KEYS) - 8 == 18
+        assert len(dataclasses.fields(TrainConfig)) == len(DEFAULTS_WITH_RETIRED_KEYS) - 9 == 17
         # two retired evaluation keys of the CLI config
         eval_keys = {"f1_variant": "macro", "edge_scorer": "t_kernel"}
         assert TrainConfig.from_dict(eval_keys) == TrainConfig()
@@ -145,7 +145,7 @@ class TestTrainConfig:
         "key, value",
         [("optimizer", "sgd"), ("adam_beta1", 0.5), ("activation", "relu"),
          ("fca_variant", "verbatim"), ("self_loops", False), ("symmetrize_variant", "fuzzy"),
-         ("f1_variant", "micro"), ("edge_scorer", "cosine")],
+         ("f1_variant", "micro"), ("edge_scorer", "cosine"), ("no_augment", True)],
     )
     def test_retired_keys_at_another_value_raise(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}' is retired"):
@@ -204,6 +204,19 @@ class TestPrecompute:
         assert len(list(tmp_path.glob("prior-*.dmgs"))) == 2
         assert got.matrix.tobytes() == fresh[1]
         assert load_matrix(complete)[0].tobytes() == fresh[1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"metric": "cosine", "knn_k": 4}, {"hard_similarity": True}],
+        ids=["complete", "knn", "hard"],
+    )
+    def test_cache_names_are_the_files_written(self, kwargs, tmp_path):
+        g = small_graph()
+        cfg = TrainConfig(**kwargs)
+        complete, prior = training._cache_names(g, cfg)
+        precompute(g, cfg, cache_dir=str(tmp_path))
+        assert {p.name for p in tmp_path.iterdir()} == {complete, prior} - {None}
+        assert (prior is None) == cfg.hard_similarity
 
     def test_cache_hit_logged(self, tmp_path, caplog):
         g = small_graph()
@@ -532,7 +545,7 @@ class TestTrain:
     def test_tiny_learning_rate_stays_at_initialization(self):
         g = small_graph()
         cfg = TrainConfig(seed=5, learning_rate=1e-30, hidden_dims=(16, 8),
-                          latent_dim=3, epochs=1, no_augment=True)
+                          latent_dim=3, epochs=1, p_minus=0.0)
         r = train(g, cfg)
         specs = default_stack(g.features.shape[1], (16, 8), 3, "leaky_relu")
         virgin = init_network(specs, 4 * 5)
@@ -563,7 +576,7 @@ class TestTrain:
         "kwargs",
         [
             {"no_fca": True},
-            {"no_augment": True},
+            {"p_minus": 0.0},
             {"hard_similarity": True},
             {"alpha": 0.2},
             {"bregman": "sed"},
@@ -572,8 +585,15 @@ class TestTrain:
     def test_switches_change_embeddings(self, kwargs):
         g = small_graph()
         base = train(g, TrainConfig(seed=0, **SMALL))
-        varied = train(g, TrainConfig(seed=0, **SMALL, **kwargs))
+        varied = train(g, TrainConfig(seed=0, **{**SMALL, **kwargs}))
         assert not np.allclose(base.embeddings, varied.embeddings)
+
+    def test_zero_p_minus_never_augments(self, monkeypatch):
+        # p_minus = 0 is the ablation without augmentation
+        for name in ("augment", "hop_neighborhoods"):
+            monkeypatch.setattr(training, name, refuse(name))
+        r = train(small_graph(), TrainConfig(seed=0, **{**SMALL, "p_minus": 0.0}))
+        assert np.isfinite(r.embeddings).all()
 
     def test_config_with_retired_keys_trains_byte_identically(self):
         g = small_graph()
