@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
@@ -278,8 +279,11 @@ def cmd_eval(args):
             raise DataError(
                 f"embeddings have {Z.shape[0]} rows but graph has {g.n} nodes"
             )
-        _make_dirs(out_dir)
+        # an --out naming a file is refused as _make_dirs refuses it, before the ids are read
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"cannot create directory {out_dir}: {os.strerror(errno.EEXIST)}")
         Z = _rows_by_node_id(args.embeddings, ids, Z)
+        _make_dirs(out_dir)
         try:
             reports = cluster_eval(Z, g.labels, seeds, restarts)
         except ValueError as e:  # an embedding value that is not finite

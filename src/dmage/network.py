@@ -43,6 +43,14 @@ the full pass to rounding.  A pass whose rows are every node (a batch of a
 graph no larger than the batch size, ``embed``, the final embedding of a
 run) runs the full pass: every product is the one on the whole arrays, and
 its bytes do not change.
+
+Every layer computes in the dtype of ``params.weights``: float64 parameters
+give a float64 pass, and float32 parameters, which the training batch steps
+use, a float32 one.  Layer 0's input rows are built once per tape in float64
+and cast after the receptive-field gather; the operator is cast to the same
+dtype, and ``backward`` casts the upstream gradient to the dtype of the
+output.  For float64 parameters each cast returns its argument, so the
+float64 pass and its gradients keep their bytes.
 """
 
 from __future__ import annotations
@@ -204,8 +212,8 @@ def _activation_backward(g, pre, activation):
         return g
     # the derivative, 1 where pre > 0 and LEAKY_SLOPE elsewhere, built
     # without a branch per element: (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds
-    # to exactly 1.0
-    out = np.multiply(pre > 0, 1.0 - LEAKY_SLOPE)
+    # to exactly 1.0 in float32 and in float64
+    out = np.multiply(pre > 0, 1.0 - LEAKY_SLOPE, dtype=g.dtype)
     out += LEAKY_SLOPE
     out *= g
     return out
@@ -221,6 +229,8 @@ def _input_rows(X, tape):
     """Layer 0's input: the features as float64, or a CSR copy when sparse enough.
 
     Rows already built on ``tape`` from the same array object are reused.
+    ``forward`` casts the rows it takes from them to the parameters' dtype,
+    so one float64 copy serves a float32 run and its float64 final pass.
     """
     if tape is not None and tape.source is X:
         return tape.features
@@ -323,13 +333,20 @@ def forward(X, N, params: NetworkParams, tape: GradientTape | None = None, rows=
     ``rows``.  The rows computed equal the full pass's rows to rounding:
     the products run over fewer rows.  When ``rows`` holds every node, or
     is None, every product is the full pass's, bit for bit.
+
+    The pass computes in the dtype of ``params.weights``, and so does the
+    output.
     """
     Z = _input_rows(X, tape)
     if N is None and any(spec.kind == "fca" for spec in params.specs):
         raise ValueError("fca layer requires an aggregation operator")
+    dtype = params.weights[0].dtype
+    if N is not None:
+        N = N.astype(dtype, copy=False)
     fields, operators = _receptive_fields(params.specs, N, _sorted_rows(rows, Z.shape[0]))
     if fields[0] is not None:
         Z = Z[fields[0]]
+    Z = Z.astype(dtype, copy=False)
     if tape is not None:
         tape.params = params
         tape.version = params.version
@@ -355,7 +372,8 @@ def backward(tape: GradientTape, dLoss_dZ):
 
     ``dLoss_dZ`` is the upstream gradient of the rows the forward pass
     computed, in the same order (every node, unless it was given ``rows``).
-    Returns ``(dW_list, dB_list)`` matching the parameter shapes.  Raises
+    It is cast to the dtype of the recorded output, and ``(dW_list,
+    dB_list)``, matching the parameter shapes, are in that dtype.  Raises
     :class:`StaleTapeError` if the parameters were updated since recording.
     """
     params = tape.params
@@ -365,7 +383,7 @@ def backward(tape: GradientTape, dLoss_dZ):
         raise StaleTapeError(
             f"tape recorded at params version {tape.version}, now {params.version}"
         )
-    g = np.asarray(dLoss_dZ, dtype=np.float64)
+    g = np.asarray(dLoss_dZ, dtype=tape.output.dtype)
     if g.shape != tape.output.shape:
         raise ValueError(f"upstream gradient {g.shape} does not match output {tape.output.shape}")
     dW = [None] * len(params.specs)

@@ -7,8 +7,9 @@ similarity matrices — one over the priori edge set, one over the complete
 ``train`` then runs the epoch/batch loop: augment edges, forward each sorted
 batch's nodes through the network (computing only their receptive field),
 evaluate the fused loss on those rows, and update parameters with Adam.
-The final embedding always comes from a forward pass over every node with
-the unaugmented priori adjacency.
+The network, its gradients and Adam run in float32 and the loss in float64.
+The final embedding always comes from a float64 forward pass over every
+node with the unaugmented priori adjacency.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ class _AdamOptimizer:
     """Adam, updating each whole parameter tensor and its moments in place.
 
     Every element goes through ``x -= lr * (m / c1) / (sqrt(v / c2) + eps)``
-    in that operation order, with two temporaries per tensor.
+    in that operation order, with two temporaries per tensor.  The moments
+    and temporaries take each tensor's dtype: float32 under :func:`train`.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -249,6 +251,17 @@ class _AdamOptimizer:
             b += self.eps
             x -= np.divide(a, b, out=a)
         params.bump()
+
+
+def _cast(params: NetworkParams, dtype) -> NetworkParams:
+    """A copy of ``params`` with every weight and bias in ``dtype``, at the same version."""
+    return NetworkParams(
+        params.specs,
+        [w.astype(dtype) for w in params.weights],
+        [b.astype(dtype) for b in params.biases],
+        params.seed,
+        params.version,
+    )
 
 
 def _require_nodes(g: AttributedGraph):
@@ -407,6 +420,15 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     Raises :class:`TrainingDivergedError` (with the last finite epoch in the
     message) if the loss, the embedding or a gradient leaves the finite
     range, in the batch where it does, before the parameters are updated.
+
+    The batch steps run in single precision: the float64 initial parameters
+    are cast to float32 once, so the network, its gradients and Adam's
+    moments are float32, while :func:`fused_loss` takes the batch rows in
+    float64 and returns a float64 gradient.  After the last epoch the
+    parameters are widened to float64, which is exact, and the final
+    embedding is the float64 forward pass over every node; the returned
+    params are those float64 ones, so :func:`embed` with them, or with their
+    checkpoint, gives the embedding's bytes.
     """
     _require_nodes(g)
     n = g.n
@@ -418,7 +440,7 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     Pc, Pp = p_complete.matrix, p_prior.matrix
 
     specs = default_stack(g.features.shape[1], cfg.hidden_dims, cfg.latent_dim, no_fca=cfg.no_fca)
-    params = init_network(specs, 4 * cfg.seed + _INIT_STREAM)
+    params = _cast(init_network(specs, 4 * cfg.seed + _INIT_STREAM), np.float32)
     optimizer = _AdamOptimizer(cfg.learning_rate)
     kind = BregmanKind(cfg.bregman)
 
@@ -459,6 +481,8 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
         if (epoch + 1) % 50 == 0 or epoch == cfg.epochs - 1:
             log.info("epoch %d/%d: loss %.6g", epoch + 1, cfg.epochs, mean[2])
 
+    # widening to float64 is exact; the final pass and the returned params are float64
+    params = _cast(params, np.float64)
     Z_final = forward(X, N_prior, params, tape)
     return TrainResult(Z_final, params, tuple(history), cfg)
 

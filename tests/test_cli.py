@@ -332,6 +332,18 @@ class TestEvalCommand:
         assert rc == EXIT_DATA
         assert where.format(n=g.n) in caplog.text
 
+    @pytest.mark.parametrize("node_id", ["5", "x"], ids=["duplicate", "word"])
+    def test_cluster_bad_node_id_leaves_no_out(self, tmp_path, toy_dataset, node_id):
+        lines = embedding_lines(toy_dataset["graph"])
+        lines[3] = node_id + lines[3][lines[3].index("\t"):]
+        emb = tmp_path / "ids.tsv"
+        emb.write_text("".join(lines))
+        out = tmp_path / "o"
+        rc = run("eval", "--task", "cluster", "--config", write_config(tmp_path, toy_dataset),
+                 "--out", str(out), "--embeddings", str(emb))
+        assert rc == EXIT_DATA
+        assert not out.exists()
+
     def test_cluster_non_finite_embeddings(self, tmp_path, toy_dataset, caplog):
         g = toy_dataset["graph"]
         lines = embedding_lines(g)

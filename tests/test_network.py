@@ -16,6 +16,7 @@ from dmage.network import (
     forward,
     init_network,
 )
+from dmage.training import _cast
 
 from conftest import random_graph
 
@@ -610,6 +611,62 @@ class TestRowRestriction:
         params.bump()
         with pytest.raises(StaleTapeError):
             backward(tape, np.ones_like(Zr))
+
+
+# ---------------------------------------------------------------- single precision
+
+
+def precision_cases():
+    """(name, graph, output rows) on the dense and the CSR layer-0 paths."""
+    rng = np.random.default_rng(50)
+    dense, sparse = random_graph(rng, n=30, density=0.2, dims=6), sparse_graph(rng, 30, 64, 0.15)
+    rows = np.arange(1, 30, 4)
+    return [("dense", dense, None), ("dense rows", dense, rows),
+            ("csr", sparse, None), ("csr rows", sparse, rows)]
+
+
+class TestSinglePrecision:
+    """The network computes in the dtype of its weights."""
+
+    def run(self, g, rows, dtype):
+        params = init_network(default_stack(g.features.shape[1], (12, 8), 4), 6)
+        for B in params.biases:
+            B[:] = np.random.default_rng(7).uniform(-0.5, 0.5, B.shape)
+        tape = GradientTape()
+        Z = forward(g.features, aggregation_matrix(adjacency(g)), _cast(params, dtype), tape, rows)
+        upstream = np.random.default_rng(8).standard_normal(Z.shape)
+        return tape, Z, backward(tape, upstream)
+
+    @pytest.mark.parametrize("case", range(4), ids=[c[0] for c in precision_cases()])
+    def test_float32_weights_give_float32_results_near_float64(self, case):
+        _, g, rows = precision_cases()[case]
+        tape, Z, (dW, dB) = self.run(g, rows, np.float32)
+        assert sp.issparse(tape.inputs[0]) == (case >= 2)
+        assert all(z.dtype == np.float32 for z in tape.inputs)
+        _, Z64, (dW64, dB64) = self.run(g, rows, np.float64)
+        for got, want in zip([Z, *dW, *dB], [Z64, *dW64, *dB64]):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_float64_forward_takes_the_operator_as_it_is(self):
+        g = random_graph(np.random.default_rng(51), n=12, density=0.3)
+        N = aggregation_matrix(adjacency(g))
+        params = init_network(default_stack(4, (5, 4), 3), 0)
+        fca = [s.kind for s in params.specs].index("fca")
+        tape = GradientTape()
+        forward(g.features, N, params, tape)
+        assert tape.aggregations[fca] is N
+        forward(g.features, N, _cast(params, np.float32), tape)
+        assert tape.aggregations[fca].dtype == np.float32
+        assert N.dtype == np.float64
+
+    def test_float32_leaky_backward(self):
+        rng = np.random.default_rng(52)
+        pre, g = rng.standard_normal((2, 40, 6), dtype=np.float32)
+        got = network._activation_backward(g, pre, "leaky_relu")
+        assert got.dtype == np.float32
+        slope = np.where(pre > 0, np.float32(1.0), np.float32(network.LEAKY_SLOPE))
+        assert got.tobytes() == (g * slope).tobytes()
 
 
 # ---------------------------------------------------------------- elementwise steps

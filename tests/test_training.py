@@ -680,6 +680,48 @@ class TestTrain:
         assert all(X is g.features and type(X) is np.ndarray for X in seen)
 
 
+class TestSinglePrecisionTraining:
+    """The batch steps run the network in float32; the result is float64."""
+
+    def test_batch_steps_run_in_float32(self, monkeypatch):
+        g = small_graph(n=23)
+        cfg = TrainConfig(seed=0, batch_size=6, **SMALL)
+        seen = []
+        real_forward, real_backward = training.forward, training.backward
+
+        def forward(X, N, params, tape=None, rows=None):
+            seen.append((rows is None, {t.dtype for t in (*params.weights, *params.biases)}))
+            return real_forward(X, N, params, tape, rows)
+
+        def backward(tape, dZ):
+            assert dZ.dtype == np.float64  # the loss's gradient
+            dW, dB = real_backward(tape, dZ)
+            assert all(t.dtype == np.float32 for t in (*dW, *dB))
+            return dW, dB
+
+        real_step = training._AdamOptimizer.step
+        moments = set()
+
+        def step(self, params, dW, dB):
+            real_step(self, params, dW, dB)
+            moments.update(t.dtype for t in (*self.m, *self.v, *params.weights, *params.biases))
+
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(training, "backward", backward)
+        monkeypatch.setattr(training._AdamOptimizer, "step", step)
+        result = train(g, cfg)
+        assert seen[:-1] == [(False, {np.dtype(np.float32)})] * (cfg.epochs * 4)
+        assert moments == {np.dtype(np.float32)}
+        assert seen[-1] == (True, {np.dtype(np.float64)})
+        assert result.embeddings.dtype == np.float64
+
+    def test_params_are_float64_holding_float32_values(self, sbm_result):
+        # test_embed_reproduces_final_embeddings checks that they give the embedding's bytes
+        for t in (*sbm_result.params.weights, *sbm_result.params.biases):
+            assert t.dtype == np.float64
+            assert (t.astype(np.float32).astype(np.float64) == t).all()
+
+
 def full_pass(monkeypatch):
     """Make ``train`` run every batch step as before its forward and backward
     were restricted to the batch rows: the full forward, the loss on rows
