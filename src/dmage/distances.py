@@ -263,9 +263,9 @@ def _shared_array(shape, dtype):
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
 
 
-def _feature_rows(features):
-    """``features`` as C-contiguous float64 rows, checked to be 2-D and finite."""
-    x = np.asarray(features, dtype=np.float64)
+def _feature_rows(features, dtype=np.float64):
+    """``features`` as C-contiguous ``dtype`` rows, checked to be 2-D and finite."""
+    x = np.asarray(features, dtype=dtype)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

@@ -26,18 +26,39 @@ terms where it makes them: the diagonal square ``[a:b, a:b]`` holds both
 orders of its pairs, and every pair right of it counts twice.  The gradient
 coefficients of the part right of the square are copied, transposed, into
 rows ``b:m``, columns ``a:b``; ``coef @ Zb`` needs the whole (m, m) matrix,
-and it is the only one the loss holds.
+and it is the only one the loss holds.  A block's entries of both input
+matrices are gathered by one flat index, without copying whole rows.
+
+``fused_loss`` computes in the dtype of the batch rows: float32 rows, as
+``train`` passes them, give float32 Gram products, kernel, Q, divergence
+terms, coefficients and gradient; any other rows are float64.  The input
+matrices stay as they are, float32 or float64, and only each gathered block
+is cast, with every entry below the dtype's smallest normal number flushed
+to 0 (``_narrow``): a subnormal operand slows a multiply or divide over ten
+times, and a float32 block of ``P_complete`` can hold many of them.  The
+block sums of the terms are float64 in either dtype.  The divergences
+compute in float64 whatever their inputs' dtype.
 
 What is exact: each pair's divergence term and dLoss/dQ are the same
 elementwise operations, in the same order, as in ``bregman_sed`` and
 ``bregman_logistic`` (one kernel, ``_terms_and_dq``); the symmetry check on
-the input matrices compares bits; and a call gives the same bits every time.
-What is not: the per-block Gram products and the per-block sums round
-otherwise than one (m, m) product and one sum, so the loss terms and the
-gradient differ from the older whole-array arithmetic (square roots, a
-division by the distance, one term array per divergence) in the last bits:
-about 1e-16 relative for the terms, and 1e-15 of the largest entry for the
-gradient.
+the input matrices compares the bits of the gathered block before it is
+cast; widening a float32 matrix is exact, so it gives the bytes of its
+float64 copy; and a call gives the same bits every time.  What is not: the
+per-block Gram products and the per-block sums round otherwise than one
+(m, m) product and one sum, so the float64 loss terms and gradient differ
+from the older whole-array arithmetic (square roots, a division by the
+distance, one term array per divergence) in the last bits: about 1e-16
+relative for the terms, and 1e-15 of the largest entry for the gradient.
+The logistic terms take 0 log 0 = 0 as the log of a ratio clamped below at
+the smallest normal number, times its zero weight.  So float64 values are
+those of the divergence with 0 log 0 set to 0 except where P is nonzero and
+below that number (the flush zeroes it), and where P lies outside [0, 1],
+the logistic divergence's domain, whose terms are finite but meaningless
+rather than NaN.  Float32 rows give the float64 call's terms to about 1e-7
+relative and its gradient to about 1e-6 of its largest entry (on the
+benchmark's Cora-shaped graph, at init and after 4 epochs; the tests bound
+them at 1e-6 and 1e-5).
 
 The mirror needs both input matrices to be exactly symmetric.  Every joint
 :class:`SimilarityMatrix` is (``symmetrize`` computes ``a + b - 2ab``, the
@@ -89,10 +110,24 @@ class LossTerms:
 
 
 def _as_matrix(x) -> np.ndarray:
-    m = x.matrix if isinstance(x, SimilarityMatrix) else np.asarray(x, dtype=np.float64)
+    """``x`` as a square float32 or float64 matrix; only another dtype is copied."""
+    m = x.matrix if isinstance(x, SimilarityMatrix) else np.asarray(x)
+    if m.dtype != np.float32:
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _narrow(P, dtype):
+    """A block of a similarity matrix in ``dtype``, with every entry smaller
+    in magnitude than ``dtype``'s smallest normal number flushed to 0.
+
+    A multiply or divide on subnormal operands runs over ten times slower,
+    and in float32 a block of ``P_complete`` can hold many of them.  NaN
+    stays NaN, and widening to float64 is exact.
+    """
+    return np.multiply(P, np.abs(P) >= np.finfo(dtype).tiny, dtype=dtype, casting="same_kind")
 
 
 def _divergence(P, Q, kind: BregmanKind) -> float:
@@ -104,8 +139,9 @@ def _divergence(P, Q, kind: BregmanKind) -> float:
     M = n * n - n
     terms = np.empty((n, n))
     for rows in _row_blocks(n, n, _BLOCK):
-        Qb = q[rows]
-        _terms_and_dq(p[rows], Qb, _q_side(Qb, kind), kind, M, rows, terms[rows])
+        Qb = np.asarray(q[rows], dtype=np.float64)
+        Pb = _narrow(p[rows], np.float64)
+        _terms_and_dq(Pb, Qb, _q_side(Qb, kind), kind, M, rows, terms[rows])
     return float(np.sum(terms) / M)
 
 
@@ -118,7 +154,10 @@ def bregman_logistic(P, Q) -> float:
     """Logistic divergence: mean of p log(p/q) + (1-p) log((1-p)/(1-q)).
 
     ``q`` is clamped into [LOGI_EPS, 1-LOGI_EPS]; terms with p in {0, 1}
-    follow the convention 0 log 0 = 0.  A NaN in P makes the result NaN.
+    follow the convention 0 log 0 = 0.  A NaN in P makes the result NaN;
+    P must lie in [0, 1], outside which the terms are not NaN but meaningless.
+    The terms are computed in float64 whatever the dtype of P and Q, so a
+    float32 matrix gives the value of its float64 widening.
     """
     return _divergence(P, Q, BregmanKind.LOGI)
 
@@ -137,7 +176,7 @@ def _latent_rows(Zb, sq, rows: slice, nu_latent: float, start: int = 0):
     d2 += sq[rows, None]
     d2 += sq[None, start:]
     np.maximum(d2, 0.0, out=d2)
-    k = _t_kernel_of_squares(d2, nu_latent, np.empty(d2.shape))
+    k = _t_kernel_of_squares(d2, nu_latent, np.empty_like(d2))
     k[_diagonal(rows, start)] = 0.0
     two_k = 2.0 * k
     return d2, k, np.subtract(two_k, two_k * k, out=two_k)
@@ -171,17 +210,20 @@ def _terms_and_dq(P, Q, q_side, kind: BregmanKind, M: int, rows: slice, terms, s
     q_tilde, one_minus_q, inside = q_side
     # -p/q~ == -(p/q~) and s - r == -r + s bit for bit, so the ratios
     # serve both the terms and the gradient
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = P / q_tilde
-        one_minus_p = 1.0 - P
-        ratio_c = one_minus_p / one_minus_q
-        term_a = np.log(ratio)
-        term_a *= P
-        term_b = np.log(ratio_c)
-        term_b *= one_minus_p
-    # the convention 0 log 0 = 0 at p = 0 and at p = 1; a NaN in P stays NaN
-    term_a[P == 0] = 0.0
-    term_b[P == 1] = 0.0
+    ratio = P / q_tilde
+    one_minus_p = 1.0 - P
+    ratio_c = one_minus_p / one_minus_q
+    # the convention 0 log 0 = 0 at p = 0 and at p = 1: a zero ratio's log is
+    # clamped to a finite value, which its zero weight turns into 0; a
+    # multiply costs a fraction of a masked store on a block that is half
+    # zeros, and a NaN in P stays NaN
+    tiny = np.finfo(P.dtype).tiny
+    term_a = np.maximum(ratio, tiny)
+    np.log(term_a, out=term_a)
+    term_a *= P
+    term_b = np.maximum(ratio_c, tiny)
+    np.log(term_b, out=term_b)
+    term_b *= one_minus_p
     np.add(term_a, term_b, out=terms)
     terms[diag] = 0.0
     grad = np.subtract(ratio_c, ratio, out=ratio_c)
@@ -207,7 +249,8 @@ def _pair_sum(terms, width: int):
     The square holds both orders of its pairs; each pair right of it stands
     for itself and its mirror.
     """
-    return np.sum(terms[:, :width]) + 2.0 * np.sum(terms[:, width:])
+    square = np.sum(terms[:, :width], dtype=np.float64)
+    return square + 2.0 * np.sum(terms[:, width:], dtype=np.float64)
 
 
 def fused_loss(
@@ -237,28 +280,44 @@ def fused_loss(
     the square differs from its transpose only by holding NaN, the error
     says so; a NaN elsewhere makes the loss NaN.
 
+    ``batch`` holds node ids of the matrices; an id outside them raises
+    ``IndexError``.
+
+    The loss computes in the dtype of ``Z``: float32 rows give a float32
+    gradient, and any other rows are taken as float64 and give a float64
+    one.  The terms are Python floats, summed in float64 either way.  Each
+    block of the input matrices, which are not copied, is cast to that
+    dtype with the entries below its smallest normal number set to 0 (a NaN
+    stays NaN).  Float32 rows match the float64 call on the same values to
+    about 1e-7 relative in the terms and 1e-6 of the largest entry in the
+    gradient (see the module docstring).
+
     The result is deterministic.  Each pair's term is computed as in the
     divergences, but the terms are summed per block and the kernel is taken
     on squared distances from per-block Gram products, so values and
     gradient agree with older versions to rounding, not bit for bit.
-    Memory beyond the inputs is one (m, m) coefficient matrix plus a
-    block's buffers.
+    Memory beyond the inputs is one (m, m) coefficient matrix, in the dtype
+    of ``Z``, plus a block's buffers.
     """
     Pc_full, Pp_full = _as_matrix(P_complete), _as_matrix(P_prior)
     if Pc_full.shape != Pp_full.shape:
         raise ValueError(f"shape mismatch: {Pc_full.shape} vs {Pp_full.shape}")
     kind = BregmanKind(kind)
-    batch = np.arange(Pc_full.shape[0]) if batch is None else np.asarray(batch, dtype=np.int64)
+    n = Pc_full.shape[0]
+    batch = np.arange(n) if batch is None else np.asarray(batch, dtype=np.int64)
     if batch.size < 2:
         raise ValueError("batch needs at least 2 nodes to form a pair")
-    Zb = _feature_rows(Z)
+    if batch.min() < 0 or batch.max() >= n:
+        raise IndexError(f"batch holds node ids outside 0..{n - 1}")
+    Z = np.asarray(Z)
+    Zb = _feature_rows(Z, np.float32 if Z.dtype == np.float32 else np.float64)
     m = batch.size
     if Zb.shape[0] != m:
         raise ValueError(f"embedding has {Zb.shape[0]} rows but the batch has {m} nodes")
     M = m * m - m
 
     sq = np.sum(Zb * Zb, axis=1)
-    coef = np.empty((m, m))
+    coef = np.empty((m, m), Zb.dtype)
     feat = struct = 0.0
     # chain rule on the squared distance s: dQ/dk = 2 - 4k,
     # dk/ds = -k (nu + 1) / (2 (nu + s)) and ds/dz_i = 2 (z_i - z_j), and each
@@ -270,15 +329,17 @@ def fused_loss(
         a, b = rows.start, rows.stop
         d2, k, Q = _latent_rows(Zb, sq, rows, nu_latent, a)
         q_side = _q_side(Q, kind)
-        # the same as P[np.ix_(batch[rows], batch[a:])], gathered faster
-        Pc, Pp = Pc_full[batch[rows]][:, batch[a:]], Pp_full[batch[rows]][:, batch[a:]]
+        # P[np.ix_(batch[rows], batch[a:])] of both matrices, by one flat index
+        flat = batch[rows, None] * n + batch[a:]
+        Pc, Pp = Pc_full.take(flat), Pp_full.take(flat)
         for P, name in ((Pc, "P_complete"), (Pp, "P_prior")):
             square = P[:, : b - a]
             if not np.array_equal(square, square.T):
                 if np.array_equal(square, square.T, equal_nan=True):
                     raise ValueError(f"{name} holds NaN")
                 raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
-        terms = np.empty(Q.shape)
+        Pc, Pp = _narrow(Pc, Zb.dtype), _narrow(Pp, Zb.dtype)
+        terms = np.empty_like(Q)
         g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms, a)
         feat += _pair_sum(terms, b - a)
         g_struct = _terms_and_dq(Pp, Q, q_side, kind, M, rows, terms, a)

@@ -7,7 +7,8 @@ similarity matrices — one over the priori edge set, one over the complete
 ``train`` then runs the epoch/batch loop: augment edges, forward each sorted
 batch's nodes through the network (computing only their receptive field),
 evaluate the fused loss on those rows, and update parameters with Adam.
-The network, its gradients and Adam run in float32 and the loss in float64.
+The network, its gradients, the loss and Adam run in float32, with the
+loss terms summed in float64 and the input similarities kept in float64.
 The final embedding always comes from a float64 forward pass over every
 node with the unaugmented priori adjacency.
 """
@@ -423,8 +424,10 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
 
     The batch steps run in single precision: the float64 initial parameters
     are cast to float32 once, so the network, its gradients and Adam's
-    moments are float32, while :func:`fused_loss` takes the batch rows in
-    float64 and returns a float64 gradient.  After the last epoch the
+    moments are float32.  :func:`fused_loss` computes on the float32 batch
+    rows, casting each block it gathers from the float64 similarity
+    matrices, and returns a float32 gradient; only its terms are summed in
+    float64.  After the last epoch the
     parameters are widened to float64, which is exact, and the final
     embedding is the float64 forward pass over every node; the returned
     params are those float64 ones, so :func:`embed` with them, or with their

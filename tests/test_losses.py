@@ -1,12 +1,16 @@
+import importlib.util
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmage import losses
+from dmage import CalibrationWarning, TrainConfig, losses, precompute, train, training
+from dmage.cli import PRESETS
 from dmage.losses import (
     LOGI_EPS,
     BregmanKind,
@@ -15,6 +19,7 @@ from dmage.losses import (
     fused_loss,
 )
 from dmage.distances import _row_blocks
+from dmage.network import forward, init_network
 from dmage.similarity import t_kernel
 
 # 0.5*log(2) + 0.5*log(2/3), evaluated at 40-digit precision
@@ -526,3 +531,145 @@ class TestRowBlocksMatchWholeArrays:
         Z[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fused_loss(P, P, Z, 1.0, 0.5, BregmanKind.LOGI)
+
+
+def _cora_like(seed):
+    """The benchmark's Cora-shaped graph, from ``bench/graphs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "graphs.py"
+    spec = importlib.util.spec_from_file_location("bench_graphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cora_like(seed)
+
+
+@pytest.fixture(scope="class")
+def cora_batches(tmp_path_factory):
+    """``cora_like(1)``'s two similarity matrices and float32 batch rows of
+    the ``paper_clustering`` network, at init and after 4 epochs."""
+    g = _cora_like(1)
+    cfg = TrainConfig.from_dict({**PRESETS["paper_clustering"], "epochs": 4, "seed": 0})
+    cache = str(tmp_path_factory.mktemp("cache"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationWarning)
+        trained = train(g, cfg, cache).params
+        pc, pp = precompute(g, cfg, cache)
+    N = training._aggregation_operator(g.n, g.edge_array(), trained.specs)
+    batches = training._batches(np.random.default_rng(0).permutation(g.n), 1024)
+    rows = []
+    for params in (init_network(trained.specs, 0), trained):
+        params = training._cast(params, np.float32)
+        rows += [(np.sort(b), forward(g.features, N, params, None, np.sort(b))) for b in batches]
+    return pc.matrix, pp.matrix, cfg, rows
+
+
+class TestSinglePrecisionLoss:
+    """``fused_loss`` computes in the dtype of the batch rows."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.Pc, self.Pp = rand_similarity(rng, 40), rand_similarity(rng, 40)
+        self.Z = rng.standard_normal((40, 3))
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_float32_rows_give_a_float32_gradient(self, kind):
+        terms, grad = fused_loss(self.Pc, self.Pp, self.Z.astype(np.float32), 1.0, 0.5, kind)
+        assert grad.dtype == np.float32
+        assert all(type(t) is float for t in (terms.feature_term, terms.structure_term, terms.total))
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_float32_matrices_give_their_float64_widening(self, kind):
+        # the blocks are cast, not the matrices, and widening is exact
+        Pc32, Pp32 = self.Pc.astype(np.float32), self.Pp.astype(np.float32)
+        got = fused_loss(Pc32, Pp32, self.Z, 1.0, 0.5, kind)
+        want = fused_loss(Pc32.astype(np.float64), Pp32.astype(np.float64), self.Z, 1.0, 0.5, kind)
+        assert got[0] == want[0]
+        assert got[1].dtype == np.float64 and got[1].tobytes() == want[1].tobytes()
+        Q = latent_similarity(self.Z, 1.0)
+        divergence = bregman_sed if kind == BregmanKind.SED else bregman_logistic
+        assert divergence(Pc32, Q.astype(np.float32)) == divergence(
+            Pc32.astype(np.float64), Q.astype(np.float32).astype(np.float64)
+        )
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_agrees_with_the_float64_call_on_the_bench_graph(self, kind, cora_batches):
+        Pc, Pp, cfg, rows = cora_batches
+        for batch, Zb in rows:
+            assert Zb.dtype == np.float32
+            terms, grad = fused_loss(Pc, Pp, Zb, cfg.nu_latent, cfg.alpha, kind, batch)
+            want_terms, want_grad = fused_loss(
+                Pc, Pp, Zb.astype(np.float64), cfg.nu_latent, cfg.alpha, kind, batch
+            )
+            for got, want in zip(
+                (terms.feature_term, terms.structure_term, terms.total),
+                (want_terms.feature_term, want_terms.structure_term, want_terms.total),
+                strict=True,
+            ):
+                assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+            assert np.abs(grad - want_grad).max() <= 1e-5 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_float32_subnormal_similarities_count_as_zero(self, kind, monkeypatch):
+        P = self.Pc.copy()
+        subnormal = np.triu(np.random.default_rng(3).random(P.shape) < 0.3, 1)
+        subnormal |= subnormal.T
+        P[subnormal] = 1e-40  # subnormal in float32, normal in float64
+        zeroed = np.where(subnormal, 0.0, P)
+        Z = self.Z.astype(np.float32)
+        blocks = []
+        real = losses._terms_and_dq
+
+        def spy(P, *args):
+            blocks.append(P)
+            return real(P, *args)
+
+        monkeypatch.setattr(losses, "_terms_and_dq", spy)
+        got = fused_loss(P, self.Pp, Z, 1.0, 0.5, kind)
+        want = fused_loss(zeroed, self.Pp, Z, 1.0, 0.5, kind)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        # the flush is for speed: no block the loss computes on holds a subnormal
+        tiny = np.finfo(np.float32).tiny
+        assert all(b.dtype == np.float32 and not ((b != 0) & (np.abs(b) < tiny)).any() for b in blocks)
+
+    def test_narrowing_flushes_only_subnormals(self):
+        P = np.array([[0.0, 1e-40, -1e-40, 2e-38, -0.25, np.nan, 1.0]])
+        got = losses._narrow(P, np.float32)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, np.float32([[0.0, 0.0, 0.0, 2e-38, -0.25, np.nan, 1.0]]))
+        assert losses._narrow(P, np.float64).tobytes() == P.tobytes()
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_block_sums_are_float64(self, kind):
+        # coincident rows and a constant P give every pair one float32 term,
+        # and a float64 sum of 600 * 599 copies of it is exact
+        P = np.full((600, 600), 0.3)
+        terms = fused_loss(P, P, np.zeros((600, 3), np.float32), 1.0, 0.5, kind)[0]
+        pair = fused_loss(P[:2, :2], P[:2, :2], np.zeros((2, 3), np.float32), 1.0, 0.5, kind)[0]
+        assert terms.feature_term == pair.feature_term
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_nan_in_p_gives_a_nan_loss(self, kind, monkeypatch):
+        # one row per block: pair (0, 1) lies right of row 0's square
+        monkeypatch.setattr(losses, "_BLOCK", 1)
+        P = self.Pc.copy()
+        P[0, 1] = P[1, 0] = np.nan
+        terms, _ = fused_loss(P, self.Pp, self.Z.astype(np.float32), 1.0, 0.5, kind)
+        assert math.isnan(terms.feature_term) and math.isnan(terms.total)
+
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    def test_asymmetric_or_nan_square_raises(self, kind):
+        Z = self.Z.astype(np.float32)
+        P = self.Pp.copy()
+        P[2, 3] = P[3, 2] = np.nan
+        with pytest.raises(ValueError, match="P_prior holds NaN"):
+            fused_loss(self.Pc, P, Z, 1.0, 0.5, kind)
+        # a difference that float32 cannot hold is still an asymmetry
+        P = self.Pc.copy()
+        P[2, 3] += 1e-12
+        with pytest.raises(ValueError, match="P_complete is not symmetric"):
+            fused_loss(P, self.Pp, Z, 1.0, 0.5, kind)
+
+    @pytest.mark.parametrize("node", [-1, 40])
+    def test_batch_outside_the_matrices_rejected(self, node):
+        batch = np.array([0, 5, node])
+        with pytest.raises(IndexError, match="outside 0..39"):
+            fused_loss(self.Pc, self.Pp, self.Z[:3], 1.0, 0.5, BregmanKind.LOGI, batch)

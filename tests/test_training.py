@@ -694,7 +694,7 @@ class TestSinglePrecisionTraining:
             return real_forward(X, N, params, tape, rows)
 
         def backward(tape, dZ):
-            assert dZ.dtype == np.float64  # the loss's gradient
+            assert dZ.dtype == np.float32  # the loss's gradient
             dW, dB = real_backward(tape, dZ)
             assert all(t.dtype == np.float32 for t in (*dW, *dB))
             return dW, dB
