@@ -11,6 +11,12 @@ Euclidean and cosine distances are taken from their Gram matrix tile pair
 by tile pair, each pair's distance computed once, above the diagonal, and
 mirrored; the unconnected rule is applied in place, only to a
 disconnected graph.
+
+Every Dijkstra search runs through ``_search_rows``, which can stop each
+source's search at a distance of its own (scipy's ``limit=``) with the
+bits of an unlimited search inside it.  :func:`geodesic_distances` searches
+every row in full; ``similarity._calibrated_geodesics`` stops the rows of a
+connected graph where the similarity kernel falls below a floor.
 """
 
 from __future__ import annotations
@@ -260,7 +266,49 @@ def _shared_array(shape, dtype):
     """An array in anonymous memory that forked children share with this process."""
     dtype = np.dtype(dtype)
     size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
+    # a mapping is at least a byte long
+    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, size).reshape(shape)
+
+
+def _search_rows(graph, dist, sources, limit):
+    """Dijkstra from each of ``sources`` into its row of ``dist``, as far as its ``limit``.
+
+    ``graph`` is a weight graph of :func:`_edge_weight_graph`, and ``dist`` an
+    n x n array that forked workers write (:func:`_shared_array`).  Row ``s``
+    gets the distance from ``s`` to each node at most ``limit`` away, with
+    the bits of a search without a limit: Dijkstra settles nodes in order of
+    distance, and no path through a node beyond the limit can shorten a path
+    to one within it.  Nodes beyond the limit, or unreachable, are inf; a
+    limit of inf searches the whole component.  The sources are taken in
+    order of limit and split over the usable cores (:func:`_fill_rows`);
+    those of one chunk that share a limit run in one call, scipy's
+    ``limit=``.  Returns, per source, how many nodes its search reached
+    (itself included) and its largest finite distance.
+    """
+    n = graph.shape[0]
+    order = np.argsort(limit, kind="stable")
+    sources, limit = sources[order], limit[order]
+
+    def fill(rows, reached, top):
+        # the sources of the chunk that share a limit are contiguous
+        part = limit[rows]
+        cuts = [rows.start, *(rows.start + 1 + np.flatnonzero(part[1:] != part[:-1])), rows.stop]
+        for a, b in zip(cuts, cuts[1:]):
+            for block in _row_blocks(b, n, _DIJKSTRA_BLOCK, a):
+                # the weight graph stores both directions of every edge
+                d = dijkstra(graph, directed=True, indices=sources[block], limit=limit[a])
+                dist[sources[block]] = d
+                finite = np.isfinite(d)
+                reached[block] = finite.sum(axis=1)
+                # no distance is negative, so 0 stands in for the infinite ones
+                top[block] = np.where(finite, d, 0.0).max(axis=1)
+
+    # each source's search passes at most every node and every stored edge
+    reached, top = _fill_rows(sources.size, n + graph.nnz, fill, ((), np.int64), ((), np.float64))
+    unsorted = np.empty_like(order)
+    unsorted[order] = np.arange(order.size)
+    return reached[unsorted], top[unsorted]
 
 
 def _feature_rows(features, dtype=np.float64):
@@ -347,33 +395,17 @@ def geodesic_distances(
     Each edge is weighted by the metric distance between its endpoint
     features.  Unconnected pairs get ``lambda_ * max(connected distances)``.
     Runs Dijkstra from every source, with the sources split over the usable
-    cores (:func:`_fill_rows`).  Each worker takes its rows' connected
-    maxima as it goes: one maximum per row, and, in a disconnected graph,
-    where every row holds an unreachable node, a maximum over the finite
-    entries instead.  The rule's value, known once every row is in, is
-    then written in place, and only when the graph is disconnected.  An
-    edgeless graph of two or more nodes has no connected pairs; it warns,
-    and every distance is 0.
+    cores (:func:`_search_rows`), which take each row's connected maximum
+    (its largest finite entry) as they go.  The rule's value, known once
+    every row is in, is then written in place, and only when the graph is
+    disconnected.  An edgeless graph of two or more nodes has no connected
+    pairs; it warns, and every distance is 0.
     """
     if not lambda_ > 1.0:
         raise ValueError(f"lambda_ must be > 1, got {lambda_}")
     graph = _edge_weight_graph(g, metric)
-
-    def fill(rows, dist, row_max):
-        for block in _row_blocks(rows.stop, g.n, _DIJKSTRA_BLOCK, rows.start):
-            # the weight graph stores both directions of every edge
-            d = dijkstra(graph, directed=True, indices=np.arange(block.start, block.stop))
-            dist[block] = d
-            # no distance is negative, so a row's maximum is its connected
-            # maximum unless the row holds an unreachable (infinite) entry
-            top = d.max(axis=1)
-            if np.isinf(top).any():
-                top = np.where(np.isinf(d), 0.0, d).max(axis=1)
-            row_max[block] = top
-
-    # each source's search passes every node and every stored edge
-    dist, row_max = _fill_rows(g.n, g.n + graph.nnz, fill, ((g.n,), np.float64), ((), np.float64))
-
+    dist = _shared_array((g.n, g.n), np.float64)
+    _, row_max = _search_rows(graph, dist, np.arange(g.n), np.full(g.n, np.inf))
     connected_max = float(row_max.max(initial=0.0))
     if g.n > 1 and g.num_edges == 0:
         warnings.warn(

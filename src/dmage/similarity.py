@@ -31,17 +31,40 @@ The kernel pass and the symmetrization can write into a given buffer
 (``out=``), the distance matrix included, so that ``precompute`` turns one
 n x n buffer from distances into the joint similarity.  Their bytes are
 the same either way.
+
+The geodesics of a connected graph are computed only as far as the kernel
+reaches (``_calibrated_geodesics``): row i up to ``rho_i + x* sigma_i``,
+where ``x*`` is the scaled distance at which the kernel falls to
+``_FLOOR``, a quarter of float32's smallest normal (``x* = 21.9`` at
+``nu = 100``).  Beyond it the conditional similarity is 0 rather than
+below the floor, and the float32 loss flushes such values to 0 anyway.
+sigma needs the distances first, so the rows are computed in rounds; rho
+and sigma are the full computation's bit for bit, and so is every distance
+within the reach.  A disconnected graph is computed in full, because the
+unconnected rule needs every connected distance.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .distances import GeodesicDistanceMatrix, _fill_rows, _mirror, _row_blocks
+from .distances import (
+    GeodesicDistanceMatrix,
+    _edge_weight_graph,
+    _fill_rows,
+    _mirror,
+    _row_blocks,
+    _search_rows,
+    _shared_array,
+    geodesic_distances,
+)
 
 __all__ = [
     "CalibrationParams",
@@ -69,6 +92,15 @@ _MARGIN = 1e-9
 _BLOCK = 1 << 20
 # matrix elements per row block of the kernel pass
 _KERNEL_BLOCK = 1 << 16
+# a conditional similarity of a connected geodesic graph below this is not
+# computed, and is 0: a quarter of float32's smallest normal, so that the
+# loss, which reads the similarities in float32 and flushes subnormals to 0,
+# reads nearly every entry as it would read the full computation's
+_FLOOR = float(np.finfo(np.float32).tiny) / 4
+# rows searched in full first, to choose the radius of the other rows' first
+# search: their largest _NEAREST-th nearest distance, widened by _SLACK
+_SAMPLE = 16
+_SLACK = 1.1
 
 
 class CalibrationWarning(UserWarning):
@@ -169,39 +201,43 @@ def _off_diagonal(d, idx):
 class _Rows:
     """The calibration input: each row's nearest distances, bounds on the rest.
 
-    Row i stands for row ``start + i`` of the square matrix ``d``.
+    Row i stands for row ``index[i]`` of the square matrix ``d``.
     ``near[i]`` holds its ``_NEAREST`` smallest off-diagonal distances, in
     any order, and the other ``count`` are at least ``d_k[i]``.  With
     ``count == 0``, ``near[i]`` is the whole off-diagonal row in index order
     and ``d`` is not needed.  A row's ``_MIDDLE`` smallest distances, the
     second tier, are partitioned from ``d`` the first time the row needs
-    them, and kept.
+    them, and kept.  A row marked ``truncated`` holds only its distances up
+    to a radius beyond its ``_NEAREST`` nearest, inf past it, so it has no
+    second tier: where its first bracket is open it is marked ``escalated``
+    and its search goes on with that bracket's lower end, a value to be
+    discarded.
     """
 
-    def __init__(self, near, rho, count=0, d_k=None, d=None, start=0):
+    def __init__(self, near, rho, count=0, d_k=None, d=None, index=None, truncated=None):
         self.near, self.rho, self.count, self.d_k, self.d = near, rho, count, d_k, d
-        self.start = start
+        self.index, self.truncated = index, truncated
+        self.escalated = np.zeros(rho.size, dtype=bool)
         self.mid = self.mid_k = self.has_mid = None
 
     @classmethod
-    def of_matrix(cls, d, rows):
-        """The rows ``rows`` (a slice) of the square matrix ``d``."""
+    def of_matrix(cls, d, index, truncated=None):
+        """The rows ``index`` (an index array) of the square matrix ``d``."""
         n = d.shape[0]
         if n - 1 <= _NEAREST:
-            near = _off_diagonal(d, np.arange(rows.start, rows.stop))
+            near = _off_diagonal(d, index)
             return cls(near, near.min(axis=1))
-        r = rows.stop - rows.start
+        r = index.size
         near = np.empty((r, _NEAREST))
         rho, d_k = np.empty(r), np.empty(r)
-        for b in _row_blocks(rows.stop, n, _BLOCK, rows.start):
-            block = _nearest_first(d, np.arange(b.start, b.stop), _NEAREST)
-            local = slice(b.start - rows.start, b.stop - rows.start)
+        for b in _row_blocks(r, n, _BLOCK):
+            block = _nearest_first(d, index[b], _NEAREST)
             # the minimum over the whole row, so that a NaN anywhere in it
             # gives rho = NaN, as the one-row search does
-            rho[local] = block.min(axis=1)
-            near[local] = block[:, :_NEAREST]
-            d_k[local] = block[:, _NEAREST - 1]
-        return cls(near, rho, n - 1 - _NEAREST, d_k, d, rows.start)
+            rho[b] = block.min(axis=1)
+            near[b] = block[:, :_NEAREST]
+            d_k[b] = block[:, _NEAREST - 1]
+        return cls(near, rho, n - 1 - _NEAREST, d_k, d, index, truncated)
 
     def middle(self, idx):
         """Rows ``idx``'s ``_MIDDLE`` smallest distances, in any order, and the largest of them."""
@@ -212,7 +248,7 @@ class _Rows:
             self.has_mid = np.zeros(r, dtype=bool)
         new = idx[~self.has_mid[idx]]
         for b in _row_blocks(new.size, self.d.shape[0], _BLOCK):
-            block = _nearest_first(self.d, self.start + new[b], _MIDDLE)
+            block = _nearest_first(self.d, self.index[new[b]], _MIDDLE)
             self.mid[new[b]] = block[:, :_MIDDLE]
             self.mid_k[new[b]] = block[:, _MIDDLE - 1]
         self.has_mid[new] = True
@@ -222,7 +258,7 @@ class _Rows:
         """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
         mass = np.empty(idx.size)
         for b in _row_blocks(idx.size, self.d.shape[0], _BLOCK):
-            rows = _off_diagonal(self.d, self.start + idx[b])
+            rows = _off_diagonal(self.d, self.index[idx[b]])
             mass[b] = _kernel_mass(rows, self.rho[idx[b]], nu, sigma[b])
         return mass
 
@@ -240,6 +276,10 @@ class _Rows:
         if self.count == 0:
             return _exp2(mass) - q_p
         value, open_ = _bracket(mass, self.count, self.d_k[idx], rho, sigma, q_p, nu, tol)
+        if self.truncated is not None:
+            stuck = open_ & self.truncated[idx]
+            self.escalated[idx[stuck]] = True
+            open_ &= ~stuck
         n = self.d.shape[0]
         if open_.any() and n - 1 > _MIDDLE:
             at = np.flatnonzero(open_)
@@ -421,15 +461,178 @@ def calibrate_all(d_matrix, nu: float, q_p: float) -> CalibrationParams:
     n = d_matrix.shape[0]
     if n < 3:
         raise ValueError("calibration needs at least 3 nodes")
-
-    def fill(rows, rho, sigma, outcome):
-        part = _Rows.of_matrix(d_matrix, rows)
-        rho[rows] = part.rho
-        sigma[rows], outcome[rows] = _search(part, q_p, nu)
-
-    rho, sigma, outcome = _fill_rows(n, n, fill, ((), np.float64), ((), np.float64), ((), np.int8))
+    rho, sigma, outcome, _ = _calibrate(d_matrix, nu, q_p, np.arange(n))
     _warn_outcomes(sigma, outcome, q_p)
     return CalibrationParams(rho, sigma)
+
+
+def _calibrate(d, nu, q_p, index, truncated=None):
+    """The search of :func:`calibrate_all` on rows ``index`` of the square ``d``, with no warning.
+
+    ``truncated`` marks the rows that hold their distances only up to a
+    radius (:class:`_Rows`).  Returns rho, sigma, the outcome and whether
+    the row escalated, per row, computed over the usable cores
+    (``distances._fill_rows``).
+    """
+
+    def fill(rows, rho, sigma, outcome, escalated):
+        part = _Rows.of_matrix(d, index[rows], None if truncated is None else truncated[rows])
+        rho[rows] = part.rho
+        sigma[rows], outcome[rows] = _search(part, q_p, nu)
+        escalated[rows] = part.escalated
+
+    layouts = ((), np.float64), ((), np.float64), ((), np.int8), ((), bool)
+    return _fill_rows(index.size, d.shape[0], fill, *layouts)
+
+
+@dataclass(frozen=True)
+class _Computed:
+    """How a calibrated distance matrix was computed, for the log.
+
+    The seconds of the distances and of the calibration; ``pairs``, the
+    share of the n x n pairs the distance searches reached, counted once per
+    search; ``extended``, the rows searched again out to their reach;
+    ``full``, the rows searched without a limit.
+    """
+
+    distances_s: float
+    calibration_s: float
+    pairs: float
+    extended: int
+    full: int
+
+
+def _calibrated(distances_of, nu, q_p):
+    """``(d, calib, computed)``: the full distances ``distances_of()`` and their calibration."""
+    t0 = time.perf_counter()
+    d = distances_of()
+    t1 = time.perf_counter()
+    calib = calibrate_all(d, nu, q_p)
+    return d, calib, _Computed(t1 - t0, time.perf_counter() - t1, 1.0, 0, d.shape[0])
+
+
+def _kernel_reach(nu):
+    """The scaled distance ``x`` at which :func:`t_kernel` falls to ``_FLOOR``."""
+    # C(nu) (1 + x^2/nu)^(-(nu+1)/2) = floor, solved for x
+    log_ratio = _kernel_log_const(nu) - math.log(_FLOOR)
+    return math.sqrt(nu * math.expm1(2.0 * log_ratio / (nu + 1.0)))
+
+
+def _limit_grid(x):
+    """``x`` rounded up to 8 significant bits (at most 0.8% up), so few distinct values remain."""
+    mantissa, exponent = np.frexp(x)
+    return np.ldexp(np.ceil(mantissa * 256.0) / 256.0, exponent)
+
+
+def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
+    """Geodesic distances over ``g``'s edges and their calibration: ``(d, calib, computed)``.
+
+    A disconnected graph, or one of at most ``_NEAREST + 1`` nodes, takes
+    :func:`distances.geodesic_distances` and :func:`calibrate_all`.  On a
+    connected graph each row is computed only as far as the kernel reaches:
+    its *reach* is ``rho + x* sigma``, where ``x*`` is the scaled distance at
+    which the kernel falls to ``_FLOOR``.  Every distance within a row's
+    reach has the bits of the full computation, every one beyond is inf, so
+    its conditional similarity is exactly 0 instead of below ``_FLOOR``.
+    rho and sigma are the same bit for bit.  sigma needs the distances
+    first, so the rows are computed in rounds (``distances._search_rows``):
+
+    1. ``_SAMPLE`` rows, evenly spaced, are searched in full and calibrated.
+       The radius of the first round is their largest ``_NEAREST``-th
+       nearest distance times ``_SLACK``.  When that radius and their
+       reaches would have the sample's searches reach as many nodes as
+       full searches do (a dense graph, or one whose reach covers nearly
+       every node), every other row is searched in full too, and the
+       result has the bytes of the full computation.
+    2. Every other row is searched to that radius.  A row that reaches
+       fewer than its ``_NEAREST`` nearest is searched again in full.
+    3. The rows are calibrated by :func:`calibrate_all`'s search.  Its first
+       tier sees each row's ``_NEAREST`` nearest distances and the same
+       bound on the rest as on the full row, so it settles the same
+       comparisons.  A row whose search would go on to a second tier or its
+       full row is searched in full and calibrated again on it.
+    4. A row whose reach lies beyond its radius is searched again to its
+       reach (rounded up a little, so that rows share searches); a row that
+       reached every node is complete.
+
+    After the rounds, the distances outside each row's reach are set to
+    inf, so the result does not depend on the rounds' radii.  The joint
+    similarity differs from the full computation's only where a conditional
+    lies below ``_FLOOR``, and by less than ``2 * _FLOOR``.
+    """
+    n = g.n
+    # each edge once is enough to find the components, and cheaper than graph.adjacency
+    edges = g.edge_array()
+    structure = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    if n - 1 <= _NEAREST or connected_components(structure, directed=False)[0] > 1:
+        return _calibrated(lambda: geodesic_distances(g, metric, lambda_).matrix, nu, q_p)
+
+    t_start = time.perf_counter()
+    calibration_s = 0.0
+    graph = _edge_weight_graph(g, metric)
+    dist = _shared_array((n, n), np.float64)
+    radius = np.empty(n)  # how far each row is computed; inf once it reached every node
+    reached = np.zeros(n, dtype=np.int64)  # nodes reached, summed over each row's searches
+    full = 0
+
+    def search(rows, limit):
+        """Searches ``rows`` as far as ``limit`` (one value, or one per row)."""
+        nonlocal full
+        if rows.size:
+            limit = np.broadcast_to(limit, rows.shape)
+            got, _ = _search_rows(graph, dist, rows, limit)
+            reached[rows] += got
+            radius[rows] = np.where(got == n, np.inf, limit)
+            full += int(np.isinf(limit).sum())
+
+    def calibrate(rows, truncated=None):
+        """Calibrates ``rows``; returns those that escalated."""
+        nonlocal calibration_s
+        if not rows.size:
+            return rows
+        t0 = time.perf_counter()
+        rho[rows], sigma[rows], outcome[rows], escalated = _calibrate(
+            dist, nu, q_p, rows, truncated
+        )
+        calibration_s += time.perf_counter() - t0
+        return rows[escalated]
+
+    rho, sigma, outcome = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    x = _kernel_reach(nu)
+    sample = np.unique(np.linspace(0, n - 1, _SAMPLE).round().astype(np.int64))
+    search(sample, np.inf)
+    calibrate(sample)
+    ordered = np.sort(dist[sample], axis=1)  # each row's own 0 first
+    first = _SLACK * ordered[:, _NEAREST].max()
+    # nodes the sample's searches would reach in the rounds, against n in full
+    cost = 0
+    for row, reach in zip(ordered, rho[sample] + x * sigma[sample]):
+        cost += np.searchsorted(row, first, side="right")
+        cost += np.searchsorted(row, reach, side="right") if reach > first else 0
+
+    rest = np.setdiff1d(np.arange(n), sample)
+    if cost >= n * sample.size:
+        # no saving: every row in full, the bytes of geodesic_distances
+        search(rest, np.inf)
+        calibrate(rest)
+        extended = rest[:0]
+    else:
+        search(rest, first)
+        search(rest[reached[rest] <= _NEAREST], np.inf)
+        escalated = calibrate(rest, np.isfinite(radius[rest]))
+        search(escalated, np.inf)
+        calibrate(escalated)
+        reach = rho + x * sigma
+        extended = np.flatnonzero(reach > radius)
+        search(extended, _limit_grid(reach[extended]))
+        for rows in _row_blocks(n, n, _KERNEL_BLOCK):
+            block = dist[rows]
+            block[block > reach[rows, None]] = np.inf
+
+    _warn_outcomes(sigma, outcome, q_p)
+    distances_s = time.perf_counter() - t_start - calibration_s
+    computed = _Computed(distances_s, calibration_s, reached.sum() / (n * n), extended.size, full)
+    return dist, CalibrationParams(rho, sigma), computed
 
 
 def conditional_similarity(

@@ -3,7 +3,9 @@
 The pipeline has two phases.  ``precompute`` turns the graph into two joint
 similarity matrices — one over the priori edge set, one over the complete
 (or k-NN substituted) graph — and caches both on disk under the names that
-``_cache_names`` alone derives from a content hash of what each reads.
+``_cache_names`` alone derives from a content hash of what each reads.  The
+geodesics of a connected graph, such as the kNN graph, are computed only as
+far as the input kernel reaches above ``similarity._FLOOR``.
 ``train`` then runs the epoch/batch loop: augment edges, forward each sorted
 batch's nodes through the network (computing only their receptive field),
 evaluate the fused loss on those rows, and update parameters with Adam.
@@ -34,7 +36,7 @@ from .container import (
     load_matrix,
     save_matrix,
 )
-from .distances import complete_graph_distances, geodesic_distances
+from .distances import complete_graph_distances
 from .graph import (
     AttributedGraph,
     DistanceMetric,
@@ -53,7 +55,13 @@ from .network import (
     forward,
     init_network,
 )
-from .similarity import SimilarityMatrix, calibrate_all, conditional_similarity, symmetrize
+from .similarity import (
+    SimilarityMatrix,
+    _calibrated,
+    _calibrated_geodesics,
+    conditional_similarity,
+    symmetrize,
+)
 
 __all__ = [
     "TrainConfig",
@@ -313,12 +321,17 @@ def _similarity_problem(what, matrix):
     return f"{what} holds values outside [0, 1] (min {low!r}, max {high!r})"
 
 
-def _similarity(path, distances_of, cfg: TrainConfig, tag):
-    """The joint similarity saved at ``path``, or computed from ``distances_of()`` and saved there.
+def _similarity(path, calibrated, cfg: TrainConfig, tag):
+    """The joint similarity saved at ``path``, or computed from ``calibrated()`` and saved there.
 
-    A file that does not load (wrong magic, truncated) or whose matrix is
-    not in [0, 1] is a cache miss, logged, and is computed again; a computed
-    matrix that is not raises ``ValueError``.  ``path`` None caches nothing.
+    ``calibrated()`` gives the distances, their calibration and how they
+    were computed (``similarity._Computed``).  A file that does not load
+    (wrong magic, truncated) or whose matrix is not in [0, 1] is a cache
+    miss, logged, and is computed again; a computed matrix that is not
+    raises ``ValueError``.  ``path`` None caches nothing.  A computed matrix
+    gets one info line: the seconds of each stage, the share of pairs whose
+    distances were computed, and the rows searched again out to their reach
+    and searched in full.
     """
     what = f"{tag} similarity"
     if path is not None and os.path.exists(path):
@@ -333,27 +346,26 @@ def _similarity(path, distances_of, cfg: TrainConfig, tag):
             del matrix
             problem = f"{path}: {problem}"
         log.warning("cache miss: %s; computing it again", problem)
+    d, calib, computed = calibrated()
     t0 = time.perf_counter()
-    d = distances_of()
-    t1 = time.perf_counter()
-    calib = calibrate_all(d, cfg.nu_input, cfg.q_p)
-    t2 = time.perf_counter()
     # the distances are not kept: their buffer takes the kernel, then the joint form
     cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
     joint = symmetrize(cond, out=d).matrix
-    t3 = time.perf_counter()
+    t1 = time.perf_counter()
     if problem := _similarity_problem(what, joint):
         raise ValueError(problem)
     write = 0.0
     if path is not None:
-        t4 = time.perf_counter()
+        t2 = time.perf_counter()
         save_matrix(path, joint)
-        write = time.perf_counter() - t4
+        write = time.perf_counter() - t2
         log.info("cache write: %s", path)
     log.info(
         "%s, up to %d workers: distances %.3f s, calibration %.3f s, "
-        "kernel+symmetrize %.3f s, cache write %.3f s",
-        what, distances._usable_cores(), t1 - t0, t2 - t1, t3 - t2, write,
+        "kernel+symmetrize %.3f s, cache write %.3f s; "
+        "pairs computed %.1f%%, rows extended %d, rows in full %d",
+        what, distances._usable_cores(), computed.distances_s, computed.calibration_s,
+        t1 - t0, write, 100.0 * computed.pairs, computed.extended, computed.full,
     )
     return SimilarityMatrix(joint, "joint")
 
@@ -367,7 +379,11 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     :func:`_cache_names` gives, and cache hits reload bit-identically.
     Distances are not cached: a similarity miss computes its distances into
     the buffer that, once they are calibrated, takes the kernel and then the
-    joint form.  A loaded similarity is checked to lie in [0, 1] (one
+    joint form.  The geodesics of a connected graph (the kNN graph, say)
+    are computed only within each row's reach, where the kernel is above
+    ``similarity._FLOOR``, and the conditional similarity is 0 beyond it
+    (``similarity._calibrated_geodesics``); rho and sigma are the full
+    computation's.  A loaded similarity is checked to lie in [0, 1] (one
     minimum and one maximum, which a NaN fails); one that does not is a
     logged cache miss and is computed again, and a computed one that does
     not raises ``ValueError`` naming the matrix.  With ``hard_similarity``
@@ -382,21 +398,24 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
         None if cache is None or name is None else os.path.join(cache, name)
         for name in _cache_names(g, cfg)
     )
+
+    def geodesics(graph):
+        return _calibrated_geodesics(graph, cfg.metric, cfg.lambda_, cfg.nu_input, cfg.q_p)
+
     if cfg.knn_k > 0:
         # the name does not depend on the kNN graph, so it is built on a miss only
-        def complete_distances():
-            knn = knn_graph(g.features, cfg.knn_k, cfg.metric)
-            return geodesic_distances(knn, cfg.metric, cfg.lambda_).matrix
+        def complete_calibrated():
+            return geodesics(knn_graph(g.features, cfg.knn_k, cfg.metric))
     else:
-        def complete_distances():
-            return complete_graph_distances(g.features, cfg.metric)
+        def complete_calibrated():
+            return _calibrated(
+                lambda: complete_graph_distances(g.features, cfg.metric), cfg.nu_input, cfg.q_p
+            )
 
-    p_complete = _similarity(complete, complete_distances, cfg, "complete")
+    p_complete = _similarity(complete, complete_calibrated, cfg, "complete")
     if cfg.hard_similarity:
         return p_complete, SimilarityMatrix(adjacency(g).toarray(), "joint")
-    p_prior = _similarity(
-        prior, lambda: geodesic_distances(g, cfg.metric, cfg.lambda_).matrix, cfg, "prior"
-    )
+    p_prior = _similarity(prior, lambda: geodesics(g), cfg, "prior")
     return p_complete, p_prior
 
 

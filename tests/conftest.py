@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,25 @@ def random_graph(rng, n=None, density=0.3, dims=4):
     edges = frozenset(zip(iu[keep].tolist(), ju[keep].tolist()))
     features = rng.standard_normal((n, dims))
     return AttributedGraph(n, edges, features, None)
+
+
+@functools.lru_cache(maxsize=1)
+def cora_like_graph():
+    """The benchmark's Cora-shaped graph ``cora_like(1)``, from ``bench/graphs.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "graphs.py"
+    spec = importlib.util.spec_from_file_location("bench_graphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cora_like(1)
+
+
+def cora_shaped(n):
+    """``cora_like(1)`` cut to its first ``n`` nodes: the features of Cora's shape on fewer rows."""
+    from dmage.graph import AttributedGraph
+
+    g = cora_like_graph()
+    edges = frozenset((i, j) for i, j in g.edges if j < n)
+    return AttributedGraph(n, edges, g.features[:n], g.labels[:n])
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from dmage.losses import BregmanKind, fused_loss
 from dmage.synthetic import two_block_sbm
 from dmage.training import TrainConfig, precompute
 
-from conftest import random_graph
+from conftest import cora_shaped, random_graph
 
 # high-precision reference values (40-digit arbitrary-precision arithmetic)
 KAPPA_0_100 = 0.99750316395510508721
@@ -712,3 +712,177 @@ class TestSecondTier:
         one = self.calibrate(d, nu, q_p)
         assert two.sigma.tobytes() == one.sigma.tobytes()
         assert 0 < two_tiers < seen["full"]
+
+
+# ------------------------------------------------- reach-limited geodesics
+
+
+def reach_case(case):
+    """A connected kNN graph, its metric and q_p, on which the rounds run."""
+    from dmage.graph import knn_graph
+
+    if case == "cora":  # Cora-shaped: sparse binary words, cosine, the preset's k
+        return knn_graph(cora_shaped(900).features, 15, "cosine"), "cosine", 16.0
+    rng = np.random.default_rng(case)
+    if case % 3 == 0:
+        x = (rng.random((400, 30)) < 0.2).astype(float)
+        return knn_graph(x, 8, "cosine"), "cosine", 2.0
+    if case % 3 == 1:
+        return knn_graph(rng.standard_normal((400, 3)), 5, "euclidean"), "euclidean", 2.0
+    return knn_graph(rng.standard_normal((400, 3)), 5, "manhattan"), "manhattan", 2.0
+
+
+def full_path(g, metric, q_p, nu=100.0):
+    """The full computation: every row searched in full, then calibrated."""
+    d = geodesic_distances(g, metric, 10.0).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationWarning)
+        return d, calibrate_all(d, nu, q_p)
+
+
+def reach_limited(g, metric, q_p, nu=100.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationWarning)
+        return similarity._calibrated_geodesics(g, metric, 10.0, nu, q_p)
+
+
+def joint_of(d, calib, nu=100.0):
+    return symmetrize(conditional_similarity(d, nu, calib)).matrix
+
+
+def within_reach(d0, calib0, nu=100.0):
+    """Where the full computation's distances lie within their row's reach."""
+    reach = calib0.rho + similarity._kernel_reach(nu) * calib0.sigma
+    return d0 <= reach[:, None]
+
+
+def joint_within_reach(d0, calib0, nu=100.0):
+    """The full computation's joint form with each conditional beyond its row's reach set to 0."""
+    cond = conditional_similarity(d0, nu, calib0).matrix
+    beyond = ~within_reach(d0, calib0, nu)
+    assert (cond[beyond] < similarity._FLOOR).all()
+    cond[beyond] = 0.0
+    return symmetrize(SimilarityMatrix(cond, "conditional")).matrix
+
+
+class TestReachLimitedGeodesics:
+    """A connected graph's rows are computed only as far as the kernel reaches."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 10.0, 100.0, 1e4])
+    def test_kernel_falls_to_the_floor_at_the_reach(self, nu):
+        x = similarity._kernel_reach(nu)
+        assert t_kernel(x, nu) == pytest.approx(similarity._FLOOR, rel=1e-9)
+        assert similarity._FLOOR == np.finfo(np.float32).tiny / 4
+        if nu == 100.0:
+            assert round(x, 1) == 21.9
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "cora"])
+    def test_full_computation_within_the_reach(self, case, workers):
+        g, metric, q_p = reach_case(case)
+        d0, calib0 = full_path(g, metric, q_p)
+        got = []
+        for w in (1, 2, 3):
+            workers(w)
+            d, calib, computed = reach_limited(g, metric, q_p)
+            got.append((d.tobytes(), calib.rho.tobytes(), calib.sigma.tobytes()))
+        # the rounds ran: fewer pairs than in full, and some rows extended
+        assert computed.pairs < 0.9 and computed.extended > 0 and computed.full < g.n, computed
+        assert got[1] == got[0] and got[2] == got[0]
+        # rho and sigma are the full computation's, bit for bit
+        assert calib.rho.tobytes() == calib0.rho.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+        # every distance within a row's reach has the full computation's bits,
+        # and every one beyond it is inf
+        inside = within_reach(d0, calib0)
+        assert np.isfinite(d).tolist() == inside.tolist()
+        assert d[inside].tobytes() == d0[inside].tobytes()
+        assert not inside.all()
+        # the joint form is the full one with each conditional beyond the
+        # reach set to 0, and differs from it by less than twice the floor
+        p = joint_of(d, calib)
+        assert p.tobytes() == joint_within_reach(d0, calib0).tobytes()
+        assert 0.0 < np.abs(p - joint_of(d0, calib0)).max() < 2.0 * similarity._FLOOR
+
+    def test_disconnected_knn_graph_and_isolated_nodes_take_the_full_path(self):
+        from dmage.graph import AttributedGraph, knn_graph
+
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((300, 3))
+        x[150:] += 100.0  # two clusters, no kNN edge between them
+        knn = knn_graph(x, 5, "euclidean")
+        edges = {(i, j) for i, j in knn.edges if max(i, j) < 280}  # 20 isolated nodes
+        isolated = AttributedGraph(300, frozenset(edges), x, None)
+        for g in (knn, isolated):
+            d0, calib0 = full_path(g, "euclidean", 2.0)
+            d, calib, computed = reach_limited(g, "euclidean", 2.0)
+            assert d.tobytes() == d0.tobytes()
+            assert calib.rho.tobytes() == calib0.rho.tobytes()
+            assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+            assert (computed.pairs, computed.extended, computed.full) == (1.0, 0, 300)
+
+    def test_every_row_in_full_where_the_reach_covers_the_graph(self):
+        # a dense block model: the sample's reaches cover every node, so the
+        # rounds would cost more than one full search per row
+        g = two_block_sbm(n=300, p_intra=0.1, p_inter=0.01, feature_dim=16, seed=0)
+        d0, calib0 = full_path(g, "euclidean", 16.0)
+        d, calib, computed = reach_limited(g, "euclidean", 16.0)
+        assert (computed.pairs, computed.extended, computed.full) == (1.0, 0, 300)
+        assert d.tobytes() == d0.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+
+    def searched_in_full(self, monkeypatch):
+        """The sources that the rounds search without a limit, as they are searched."""
+        seen = []
+        search = similarity._search_rows
+
+        def spy(graph, dist, sources, limit):
+            seen.extend(sources[np.isinf(limit)].tolist())
+            return search(graph, dist, sources, limit)
+
+        monkeypatch.setattr(similarity, "_search_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_rows_that_escalate_are_searched_in_full(self, case, workers, monkeypatch):
+        # tiers of 8 and 24 nearest: many rows go past the first tier
+        workers(1)
+        monkeypatch.setattr(similarity, "_NEAREST", 8)
+        monkeypatch.setattr(similarity, "_MIDDLE", 24)
+        g, metric, q_p = reach_case(case)
+        d0 = geodesic_distances(g, metric, 10.0).matrix
+        escalating = []
+        nearest = similarity._nearest_first
+
+        def nearest_first(d, idx, k):
+            if k == similarity._MIDDLE:
+                escalating.extend(idx.tolist())
+            return nearest(d, idx, k)
+
+        monkeypatch.setattr(similarity, "_nearest_first", nearest_first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            calib0 = calibrate_all(d0, 100.0, q_p)
+        escalating, tier2 = [], set(escalating)
+        full = self.searched_in_full(monkeypatch)
+        d, calib, computed = reach_limited(g, metric, q_p)
+        assert tier2 and tier2 <= set(full)
+        assert computed.full == len(full) < g.n
+        assert calib.rho.tobytes() == calib0.rho.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+        assert joint_of(d, calib).tobytes() == joint_within_reach(d0, calib0).tobytes()
+
+    def test_rows_short_of_their_nearest_are_searched_in_full(self, workers, monkeypatch):
+        # a first radius below most rows' 128th nearest distance
+        workers(1)
+        monkeypatch.setattr(similarity, "_SLACK", 0.95)
+        g, metric, q_p = reach_case("cora")
+        d0, calib0 = full_path(g, metric, q_p)
+        full = self.searched_in_full(monkeypatch)
+        d, calib, computed = reach_limited(g, metric, q_p)
+        nearest = np.sort(d0, axis=1)[:, similarity._NEAREST]
+        sample = np.unique(np.linspace(0, g.n - 1, similarity._SAMPLE).round().astype(int))
+        short = set(np.flatnonzero(nearest > 0.95 * nearest[sample].max()).tolist())
+        assert short and short <= set(full)
+        assert calib.rho.tobytes() == calib0.rho.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+        assert joint_of(d, calib).tobytes() == joint_within_reach(d0, calib0).tobytes()

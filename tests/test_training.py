@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from dmage.container import load_checkpoint, load_matrix, save_checkpoint
 from dmage.graph import adjacency
-from dmage import losses, network, training
+from dmage import distances, losses, network, similarity, training
 from dmage.losses import BregmanKind
 from dmage.graph import AttributedGraph
 from dmage.network import NetworkParams, default_stack, forward, init_network, aggregation_matrix
@@ -26,7 +27,7 @@ from dmage.training import (
 )
 from dmage.synthetic import two_block_sbm
 
-from conftest import random_graph
+from conftest import cora_shaped, random_graph
 from test_losses import assert_matches_oracle
 
 SMALL = dict(hidden_dims=(16, 8), latent_dim=3, epochs=5, p_minus=0.3)
@@ -349,7 +350,7 @@ class TestPrecompute:
             return load_matrix(path)
 
         monkeypatch.setattr("dmage.training.load_matrix", spy)
-        for name in ("complete_graph_distances", "geodesic_distances", "calibrate_all"):
+        for name in ("complete_graph_distances", "_calibrated", "_calibrated_geodesics"):
             monkeypatch.setattr(training, name, refuse(name))
         second = precompute(g, cfg, cache_dir=str(tmp_path))
         assert len(loaded) == 2
@@ -398,6 +399,56 @@ class TestPrecompute:
         full, _ = precompute(g, TrainConfig(knn_k=0))
         knn, _ = precompute(g, TrainConfig(knn_k=3))
         assert not np.allclose(full.matrix, knn.matrix)
+
+
+class TestReachLimitedCompleteSimilarity:
+    """The kNN graph's geodesics computed only as far as the kernel reaches."""
+
+    CFG = dict(metric="cosine", knn_k=15, hidden_dims=(16, 8), latent_dim=4, epochs=3)
+
+    def run(self, g, cache):
+        cfg = TrainConfig(**self.CFG)
+        with warnings.catch_warnings():
+            # the prior graph's isolated nodes miss the calibration target
+            warnings.simplefilter("ignore", similarity.CalibrationWarning)
+            p_complete = precompute(g, cfg, cache_dir=str(cache))[0].matrix
+            return p_complete, train(g, cfg, str(cache))
+
+    def test_same_embedding_bytes_as_the_full_similarity(self, tmp_path, monkeypatch):
+        g = cora_shaped(900)
+        reach, got = self.run(g, tmp_path / "reach")
+
+        def full(g, metric, lambda_, nu, q_p):
+            geodesics = distances.geodesic_distances
+            return similarity._calibrated(lambda: geodesics(g, metric, lambda_).matrix, nu, q_p)
+
+        monkeypatch.setattr(training, "_calibrated_geodesics", full)
+        p_full, want = self.run(g, tmp_path / "full")
+        # the similarities differ, below the floor only
+        assert 0.0 < np.abs(reach - p_full).max() < 2.0 * similarity._FLOOR
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        assert [t.total for t in got.loss_history] == [t.total for t in want.loss_history]
+
+    def test_one_line_per_matrix_says_how_far_its_rows_were_computed(self, tmp_path, caplog):
+        g = cora_shaped(900)
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            self.run(g, tmp_path)
+        lines = [r.message for r in caplog.records if "similarity, up to" in r.message]
+        assert [line.split()[0] for line in lines] == ["complete", "prior"]
+        pattern = r"; pairs computed ([0-9.]+)%, rows extended (\d+), rows in full (\d+)$"
+        counts = [re.search(pattern, line) for line in lines]
+        pairs, extended, full = counts[0].groups()
+        # the connected kNN graph: a share of the pairs, some rows extended,
+        # the sample and few others in full
+        assert 0.0 < float(pairs) < 100.0
+        assert int(extended) > 0 and 16 <= int(full) < 900
+        # the priori graph has isolated nodes: every row in full
+        assert counts[1].groups() == ("100.0", "0", "900")
+        # a cache hit logs no such line
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            self.run(g, tmp_path)
+        assert not [r for r in caplog.records if "similarity, up to" in r.message]
 
 
 class TestFusedLossOnPrecomputedMatrices:
