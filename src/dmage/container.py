@@ -2,7 +2,10 @@
 
 Matrix files carry the 4-byte magic "DMGS" (a similarity matrix, the one
 kind of matrix the cache holds), a little-endian u64 node count, then n*n
-row-major float64 values.  Checkpoints ("DMGW" plus a version byte) store
+row-major float32 values: 12 + 4 n^2 bytes.  float32 is the precision the
+loss reads a similarity in, and the one a similarity is stored and held
+in.  A file of earlier versions, with a float64 payload under the same
+magic, has twice the payload bytes and fails to load.  Checkpoints ("DMGW" plus a version byte) store
 the layer specs and their weight/bias tensors.  All writes go through a
 temp file and an atomic rename, so readers never observe a partial file.
 
@@ -88,18 +91,31 @@ def atomic_write_text(path, text: str):
 
 
 def save_matrix(path, matrix: np.ndarray):
-    """Persist a square float64 matrix under ``MAGIC_SIMILARITY``."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    """Persist a square matrix under ``MAGIC_SIMILARITY`` as float32.
+
+    A float32 matrix is written as it is; any other is narrowed first, its
+    entries below float32's smallest normal number flushed to 0, as
+    ``precompute`` narrows a similarity (``similarity._narrow``).
+    """
+    matrix = np.asarray(matrix)
+    if matrix.dtype != np.float32:
+        # imported here: similarity imports graph, which imports this module
+        from .similarity import _narrow
+
+        matrix = _narrow(matrix, np.float32)
+    matrix = np.ascontiguousarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     atomic_write_bytes(path, MAGIC_SIMILARITY + struct.pack("<Q", matrix.shape[0]), matrix)
 
 
 def load_matrix(path):
-    """Load a matrix container; returns ``(matrix, magic)``.
+    """Load a matrix container; returns ``(matrix, magic)``, the matrix float32.
 
     The header is checked before the payload is read, straight into the
-    returned array.  Any magic but ``MAGIC_SIMILARITY`` is unknown.
+    returned array.  Any magic but ``MAGIC_SIMILARITY`` is unknown, and a
+    payload of another size than 4 n^2 bytes, such as the float64 payload
+    of earlier versions, does not load.
     """
     with open(path, "rb") as f:
         head = f.read(12)
@@ -110,11 +126,11 @@ def load_matrix(path):
             raise ContainerFormatError(f"{path}: unknown magic {magic!r}")
         (n,) = struct.unpack("<Q", head[4:])
         size = os.fstat(f.fileno()).st_size - 12
-        if size != n * n * 8:
+        if size != n * n * 4:
             raise ContainerFormatError(
-                f"{path}: expected {n * n * 8} payload bytes for n={n}, found {size}"
+                f"{path}: expected {n * n * 4} payload bytes for n={n}, found {size}"
             )
-        matrix = np.empty((n, n), dtype="<f8")
+        matrix = np.empty((n, n), dtype="<f4")
         read = f.readinto(memoryview(matrix.reshape(-1)).cast("B")) if n else 0
     if read != size:
         raise ContainerFormatError(f"{path}: expected {size} payload bytes, read {read}")

@@ -32,19 +32,26 @@ matrices are gathered by one flat index, without copying whole rows.
 ``fused_loss`` computes in the dtype of the batch rows: float32 rows, as
 ``train`` passes them, give float32 Gram products, kernel, Q, divergence
 terms, coefficients and gradient; any other rows are float64.  The input
-matrices stay as they are, float32 or float64, and only each gathered block
-is cast, with every entry below the dtype's smallest normal number flushed
-to 0 (``_narrow``): a subnormal operand slows a multiply or divide over ten
-times, and a float32 block of ``P_complete`` can hold many of them.  The
-block sums of the terms are float64 in either dtype.  The divergences
-compute in float64 whatever their inputs' dtype.
+matrices are not copied.  A gathered block of a float32 matrix is read as
+it is (widened for float64 rows): ``precompute`` stores every similarity in
+float32 with its float32 subnormals already flushed to 0
+(``similarity._narrow``), so under ``train`` the loss casts nothing.  A
+block of a float64 matrix is cast, with every entry below the dtype's
+smallest normal number flushed to 0 (``_narrow``): a subnormal operand
+slows a multiply or divide over ten times, and a float32 block of
+``P_complete`` can hold many of them.  A float32 matrix that holds
+subnormals of its own is read with them, correct but slower.  The block
+sums of the terms are float64 in either dtype.  The divergences compute in
+float64 whatever their inputs' dtype.
 
 What is exact: each pair's divergence term and dLoss/dQ are the same
 elementwise operations, in the same order, as in ``bregman_sed`` and
 ``bregman_logistic`` (one kernel, ``_terms_and_dq``); the symmetry check on
 the input matrices compares the bits of the gathered block before it is
 cast; widening a float32 matrix is exact, so it gives the bytes of its
-float64 copy; and a call gives the same bits every time.  What is not: the
+float64 copy; float32 rows read the same block from a float64 ``P`` as from
+``_narrow(P, float32)``, so both give the same bytes; and a call gives the
+same bits every time.  What is not: the
 per-block Gram products and the per-block sums round otherwise than one
 (m, m) product and one sum, so the float64 loss terms and gradient differ
 from the older whole-array arithmetic (square roots, a division by the
@@ -77,7 +84,7 @@ from enum import Enum
 import numpy as np
 
 from .distances import _diagonal, _feature_rows, _row_blocks
-from .similarity import SimilarityMatrix, _t_kernel_of_squares
+from .similarity import SimilarityMatrix, _narrow, _t_kernel_of_squares
 
 __all__ = [
     "BregmanKind",
@@ -119,15 +126,11 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def _narrow(P, dtype):
-    """A block of a similarity matrix in ``dtype``, with every entry smaller
-    in magnitude than ``dtype``'s smallest normal number flushed to 0.
-
-    A multiply or divide on subnormal operands runs over ten times slower,
-    and in float32 a block of ``P_complete`` can hold many of them.  NaN
-    stays NaN, and widening to float64 is exact.
-    """
-    return np.multiply(P, np.abs(P) >= np.finfo(dtype).tiny, dtype=dtype, casting="same_kind")
+def _block(P, dtype):
+    """A gathered block in the loss's ``dtype``: float32 read as it is, else narrowed."""
+    if P.dtype == np.float32:
+        return P.astype(dtype, copy=False)
+    return _narrow(P, dtype)
 
 
 def _divergence(P, Q, kind: BregmanKind) -> float:
@@ -285,10 +288,12 @@ def fused_loss(
 
     The loss computes in the dtype of ``Z``: float32 rows give a float32
     gradient, and any other rows are taken as float64 and give a float64
-    one.  The terms are Python floats, summed in float64 either way.  Each
-    block of the input matrices, which are not copied, is cast to that
-    dtype with the entries below its smallest normal number set to 0 (a NaN
-    stays NaN).  Float32 rows match the float64 call on the same values to
+    one.  The terms are Python floats, summed in float64 either way.  The
+    input matrices are not copied.  A block of a float32 matrix is read as
+    it is; a block of any other is cast to the loss's dtype with the entries
+    below its smallest normal number set to 0 (a NaN stays NaN), so a
+    float64 matrix and its float32 copy narrowed that way give float32 rows
+    the same bytes.  Float32 rows match the float64 call on the same values to
     about 1e-7 relative in the terms and 1e-6 of the largest entry in the
     gradient (see the module docstring).
 
@@ -338,7 +343,7 @@ def fused_loss(
                 if np.array_equal(square, square.T, equal_nan=True):
                     raise ValueError(f"{name} holds NaN")
                 raise ValueError(f"{name} is not symmetric; the loss needs a joint similarity")
-        Pc, Pp = _narrow(Pc, Zb.dtype), _narrow(Pp, Zb.dtype)
+        Pc, Pp = _block(Pc, Zb.dtype), _block(Pp, Zb.dtype)
         terms = np.empty_like(Q)
         g_q = _terms_and_dq(Pc, Q, q_side, kind, M, rows, terms, a)
         feat += _pair_sum(terms, b - a)

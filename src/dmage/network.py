@@ -225,6 +225,21 @@ def _affine(Z, W, B):
     return pre
 
 
+def _csr_of(Z, flat):
+    """``scipy.sparse.csr_array(Z)`` field for field, from the C-order flat indices of its nonzeros.
+
+    scipy's own conversion scans ``Z`` several times; here each row's
+    entries are a run of ``flat``, so ``indptr`` is a binary search.  The
+    index dtype follows scipy's rule: int32 unless a dimension or the
+    nonzero count needs int64.
+    """
+    n, d = Z.shape
+    index = np.int32 if max(n, d, flat.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(index)
+    indices = (flat % max(d, 1)).astype(index)
+    return sp.csr_array((np.ravel(Z)[flat], indices, indptr), shape=Z.shape)
+
+
 def _input_rows(X, tape):
     """Layer 0's input: the features as float64, or a CSR copy when sparse enough.
 
@@ -235,8 +250,9 @@ def _input_rows(X, tape):
     if tape is not None and tape.source is X:
         return tape.features
     Z = np.asarray(X, dtype=np.float64)
-    if np.count_nonzero(Z) <= _SPARSE_DENSITY * Z.size:
-        Z = sp.csr_array(Z)
+    nonzero = Z != 0
+    if np.count_nonzero(nonzero) <= _SPARSE_DENSITY * Z.size:
+        Z = _csr_of(Z, np.flatnonzero(nonzero))
     if tape is not None:
         tape.source, tape.features = X, Z
     return Z

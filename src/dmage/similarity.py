@@ -101,6 +101,13 @@ _FLOOR = float(np.finfo(np.float32).tiny) / 4
 # search: their largest _NEAREST-th nearest distance, widened by _SLACK
 _SAMPLE = 16
 _SLACK = 1.1
+# the rounds run only when the sample's searches would reach less than this
+# share of the nodes that full searches reach: on 300-node 2-D Manhattan kNN
+# graphs predictions from 0.86 came out above full searches, and on 400-node
+# kNN graphs rounds over 0.73 to 0.86 of the pairs took as long as full
+# searches; the Cora-shaped graphs (0.16 to 0.32 predicted) and a 1200-node
+# block model (0.57) keep them
+_ROUNDS_SHARE = 0.75
 
 
 class CalibrationWarning(UserWarning):
@@ -540,10 +547,12 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
     1. ``_SAMPLE`` rows, evenly spaced, are searched in full and calibrated.
        The radius of the first round is their largest ``_NEAREST``-th
        nearest distance times ``_SLACK``.  When that radius and their
-       reaches would have the sample's searches reach as many nodes as
-       full searches do (a dense graph, or one whose reach covers nearly
-       every node), every other row is searched in full too, and the
-       result has the bytes of the full computation.
+       reaches would have the sample's searches reach more than
+       ``_ROUNDS_SHARE`` of the nodes that full searches reach (a dense
+       graph, or one whose reach covers most nodes), every other row is
+       searched in full too, and the result has the bytes of the full
+       computation: 16 rows predict the rest only roughly, and the rounds
+       search some rows twice.
     2. Every other row is searched to that radius.  A row that reaches
        fewer than its ``_NEAREST`` nearest is searched again in full.
     3. The rows are calibrated by :func:`calibrate_all`'s search.  Its first
@@ -611,8 +620,8 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
         cost += np.searchsorted(row, reach, side="right") if reach > first else 0
 
     rest = np.setdiff1d(np.arange(n), sample)
-    if cost >= n * sample.size:
-        # no saving: every row in full, the bytes of geodesic_distances
+    if cost >= _ROUNDS_SHARE * n * sample.size:
+        # no clear saving: every row in full, the bytes of geodesic_distances
         search(rest, np.inf)
         calibrate(rest)
         extended = rest[:0]
@@ -657,6 +666,17 @@ def conditional_similarity(
     return SimilarityMatrix(p, "conditional")
 
 
+def _narrow(P, dtype):
+    """``P`` in ``dtype``, with every entry smaller in magnitude than
+    ``dtype``'s smallest normal number flushed to 0.
+
+    A multiply or divide on subnormal operands runs over ten times slower,
+    and in float32 ``P_complete`` can hold many of them.  NaN stays NaN, and
+    widening to float64 is exact.
+    """
+    return np.multiply(P, np.abs(P) >= np.finfo(dtype).tiny, dtype=dtype, casting="same_kind")
+
+
 def _joint(a, b):
     """``a + b - 2ab`` as a new tile, the product taken as ``(2a) b``."""
     joint = np.add(a, b)
@@ -673,13 +693,22 @@ def symmetrize(p: SimilarityMatrix, out=None) -> SimilarityMatrix:
     Each tile is computed with its mirror tile, once for both
     (``distances._mirror``), so the result is exactly symmetric and no
     transposed copy of the matrix is made.  The result is written into
-    ``out`` when given (a float64 array of the matrix's shape, which may be
-    ``p.matrix`` itself); the bytes are the same either way.
+    ``out`` when given (an array of the matrix's shape, which may be
+    ``p.matrix`` itself); the bytes are the same either way.  A float32
+    ``out`` takes each float64 tile narrowed by ``_narrow``, its float32
+    subnormals flushed to 0, which is how :func:`training.precompute`
+    stores a similarity.
     """
     if p.kind != "conditional":
         raise ValueError("symmetrize expects a conditional similarity matrix")
     m = p.matrix
-    joint = np.empty(m.shape, np.result_type(m, 2.0)) if out is None else out
-    _mirror(m, joint, _joint)
+    wide = np.result_type(m, 2.0)
+    joint = np.empty(m.shape, wide) if out is None else out
+    if joint.dtype == wide:
+        combine = _joint
+    else:
+        def combine(a, b):
+            return _narrow(_joint(a, b), joint.dtype)
+    _mirror(m, joint, combine)
     np.fill_diagonal(joint, 0.0)
     return SimilarityMatrix(joint, "joint")

@@ -5,14 +5,15 @@ similarity matrices — one over the priori edge set, one over the complete
 (or k-NN substituted) graph — and caches both on disk under the names that
 ``_cache_names`` alone derives from a content hash of what each reads.  The
 geodesics of a connected graph, such as the kNN graph, are computed only as
-far as the input kernel reaches above ``similarity._FLOOR``.
+far as the input kernel reaches above ``similarity._FLOOR``.  Each
+similarity is computed in float64 and stored, cached and held in float32,
+the precision the loss reads it in, narrowed once as it is symmetrized.
 ``train`` then runs the epoch/batch loop: augment edges, forward each sorted
 batch's nodes through the network (computing only their receptive field),
 evaluate the fused loss on those rows, and update parameters with Adam.
 The network, its gradients, the loss and Adam run in float32, with the
-loss terms summed in float64 and the input similarities kept in float64.
-The final embedding always comes from a float64 forward pass over every
-node with the unaugmented priori adjacency.
+loss terms summed in float64.  The final embedding always comes from a
+float64 forward pass over every node with the unaugmented priori adjacency.
 """
 
 from __future__ import annotations
@@ -291,10 +292,11 @@ def _cache_names(g: AttributedGraph, cfg: TrainConfig):
     Each is ``<matrix>-<key>.dmgs``, the key the first 32 hex digits of a
     content hash of what the matrix reads: the complete one the features and
     its config fields, so graphs that differ only in their edges share it,
-    the priori one the whole graph and its config fields.  The priori name is
-    None under ``hard_similarity``, which caches no priori matrix.
+    the priori one the whole graph and its config fields.  The features are
+    hashed once, and both keys hash that digest.  The priori name is None
+    under ``hard_similarity``, which caches no priori matrix.
     """
-    reads = (g.features.shape, g.features, cfg.metric, cfg.nu_input, cfg.q_p)
+    reads = (content_hash(g.features.shape, g.features), cfg.metric, cfg.nu_input, cfg.q_p)
     if cfg.knn_k > 0:
         key = content_hash(*reads, "knn", cfg.knn_k, cfg.lambda_)
     else:
@@ -302,11 +304,7 @@ def _cache_names(g: AttributedGraph, cfg: TrainConfig):
     complete = f"complete-{key[:32]}.dmgs"
     if cfg.hard_similarity:
         return complete, None
-    # hashed in two steps, with the one value of the retired
-    # symmetrize_variant, so existing prior cache names still hit
-    base = content_hash(g.n, g.edge_array(), g.features)
-    graph_key = content_hash(base, "prior", cfg.metric, cfg.lambda_)
-    key = content_hash(graph_key, cfg.nu_input, cfg.q_p, "paper")
+    key = content_hash(*reads, "prior", g.n, g.edge_array(), cfg.lambda_)
     return complete, f"prior-{key[:32]}.dmgs"
 
 
@@ -322,13 +320,13 @@ def _similarity_problem(what, matrix):
 
 
 def _similarity(path, calibrated, cfg: TrainConfig, tag):
-    """The joint similarity saved at ``path``, or computed from ``calibrated()`` and saved there.
+    """The float32 joint similarity saved at ``path``, or computed from ``calibrated()`` and saved there.
 
     ``calibrated()`` gives the distances, their calibration and how they
     were computed (``similarity._Computed``).  A file that does not load
-    (wrong magic, truncated) or whose matrix is not in [0, 1] is a cache
-    miss, logged, and is computed again; a computed matrix that is not
-    raises ``ValueError``.  ``path`` None caches nothing.  A computed matrix
+    (wrong magic, truncated, a float64 payload of earlier versions) or
+    whose matrix is not in [0, 1] is a cache miss, logged, and is computed
+    again; a computed matrix that is not raises ``ValueError``.  ``path`` None caches nothing.  A computed matrix
     gets one info line: the seconds of each stage, the share of pairs whose
     distances were computed, and the rows searched again out to their reach
     and searched in full.
@@ -348,9 +346,11 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
         log.warning("cache miss: %s; computing it again", problem)
     d, calib, computed = calibrated()
     t0 = time.perf_counter()
-    # the distances are not kept: their buffer takes the kernel, then the joint form
+    # the distances are not kept: their buffer takes the kernel, and the
+    # joint form is narrowed into a float32 buffer as it is written
     cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
-    joint = symmetrize(cond, out=d).matrix
+    joint = symmetrize(cond, out=np.empty(d.shape, np.float32)).matrix
+    del d, cond
     t1 = time.perf_counter()
     if problem := _similarity_problem(what, joint):
         raise ValueError(problem)
@@ -373,13 +373,16 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
 def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     """Input similarity matrices: complete-graph ("feature") and priori-graph.
 
-    Returns ``(P_complete, P_prior)`` as joint :class:`SimilarityMatrix`.
-    The two similarities are cached under ``cache_dir`` (or the
-    DMAGE_CACHE_DIR environment variable) under the names
-    :func:`_cache_names` gives, and cache hits reload bit-identically.
-    Distances are not cached: a similarity miss computes its distances into
-    the buffer that, once they are calibrated, takes the kernel and then the
-    joint form.  The geodesics of a connected graph (the kNN graph, say)
+    Returns ``(P_complete, P_prior)`` as joint :class:`SimilarityMatrix`
+    holding float32 matrices, exactly symmetric: the loss reads a
+    similarity in float32, so each is computed in float64 and narrowed once,
+    its float32 subnormals flushed to 0 (``similarity._narrow``).  The two
+    similarities are cached under ``cache_dir`` (or the DMAGE_CACHE_DIR
+    environment variable) under the names :func:`_cache_names` gives, and
+    cache hits reload bit-identically.  Distances are not cached: a
+    similarity miss computes its distances into the buffer that, once they
+    are calibrated, takes the kernel, whose joint form is written into the
+    float32 matrix.  The geodesics of a connected graph (the kNN graph, say)
     are computed only within each row's reach, where the kernel is above
     ``similarity._FLOOR``, and the conditional similarity is 0 beyond it
     (``similarity._calibrated_geodesics``); rho and sigma are the full
@@ -414,7 +417,7 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
 
     p_complete = _similarity(complete, complete_calibrated, cfg, "complete")
     if cfg.hard_similarity:
-        return p_complete, SimilarityMatrix(adjacency(g).toarray(), "joint")
+        return p_complete, SimilarityMatrix(adjacency(g).astype(np.float32).toarray(), "joint")
     p_prior = _similarity(prior, lambda: geodesics(g), cfg, "prior")
     return p_complete, p_prior
 
@@ -444,9 +447,9 @@ def train(g: AttributedGraph, cfg: TrainConfig, cache_dir=None) -> TrainResult:
     The batch steps run in single precision: the float64 initial parameters
     are cast to float32 once, so the network, its gradients and Adam's
     moments are float32.  :func:`fused_loss` computes on the float32 batch
-    rows, casting each block it gathers from the float64 similarity
-    matrices, and returns a float32 gradient; only its terms are summed in
-    float64.  After the last epoch the
+    rows, reading the blocks it gathers from the float32 similarity
+    matrices as they are, and returns a float32 gradient; only its terms
+    are summed in float64.  After the last epoch the
     parameters are widened to float64, which is exact, and the final
     embedding is the float64 forward pass over every node; the returned
     params are those float64 ones, so :func:`embed` with them, or with their

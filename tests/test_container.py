@@ -77,16 +77,16 @@ class TestAtomicWrite:
 
 class TestMatrixContainer:
     def test_round_trip_bit_identical(self, tmp_path):
-        m = np.random.default_rng(0).standard_normal((7, 7))
+        m = np.random.default_rng(0).standard_normal((7, 7), dtype=np.float32)
         path = str(tmp_path / "m.dmgs")
         save_matrix(path, m)
         back, magic = load_matrix(path)
         assert magic == MAGIC_SIMILARITY
         assert back.tobytes() == m.tobytes()
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
 
     def test_round_trip_of_non_contiguous_input(self, tmp_path):
-        base = np.random.default_rng(1).standard_normal((6, 12))
+        base = np.random.default_rng(1).standard_normal((6, 12), dtype=np.float32)
         m = base[:, ::2]  # a strided view
         assert not m.flags.c_contiguous
         path = str(tmp_path / "m.dmgs")
@@ -111,7 +111,8 @@ class TestMatrixContainer:
             data = f.read()
         assert data[:4] == b"DMGS"
         assert struct.unpack("<Q", data[4:12]) == (2,)
-        assert np.frombuffer(data[12:], dtype="<f8").tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert np.frombuffer(data[12:], dtype="<f4").tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert len(data) == 12 + 4 * 2 * 2
 
     def test_rejects_non_square(self, tmp_path):
         with pytest.raises(ValueError, match="square"):
@@ -144,13 +145,20 @@ class TestMatrixContainer:
         with pytest.raises(ContainerFormatError):
             load_matrix(path)
 
-    def test_float32_input_upcast(self, tmp_path):
-        m = np.eye(3, dtype=np.float32)
-        path = str(tmp_path / "m.dmgd")
+    def test_float64_input_is_narrowed(self, tmp_path):
+        # stored as precompute stores a similarity: float32, whose subnormals are 0
+        m = np.array([[0.0, 0.3], [1e-40, 1.0]])
+        path = str(tmp_path / "m.dmgs")
         save_matrix(path, m)
         back, _ = load_matrix(path)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, np.eye(3))
+        assert back.dtype == np.float32
+        assert back.tobytes() == np.float32([[0.0, 0.3], [0.0, 1.0]]).tobytes()
+
+    def test_float64_payload_of_earlier_versions_does_not_load(self, tmp_path):
+        path = str(tmp_path / "m.dmgs")
+        atomic_write_bytes(path, MAGIC_SIMILARITY + struct.pack("<Q", 3) + np.eye(3).tobytes())
+        with pytest.raises(ContainerFormatError, match="expected 36 payload bytes for n=3, found 72"):
+            load_matrix(path)
 
 
 class TestCheckpointContainer:

@@ -521,7 +521,9 @@ class TestEndToEnd:
         assert (np.diag(s.matrix) == 0).all()
         d = pairwise_distance(g.features, "euclidean")
         cond = conditional_similarity(d, 100.0, calibrate_all(d, 100.0, 8.0))
-        assert s.matrix.tobytes() == symmetrize(cond).matrix.tobytes()
+        # stored in float32: the float64 joint form, narrowed once
+        assert s.matrix.dtype == np.float32
+        assert s.matrix.tobytes() == similarity._narrow(symmetrize(cond).matrix, np.float32).tobytes()
 
     def test_graph_geodesic_similarity_smoke(self):
         # the prior matrix: the same pipeline on the graph's geodesic distances
@@ -777,7 +779,10 @@ class TestReachLimitedGeodesics:
             assert round(x, 1) == 21.9
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3, "cora"])
-    def test_full_computation_within_the_reach(self, case, workers):
+    def test_full_computation_within_the_reach(self, case, workers, monkeypatch):
+        # the rounds' bytes, wherever they run: case 2's sample predicts 0.81
+        # of the pairs, which no longer takes the rounds, so the margin is lifted
+        monkeypatch.setattr(similarity, "_ROUNDS_SHARE", 1.0)
         g, metric, q_p = reach_case(case)
         d0, calib0 = full_path(g, metric, q_p)
         got = []
