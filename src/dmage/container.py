@@ -5,8 +5,8 @@ kind of matrix the cache holds), a little-endian u64 node count, then n*n
 row-major float32 values: 12 + 4 n^2 bytes.  float32 is the precision the
 loss reads a similarity in, and the one a similarity is stored and held
 in.  A file of earlier versions, with a float64 payload under the same
-magic, has twice the payload bytes and fails to load.  Checkpoints ("DMGW" plus a version byte) store
-the layer specs and their weight/bias tensors.  All writes go through a
+magic, has twice the payload bytes and fails to load.  Checkpoints ("DMGW"
+plus a version byte) store the layer specs and their weight/bias tensors.  All writes go through a
 temp file and an atomic rename, so readers never observe a partial file.
 
 Each layer block of a checkpoint starts with its kind, its dims and three
@@ -21,6 +21,8 @@ an error that names it.
 from __future__ import annotations
 
 import hashlib
+import math
+import mmap
 import os
 import secrets
 import struct
@@ -62,6 +64,21 @@ _RETIRED_CODES = {
 
 class ContainerFormatError(ValueError):
     """File does not conform to the expected binary layout."""
+
+
+def _shared_array(shape, dtype):
+    """An array in its own anonymous memory mapping.
+
+    Forked children share it with this process, and freeing it returns its
+    pages to the system.  An n x n float32 similarity at Cora's size (29 MB)
+    is below the C allocator's largest heap block (32 MB), where a freed
+    matrix can stay resident and the next one land beside it.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    # a mapping is at least a byte long
+    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, size).reshape(shape)
 
 
 def atomic_write_bytes(path, *chunks):
@@ -130,7 +147,7 @@ def load_matrix(path):
             raise ContainerFormatError(
                 f"{path}: expected {n * n * 4} payload bytes for n={n}, found {size}"
             )
-        matrix = np.empty((n, n), dtype="<f4")
+        matrix = _shared_array((n, n), "<f4")
         read = f.readinto(memoryview(matrix.reshape(-1)).cast("B")) if n else 0
     if read != size:
         raise ContainerFormatError(f"{path}: expected {size} payload bytes, read {read}")

@@ -225,15 +225,27 @@ def _affine(Z, W, B):
     return pre
 
 
-def _csr_of(Z, flat):
-    """``scipy.sparse.csr_array(Z)`` field for field, from the C-order flat indices of its nonzeros.
+def _sparse_copy(Z):
+    """``scipy.sparse.csr_array(Z)`` field for field, or None when more than
+    ``_SPARSE_DENSITY`` of the entries of the 2-D ``Z`` are nonzero.
 
-    scipy's own conversion scans ``Z`` several times; here each row's
-    entries are a run of ``flat``, so ``indptr`` is a binary search.  The
-    index dtype follows scipy's rule: int32 unless a dimension or the
-    nonzero count needs int64.
+    One scan finds the nonzeros, in row blocks of about 64k entries, so no
+    mask of the whole matrix is made (a freed buffer of a few MB moves the C
+    allocator's threshold for taking memory from its heap, which then keeps
+    more resident); scipy's own conversion scans ``Z`` several times.  Each
+    row's entries are a run of the C-order flat indices, so ``indptr`` is a
+    binary search.  The index dtype follows scipy's rule: int32 unless a
+    dimension or the nonzero count needs int64.
     """
     n, d = Z.shape
+    step = max(1, (1 << 16) // max(d, 1))
+    limit, parts = _SPARSE_DENSITY * Z.size, []
+    for a in range(0, n, step):
+        parts.append(np.flatnonzero(Z[a : a + step] != 0) + a * d)
+        limit -= parts[-1].size
+        if limit < 0:
+            return None
+    flat = np.concatenate(parts) if parts else np.zeros(0, np.int64)
     index = np.int32 if max(n, d, flat.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(index)
     indices = (flat % max(d, 1)).astype(index)
@@ -250,9 +262,8 @@ def _input_rows(X, tape):
     if tape is not None and tape.source is X:
         return tape.features
     Z = np.asarray(X, dtype=np.float64)
-    nonzero = Z != 0
-    if np.count_nonzero(nonzero) <= _SPARSE_DENSITY * Z.size:
-        Z = _csr_of(Z, np.flatnonzero(nonzero))
+    if (sparse := _sparse_copy(Z)) is not None:
+        Z = sparse
     if tape is not None:
         tape.source, tape.features = X, Z
     return Z

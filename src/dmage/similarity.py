@@ -546,11 +546,11 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
 
     1. ``_SAMPLE`` rows, evenly spaced, are searched in full and calibrated.
        The radius of the first round is their largest ``_NEAREST``-th
-       nearest distance times ``_SLACK``.  When that radius and their
-       reaches would have the sample's searches reach more than
-       ``_ROUNDS_SHARE`` of the nodes that full searches reach (a dense
-       graph, or one whose reach covers most nodes), every other row is
-       searched in full too, and the result has the bytes of the full
+       nearest distance times ``_SLACK``.  Unless that radius and their
+       reaches would have the sample's searches reach less than
+       ``_ROUNDS_SHARE`` of the nodes that full searches reach, every
+       other row is searched in full too (a dense graph, or one whose
+       reach covers most nodes), and the result has the bytes of the full
        computation: 16 rows predict the rest only roughly, and the rounds
        search some rows twice.
     2. Every other row is searched to that radius.  A row that reaches
@@ -696,8 +696,8 @@ def symmetrize(p: SimilarityMatrix, out=None) -> SimilarityMatrix:
     ``out`` when given (an array of the matrix's shape, which may be
     ``p.matrix`` itself); the bytes are the same either way.  A float32
     ``out`` takes each float64 tile narrowed by ``_narrow``, its float32
-    subnormals flushed to 0, which is how :func:`training.precompute`
-    stores a similarity.
+    subnormals flushed to 0, which is how ``precompute`` stores a
+    similarity.
     """
     if p.kind != "conditional":
         raise ValueError("symmetrize expects a conditional similarity matrix")

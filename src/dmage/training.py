@@ -32,6 +32,7 @@ from . import distances
 from .augmentation import AugmentationConfig, augment
 from .container import (
     ContainerFormatError,
+    _shared_array,
     atomic_write_text,
     content_hash,
     load_matrix,
@@ -326,8 +327,8 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
     were computed (``similarity._Computed``).  A file that does not load
     (wrong magic, truncated, a float64 payload of earlier versions) or
     whose matrix is not in [0, 1] is a cache miss, logged, and is computed
-    again; a computed matrix that is not raises ``ValueError``.  ``path`` None caches nothing.  A computed matrix
-    gets one info line: the seconds of each stage, the share of pairs whose
+    again; a computed matrix that is not raises ``ValueError``.  ``path``
+    None caches nothing.  A computed matrix gets one info line: the seconds of each stage, the share of pairs whose
     distances were computed, and the rows searched again out to their reach
     and searched in full.
     """
@@ -349,7 +350,7 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
     # the distances are not kept: their buffer takes the kernel, and the
     # joint form is narrowed into a float32 buffer as it is written
     cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
-    joint = symmetrize(cond, out=np.empty(d.shape, np.float32)).matrix
+    joint = symmetrize(cond, out=_shared_array(d.shape, np.float32)).matrix
     del d, cond
     t1 = time.perf_counter()
     if problem := _similarity_problem(what, joint):

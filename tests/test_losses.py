@@ -673,3 +673,59 @@ class TestSinglePrecisionLoss:
         batch = np.array([0, 5, node])
         with pytest.raises(IndexError, match="outside 0..39"):
             fused_loss(self.Pc, self.Pp, self.Z[:3], 1.0, 0.5, BregmanKind.LOGI, batch)
+
+
+class TestFloat32StoredSimilarities:
+    """``precompute`` stores each similarity as ``_narrow(P, float32)``.
+
+    Float32 rows read those blocks as they are, and read a float64 P's
+    blocks narrowed the same way, so the training bytes do not depend on
+    which of the two the loss gets.
+    """
+
+    @staticmethod
+    def inputs(m, seed):
+        Pc, Pp, Z, batch = _edge_case_inputs(np.random.default_rng(seed), m + 5, m)
+        rng = np.random.default_rng(seed + 1)
+        tiny = float(np.finfo(np.float32).tiny)
+        for P in (Pc, Pp):
+            # float32 subnormals, and values either side of float32's smallest
+            # normal that round to it
+            for value in (1e-40, -1e-42, tiny * (1 - 1e-9), tiny * (1 + 1e-9), tiny / 4):
+                mask = np.triu(rng.random(P.shape) < 0.03, 1)
+                P[mask | mask.T] = value
+        return Pc, Pp, Z.astype(np.float32), batch
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(BregmanKind))
+    @pytest.mark.parametrize("m, block", [(2, None), (9, 64), (20, 64), (255, None), (256, None), (257, None)])
+    def test_narrowed_matrices_give_the_float64_bytes(self, m, block, kind, alpha, monkeypatch):
+        # blocks of 64 pairs: 9 rows take 7 + 2, 20 rows 3, 3, 4, 6, 4; blocks
+        # of 32k pairs: 256 rows take 128 + 128, 257 rows 127 + 130
+        if block is not None:
+            monkeypatch.setattr(losses, "_BLOCK", block)
+        Pc, Pp, Z, batch = self.inputs(m, m)
+        narrow = [losses._narrow(P, np.float32) for P in (Pc, Pp)]
+        assert all(P.dtype == np.float32 for P in narrow)
+        tiny = np.finfo(np.float32).tiny
+        assert not any(((P != 0) & (np.abs(P) < tiny)).any() for P in narrow)
+        got = fused_loss(*narrow, Z[batch], 1.0, alpha, kind, batch)
+        want = fused_loss(Pc, Pp, Z[batch], 1.0, alpha, kind, batch)
+        assert got[0] == want[0]
+        assert got[1].dtype == np.float32 and got[1].tobytes() == want[1].tobytes()
+
+    def test_float32_blocks_are_not_cast(self, monkeypatch):
+        Pc, Pp, Z, batch = self.inputs(40, 3)
+        narrow = [losses._narrow(P, np.float32) for P in (Pc, Pp)]
+        calls = []
+        real = losses._narrow
+
+        def spy(P, dtype):
+            calls.append(P.dtype)
+            return real(P, dtype)
+
+        monkeypatch.setattr(losses, "_narrow", spy)
+        fused_loss(*narrow, Z[batch], 1.0, 0.5, BregmanKind.LOGI, batch)
+        assert calls == []
+        fused_loss(Pc, Pp, Z[batch], 1.0, 0.5, BregmanKind.LOGI, batch)
+        assert calls and set(calls) == {np.dtype(np.float64)}

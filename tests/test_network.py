@@ -382,6 +382,38 @@ class TestSparseFirstLayer:
         forward(np.random.default_rng(0).standard_normal((4, 32)), None, params, tape)
         assert isinstance(tape.inputs[0], np.ndarray)
 
+    @pytest.mark.parametrize(
+        "case", ["empty rows", "all zero", "negative zero", "at the threshold", "row blocks"]
+    )
+    def test_csr_copy_is_scipys(self, case):
+        rng = np.random.default_rng(4)
+        X = np.zeros((8, 64))
+        if case == "empty rows":
+            X[[1, 1, 4, 7], [3, 40, 10, 63]] = (0.25, -3.0, np.nan, 1e-310)
+        elif case == "negative zero":
+            X[::2, ::3] = -0.0
+            X[3, [2, 5, 63]] = (-1.5, 2.0, 1e-300)
+        elif case == "at the threshold":
+            X.flat[rng.choice(X.size, X.size // 32, replace=False)] = 1.0
+        elif case == "row blocks":
+            # the nonzeros are found in blocks of 64k entries: 16 rows of 4096
+            X = np.zeros((40, 1 << 12))
+            X[[0, 15, 16, 31, 39], [0, (1 << 12) - 1, 0, 7, 5]] = (3.0, -4.0, 1.0, 2.0, -0.5)
+        got = network._input_rows(X, None)
+        want = sp.csr_array(X)
+        assert sp.issparse(got)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert got.shape == want.shape
+        assert got.has_canonical_format == want.has_canonical_format
+
+    def test_one_entry_above_the_threshold_stays_dense(self):
+        X = np.zeros((8, 64))
+        X.flat[: X.size // 32 + 1] = -0.5
+        got = network._input_rows(X, None)
+        assert isinstance(got, np.ndarray) and got.tobytes() == X.tobytes()
+
     def test_hidden_layers_stay_dense(self):
         rng = np.random.default_rng(30)
         g = sparse_graph(rng, 12, 64)

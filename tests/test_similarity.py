@@ -835,6 +835,22 @@ class TestReachLimitedGeodesics:
         assert d.tobytes() == d0.tobytes()
         assert calib.sigma.tobytes() == calib0.sigma.tobytes()
 
+    def test_every_row_in_full_without_a_clear_saving(self, monkeypatch):
+        # a 2-D Manhattan kNN graph whose sample predicts 0.91 of the pairs of
+        # full searches, on which the rounds searched more than full searches
+        from dmage.graph import knn_graph
+
+        g = knn_graph(np.random.default_rng(7).standard_normal((300, 2)), 5, "manhattan")
+        d0, calib0 = full_path(g, "manhattan", 4.0)
+        d, calib, computed = reach_limited(g, "manhattan", 4.0)
+        assert (computed.pairs, computed.extended, computed.full) == (1.0, 0, 300)
+        assert d.tobytes() == d0.tobytes()
+        assert calib.rho.tobytes() == calib0.rho.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+        # without the margin the rounds run, and search more pairs
+        monkeypatch.setattr(similarity, "_ROUNDS_SHARE", 1.0)
+        assert reach_limited(g, "manhattan", 4.0)[2].pairs > 1.0
+
     def searched_in_full(self, monkeypatch):
         """The sources that the rounds search without a limit, as they are searched."""
         seen = []

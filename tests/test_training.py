@@ -9,7 +9,7 @@ import pytest
 
 from dmage.container import load_checkpoint, load_matrix, save_checkpoint
 from dmage.graph import adjacency
-from dmage import distances, losses, network, similarity, training
+from dmage import container, distances, losses, network, similarity, training
 from dmage.losses import BregmanKind
 from dmage.graph import AttributedGraph
 from dmage.network import NetworkParams, default_stack, forward, init_network, aggregation_matrix
@@ -400,6 +400,109 @@ class TestPrecompute:
         knn, _ = precompute(g, TrainConfig(knn_k=3))
         assert not np.allclose(full.matrix, knn.matrix)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"metric": "cosine", "knn_k": 4}, {"hard_similarity": True}],
+        ids=["complete", "knn", "hard"],
+    )
+    def test_matrices_are_float32_in_the_unit_interval_without_subnormals(
+        self, kwargs, tmp_path, monkeypatch
+    ):
+        # blocks far apart for their spread: far pairs' similarities underflow
+        g = two_block_sbm(n=45, p_intra=0.08, p_inter=0.01, separation=4.0, sigma=0.5, seed=2)
+        cfg = TrainConfig(**kwargs)
+        tiny = np.finfo(np.float32).tiny
+        flushed = []
+        real = training.symmetrize
+
+        def spy(p, out=None):
+            # the float64 joint form holds values that float32 keeps only as subnormals
+            wide = real(p).matrix
+            flushed.append(int(((wide != 0) & (np.abs(wide) < tiny)).sum()))
+            return real(p, out=out)
+
+        monkeypatch.setattr(training, "symmetrize", spy)
+        runs = []
+        for lookup in ("miss", "hit"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                runs.append(precompute(g, cfg, cache_dir=str(tmp_path)))
+        assert len(flushed) == (1 if cfg.hard_similarity else 2) and all(flushed)
+        for cold, warm in zip(*runs):
+            for m in (cold.matrix, warm.matrix):
+                assert m.dtype == np.float32 and m.flags.c_contiguous
+                assert np.array_equal(m, m.T)
+                assert m.min() >= 0.0 and m.max() <= 1.0
+                assert not ((m != 0) & (m < tiny)).any()
+            assert cold.matrix.tobytes() == warm.matrix.tobytes()
+        for path in tmp_path.iterdir():
+            assert path.stat().st_size == 12 + 4 * g.n * g.n
+
+    def test_float64_file_of_earlier_versions_is_recomputed(self, tmp_path, caplog):
+        g = two_block_sbm(seed=0)
+        cfg = TrainConfig()
+        want = [m.matrix.tobytes() for m in precompute(g, cfg, cache_dir=str(tmp_path))]
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (prior,) = tmp_path.glob("prior-*.dmgs")
+        # the layout earlier versions wrote: the same header, a float64 payload
+        wide = load_matrix(prior)[0].astype(np.float64)
+        prior.write_bytes(files[prior.name][:12] + wide.tobytes())
+        with caplog.at_level(logging.INFO, logger="dmage"):
+            got = precompute(g, cfg, cache_dir=str(tmp_path))
+        misses = [r for r in caplog.records if "cache miss" in r.message]
+        assert len(misses) == 1 and misses[0].levelno == logging.WARNING
+        assert prior.name in misses[0].message
+        assert "expected 14400 payload bytes for n=60, found 28800" in misses[0].message
+        assert [m.matrix.tobytes() for m in got] == want
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("hard", [False, True], ids=["geodesic", "hard"])
+    def test_cache_names_hash_the_features_once(self, hard, monkeypatch):
+        g = two_block_sbm(n=60, feature_dim=64, seed=0)
+        sizes = []
+        real = container.hashlib.sha256
+
+        class Spy:
+            def __init__(self):
+                self.h = real()
+
+            def update(self, data):
+                sizes.append(memoryview(data).nbytes)
+                self.h.update(data)
+
+            def hexdigest(self):
+                return self.h.hexdigest()
+
+        monkeypatch.setattr(container.hashlib, "sha256", Spy)
+        training._cache_names(g, TrainConfig(hard_similarity=hard))
+        assert sizes.count(g.features.nbytes) == 1
+        assert sum(sizes) < 2 * g.features.nbytes
+
+    def test_cache_names_follow_what_each_matrix_reads(self):
+        g = small_graph()
+        cfg = TrainConfig()
+        base = training._cache_names(g, cfg)
+        features = g.features.copy()
+        features[0, 0] += 1.0
+        changes = {
+            "edges": (g.with_edges(g.edge_array()[::2]), cfg),
+            "features": (AttributedGraph(g.n, g.edges, features, g.labels), cfg),
+            "metric": (g, TrainConfig(metric="cosine")),
+            "lambda": (g, TrainConfig(lambda_=5.0)),
+            "nu": (g, TrainConfig(nu_input=50.0)),
+            "q_p": (g, TrainConfig(q_p=8.0)),
+        }
+        for what, (h, c) in changes.items():
+            complete, prior = training._cache_names(h, c)
+            # the complete matrix reads the features, and lambda only with a kNN graph
+            assert (complete == base[0]) == (what in ("edges", "lambda")), what
+            assert prior != base[1], what
+        knn = TrainConfig(knn_k=4)
+        assert training._cache_names(g, knn)[0] != training._cache_names(
+            g, dataclasses.replace(knn, lambda_=5.0)
+        )[0]
+        assert training._cache_names(g, TrainConfig(hard_similarity=True)) == (base[0], None)
+
 
 class TestReachLimitedCompleteSimilarity:
     """The kNN graph's geodesics computed only as far as the kernel reaches."""
@@ -579,6 +682,20 @@ class TestTrain:
         r2 = train(g, cfg)
         assert r1.embeddings.tobytes() == r2.embeddings.tobytes()
         assert [t.total for t in r1.loss_history] == [t.total for t in r2.loss_history]
+
+    @pytest.mark.parametrize("knn_k", [0, 4], ids=["complete", "knn"])
+    def test_cached_and_computed_similarities_train_the_same_bytes(self, knn_k, tmp_path):
+        g = two_block_sbm(n=45, p_intra=0.08, p_inter=0.01, seed=2)
+        cfg = TrainConfig(seed=3, knn_k=knn_k, **SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runs = [train(g, cfg), train(g, cfg, str(tmp_path)), train(g, cfg, str(tmp_path))]
+        # computed in the call, computed and written, loaded
+        for r in runs[1:]:
+            assert r.embeddings.tobytes() == runs[0].embeddings.tobytes()
+            assert [dataclasses.astuple(t) for t in r.loss_history] == [
+                dataclasses.astuple(t) for t in runs[0].loss_history
+            ]
 
     def test_seed_changes_result(self):
         g = small_graph()
