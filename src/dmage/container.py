@@ -21,8 +21,6 @@ an error that names it.
 from __future__ import annotations
 
 import hashlib
-import math
-import mmap
 import os
 import secrets
 import struct
@@ -64,21 +62,6 @@ _RETIRED_CODES = {
 
 class ContainerFormatError(ValueError):
     """File does not conform to the expected binary layout."""
-
-
-def _shared_array(shape, dtype):
-    """An array in its own anonymous memory mapping.
-
-    Forked children share it with this process, and freeing it returns its
-    pages to the system.  An n x n float32 similarity at Cora's size (29 MB)
-    is below the C allocator's largest heap block (32 MB), where a freed
-    matrix can stay resident and the next one land beside it.
-    """
-    dtype = np.dtype(dtype)
-    size = math.prod(shape)
-    # a mapping is at least a byte long
-    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
-    return np.frombuffer(buffer, dtype, size).reshape(shape)
 
 
 def atomic_write_bytes(path, *chunks):
@@ -147,7 +130,7 @@ def load_matrix(path):
             raise ContainerFormatError(
                 f"{path}: expected {n * n * 4} payload bytes for n={n}, found {size}"
             )
-        matrix = _shared_array((n, n), "<f4")
+        matrix = np.empty((n, n), dtype="<f4")
         read = f.readinto(memoryview(matrix.reshape(-1)).cast("B")) if n else 0
     if read != size:
         raise ContainerFormatError(f"{path}: expected {size} payload bytes, read {read}")

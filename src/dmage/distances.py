@@ -22,6 +22,8 @@ connected graph where the similarity kernel falls below a floor.
 from __future__ import annotations
 
 import logging
+import math
+import mmap
 import os
 import warnings
 from dataclasses import dataclass
@@ -30,7 +32,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
-from .container import _shared_array
 from .graph import AttributedGraph, DistanceMetric
 
 log = logging.getLogger("dmage")
@@ -259,6 +260,15 @@ def _fill_rows(n, width, fill, *layouts):
     if failed:
         raise RuntimeError(f"row workers failed: {', '.join(failed)}")
     return arrays
+
+
+def _shared_array(shape, dtype):
+    """An array in anonymous memory that forked children share with this process."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    # a mapping is at least a byte long
+    buffer = mmap.mmap(-1, max(1, size * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, size).reshape(shape)
 
 
 def _search_rows(graph, dist, sources, limit):

@@ -29,8 +29,9 @@ row-at-a-time search goes, and sigma is the same bit for bit.
 
 The kernel pass and the symmetrization can write into a given buffer
 (``out=``), the distance matrix included, so that ``precompute`` turns one
-n x n buffer from distances into the joint similarity.  Their bytes are
-the same either way.
+n x n buffer from distances into the conditional similarity, whose joint
+form it writes into a float32 matrix, narrowed tile by tile (``_narrow``).
+Their bytes are the same either way.
 
 The geodesics of a connected graph are computed only as far as the kernel
 reaches (``_calibrated_geodesics``): row i up to ``rho_i + x* sigma_i``,

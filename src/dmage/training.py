@@ -32,7 +32,6 @@ from . import distances
 from .augmentation import AugmentationConfig, augment
 from .container import (
     ContainerFormatError,
-    _shared_array,
     atomic_write_text,
     content_hash,
     load_matrix,
@@ -348,9 +347,12 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
     d, calib, computed = calibrated()
     t0 = time.perf_counter()
     # the distances are not kept: their buffer takes the kernel, and the
-    # joint form is narrowed into a float32 buffer as it is written
+    # joint form is narrowed into a float32 matrix as it is written, in its
+    # own mapping: an n x n float32 matrix at Cora's size (29 MB) is below
+    # the C allocator's largest heap block (32 MB), and a computed one freed
+    # there leaves the heap larger for every later run in the process
     cond = conditional_similarity(d, cfg.nu_input, calib, out=d)
-    joint = symmetrize(cond, out=_shared_array(d.shape, np.float32)).matrix
+    joint = symmetrize(cond, out=distances._shared_array(d.shape, np.float32)).matrix
     del d, cond
     t1 = time.perf_counter()
     if problem := _similarity_problem(what, joint):

@@ -456,8 +456,7 @@ class TestPrecompute:
         assert [m.matrix.tobytes() for m in got] == want
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
-    @pytest.mark.parametrize("hard", [False, True], ids=["geodesic", "hard"])
-    def test_cache_names_hash_the_features_once(self, hard, monkeypatch):
+    def test_cache_names_hash_the_features_once(self, monkeypatch):
         g = two_block_sbm(n=60, feature_dim=64, seed=0)
         sizes = []
         real = container.hashlib.sha256
@@ -474,7 +473,7 @@ class TestPrecompute:
                 return self.h.hexdigest()
 
         monkeypatch.setattr(container.hashlib, "sha256", Spy)
-        training._cache_names(g, TrainConfig(hard_similarity=hard))
+        training._cache_names(g, TrainConfig())
         assert sizes.count(g.features.nbytes) == 1
         assert sum(sizes) < 2 * g.features.nbytes
 
