@@ -248,7 +248,7 @@ def _sparse_copy(Z):
     flat = np.concatenate(parts) if parts else np.zeros(0, np.int64)
     index = np.int32 if max(n, d, flat.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(flat, np.arange(n + 1) * d).astype(index)
-    indices = (flat % max(d, 1)).astype(index)
+    indices = (flat % d).astype(index)
     return sp.csr_array((np.ravel(Z)[flat], indices, indptr), shape=Z.shape)
 
 

@@ -327,9 +327,9 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
     (wrong magic, truncated, a float64 payload of earlier versions) or
     whose matrix is not in [0, 1] is a cache miss, logged, and is computed
     again; a computed matrix that is not raises ``ValueError``.  ``path``
-    None caches nothing.  A computed matrix gets one info line: the seconds of each stage, the share of pairs whose
-    distances were computed, and the rows searched again out to their reach
-    and searched in full.
+    None caches nothing.  A computed matrix gets one info line: the seconds
+    of each stage, the share of pairs whose distances were computed, and
+    the rows searched again out to their reach and searched in full.
     """
     what = f"{tag} similarity"
     if path is not None and os.path.exists(path):
