@@ -11,21 +11,22 @@ The search's tolerance (``DEFAULT_TOL``, 1e-5) and bisection cap
 The normalized distances then pass through a Student-t kernel and the
 resulting conditional similarities are symmetrized into a joint form.
 
-All rows are calibrated at once, each on its ``_NEAREST`` (128) nearest
-distances rather than on all n - 1, as UMAP's and Barnes-Hut t-SNE's
-bandwidth searches do.  The kernel falls with distance, so the left-out
-distances, none nearer than the row's 128th nearest, add at most that many
-times its squared kernel to the exponent: the truncated sum and this tail
-bound bracket the objective.  Widened by a rounding margin of
-``1e-9 * q_p``, far above the ~1e-14 by which another summation order moves
-the objective and far below the tolerance, the bracket decides each
+All rows are calibrated at once, and each row is read in tiers, one loop
+over the tier sizes ``(_NEAREST, _MIDDLE)`` = (128, 1024), those below
+n - 1 (``_Rows``), as UMAP's and Barnes-Hut t-SNE's bandwidth searches
+read only the nearest distances.  A tier of k brackets the objective on
+the row's k nearest distances: the kernel falls with distance, so the
+n - 1 - k left out, none nearer than the k-th, add at most that many
+times its squared kernel to the exponent.  Widened by a rounding margin
+of ``1e-9 * q_p``, far above the ~1e-14 by which another summation order
+moves the objective and far below the tolerance, the bracket decides each
 comparison of the search (within ``tol``, below or above the target)
-unless it straddles -tol, 0 or +tol.  A row whose bracket does is
-bracketed again in the same way on its ``_MIDDLE`` (1024) nearest
-distances, partitioned from the row the first time it needs them; only
-where that bracket straddles too is the row summed in full, exactly as
-the one-row search sums it.  Every decision therefore goes the way the
-row-at-a-time search goes, and sigma is the same bit for bit.
+unless it straddles -tol, 0 or +tol.  Only a row whose bracket does goes
+on to the next tier, partitioned from the row the first time it gets
+there, and only a row still open after the last tier is summed over its
+full row, exactly as the one-row search sums it.  The tiers change how
+often a row is summed in full, never a decision: every decision goes the
+way the row-at-a-time search goes, and sigma is the same bit for bit.
 
 The kernel pass and the symmetrization can write into a given buffer
 (``out=``), the distance matrix included, so that ``precompute`` turns one
@@ -82,10 +83,9 @@ SIGMA_LO = 1e-4
 MAX_DOUBLINGS = 64
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 100
-# rows are searched on this many nearest distances, the rest bounded
+# the tier sizes (_Rows): a row is bracketed on its _NEAREST nearest distances,
+# where that is open on its _MIDDLE nearest, and only then summed in full
 _NEAREST = 128
-# a row whose bracket on its _NEAREST nearest is open is bracketed again on
-# this many nearest, before it is summed in full
 _MIDDLE = 1024
 # rounding margin on the objective, relative to q_p
 _MARGIN = 1e-9
@@ -207,111 +207,84 @@ def _off_diagonal(d, idx):
 
 
 class _Rows:
-    """The calibration input: each row's nearest distances, bounds on the rest.
+    """The calibration input: rows of a distance matrix, read tier by tier.
 
-    Row i stands for row ``index[i]`` of the square matrix ``d``.
-    ``near[i]`` holds its ``_NEAREST`` smallest off-diagonal distances, in
-    any order, and the other ``count`` are at least ``d_k[i]``.  With
-    ``count == 0``, ``near[i]`` is the whole off-diagonal row in index order
-    and ``d`` is not needed.  A row's ``_MIDDLE`` smallest distances, the
-    second tier, are partitioned from ``d`` the first time the row needs
-    them, and kept.  A row marked ``truncated`` holds only its distances up
-    to a radius beyond its ``_NEAREST`` nearest, inf past it, so it has no
-    second tier: where its first bracket is open it is marked ``escalated``
-    and its search goes on with that bracket's lower end, a value to be
-    discarded.
+    Row i stands for row ``index[i]`` of the square matrix ``d``.  The
+    tiers are ``_NEAREST`` and ``_MIDDLE``, those below ``n - 1``.  Tier t
+    holds each row's ``tiers[t]`` smallest off-diagonal distances, the
+    largest last, the rest in any order, partitioned from ``d`` the first
+    time the row needs them, and kept.  Without ``index``, ``d`` holds the
+    whole off-diagonal rows, in index order, and there are no tiers.  A
+    row marked ``truncated`` holds only its distances up to a radius beyond
+    its ``_NEAREST`` nearest, inf past it, so it has no second tier: where
+    its first bracket is open it is marked ``escalated`` and its search
+    goes on with that bracket's lower end, a value to be discarded.
     """
 
-    def __init__(self, near, rho, count=0, d_k=None, d=None, index=None, truncated=None):
-        self.near, self.rho, self.count, self.d_k, self.d = near, rho, count, d_k, d
-        self.index, self.truncated = index, truncated
+    def __init__(self, d, rho, index=None, truncated=None):
+        self.d, self.rho, self.index, self.truncated = d, rho, index, truncated
         self.escalated = np.zeros(rho.size, dtype=bool)
-        self.mid = self.mid_k = self.has_mid = None
+        self.tiers = [k for k in (_NEAREST, _MIDDLE) if index is not None and k < d.shape[0] - 1]
+        # pages are touched only for the rows that get to a tier
+        self.near = [np.empty((rho.size, k)) for k in self.tiers]
+        self.filled = [np.zeros(rho.size, dtype=bool) for _ in self.tiers]
 
     @classmethod
     def of_matrix(cls, d, index, truncated=None):
         """The rows ``index`` (an index array) of the square matrix ``d``."""
-        n = d.shape[0]
-        if n - 1 <= _NEAREST:
-            near = _off_diagonal(d, index)
-            return cls(near, near.min(axis=1))
-        r = index.size
-        near = np.empty((r, _NEAREST))
-        rho, d_k = np.empty(r), np.empty(r)
-        for b in _row_blocks(r, n, _BLOCK):
-            block = _nearest_first(d, index[b], _NEAREST)
-            # the minimum over the whole row, so that a NaN anywhere in it
-            # gives rho = NaN, as the one-row search does
-            rho[b] = block.min(axis=1)
-            near[b] = block[:, :_NEAREST]
-            d_k[b] = block[:, _NEAREST - 1]
-        return cls(near, rho, n - 1 - _NEAREST, d_k, d, index, truncated)
+        if d.shape[0] - 1 <= _NEAREST:
+            full = _off_diagonal(d, index)
+            return cls(full, full.min(axis=1))
+        rows = cls(d, np.empty(index.size), index, truncated)
+        rows.tier(0, np.arange(index.size))
+        return rows
 
-    def middle(self, idx):
-        """Rows ``idx``'s ``_MIDDLE`` smallest distances, in any order, and the largest of them."""
-        if self.mid is None:
-            r = self.rho.size
-            # pages are touched only for the rows that get here
-            self.mid, self.mid_k = np.empty((r, _MIDDLE)), np.empty(r)
-            self.has_mid = np.zeros(r, dtype=bool)
-        new = idx[~self.has_mid[idx]]
+    def tier(self, t, idx):
+        """Rows ``idx``'s ``tiers[t]`` smallest distances, the largest last."""
+        k = self.tiers[t]
+        new = idx[~self.filled[t][idx]]
         for b in _row_blocks(new.size, self.d.shape[0], _BLOCK):
-            block = _nearest_first(self.d, self.index[new[b]], _MIDDLE)
-            self.mid[new[b]] = block[:, :_MIDDLE]
-            self.mid_k[new[b]] = block[:, _MIDDLE - 1]
-        self.has_mid[new] = True
-        return self.mid[idx], self.mid_k[idx]
-
-    def full_mass(self, idx, sigma, nu):
-        """Kernel mass of rows ``idx`` over their full off-diagonal rows, in row blocks."""
-        mass = np.empty(idx.size)
-        for b in _row_blocks(idx.size, self.d.shape[0], _BLOCK):
-            rows = _off_diagonal(self.d, self.index[idx[b]])
-            mass[b] = _kernel_mass(rows, self.rho[idx[b]], nu, sigma[b])
-        return mass
+            at, rows = new[b], self.index[new[b]]
+            block = self.d[rows]
+            # the diagonal lands among the other n - 1 - k, as a NaN of the row would
+            block[np.arange(rows.size), rows] = np.inf
+            block.partition(k - 1, axis=1)
+            if t == 0:
+                # the minimum over the whole row, so that a NaN anywhere in it
+                # gives rho = NaN, as the one-row search does
+                self.rho[at] = block.min(axis=1)
+            self.near[t][at] = block[:, :k]
+        self.filled[t][new] = True
+        return self.near[t][idx]
 
     def objective(self, idx, sigma, q_p, nu, tol):
         """Stand-ins for ``compactness - q_p`` of rows ``idx`` at ``sigma``.
 
         Each value takes the same side of -tol, 0 and +tol as the objective
         computed on the full row in index order, so every decision of the
-        search goes the same way.  A row is bracketed on its ``_NEAREST``
-        nearest distances, then, where that bracket is open, on its
-        ``_MIDDLE`` nearest, and only where that is open too summed in full.
+        search goes the same way: each tier brackets the rows whose brackets
+        are still open, and the rows open after the last are summed over
+        their full off-diagonal rows (the module docstring).
         """
-        rho = self.rho[idx]
-        mass = _kernel_mass(self.near[idx], rho, nu, sigma)
-        if self.count == 0:
-            return _exp2(mass) - q_p
-        value, open_ = _bracket(mass, self.count, self.d_k[idx], rho, sigma, q_p, nu, tol)
-        if self.truncated is not None:
-            stuck = open_ & self.truncated[idx]
-            self.escalated[idx[stuck]] = True
-            open_ &= ~stuck
-        n = self.d.shape[0]
-        if open_.any() and n - 1 > _MIDDLE:
+        value, open_ = np.empty(idx.size), np.ones(idx.size, dtype=bool)
+        for t, k in enumerate(self.tiers):
             at = np.flatnonzero(open_)
-            mid, mid_k = self.middle(idx[at])
-            mass = _kernel_mass(mid, rho[at], nu, sigma[at])
-            value[at], open_[at] = _bracket(
-                mass, n - 1 - _MIDDLE, mid_k, rho[at], sigma[at], q_p, nu, tol
-            )
-        if open_.any():
-            value[open_] = _exp2(self.full_mass(idx[open_], sigma[open_], nu)) - q_p
+            if not at.size:
+                break
+            near, rho = self.tier(t, idx[at]), self.rho[idx[at]]
+            mass = _kernel_mass(near, rho, nu, sigma[at])
+            count = self.d.shape[0] - 1 - k  # the distances the tier leaves out
+            value[at], open_[at] = _bracket(mass, count, near[:, -1], rho, sigma[at], q_p, nu, tol)
+            if t == 0 and self.truncated is not None:
+                stuck = open_ & self.truncated[idx]
+                self.escalated[idx[stuck]] = True
+                open_ &= ~stuck
+        at = np.flatnonzero(open_)
+        for b in _row_blocks(at.size, self.d.shape[1], _BLOCK):
+            rows = idx[at[b]]
+            full = self.d[rows] if self.index is None else _off_diagonal(self.d, self.index[rows])
+            value[at[b]] = _exp2(_kernel_mass(full, self.rho[rows], nu, sigma[at[b]])) - q_p
         return value
-
-
-def _nearest_first(d, idx, k):
-    """Rows ``idx`` of the square matrix ``d``, their ``k`` smallest off-diagonal entries first.
-
-    A copy, partitioned; the diagonal entry is set to inf before the
-    partition, so it lands among the ``n - 1 - k`` others (as a NaN of the
-    row would).
-    """
-    block = d[idx]
-    block[np.arange(idx.size), idx] = np.inf
-    block.partition(k - 1, axis=1)
-    return block
 
 
 def _bracket(mass, count, d_k, rho, sigma, q_p, nu, tol):
@@ -443,27 +416,13 @@ def calibrate_all(d_matrix, nu: float, q_p: float) -> CalibrationParams:
     The diagonal is excluded both from ``rho`` (min over j != i) and from
     the calibration sum.  Every row runs the search of
     :func:`calibrate_sigma` at once, and ``rho`` and ``sigma`` are the same
-    bit for bit.  A row longer than ``_NEAREST`` is searched on its
-    ``_NEAREST`` nearest distances, whose kernel mass ``S`` is the
-    exponent's lower end.  The kernel falls with distance, so the ``c``
-    left-out distances, each at least the ``_NEAREST``-th nearest ``d_k``,
-    add at most ``B = c * kernel((d_k - rho) / sigma)^2``: the objective
-    lies in ``[2^S - q_p - m, 2^(S+B) - q_p + m]``, where the rounding
-    margin ``m = 1e-9 * q_p`` is far above the ~1e-14 by which another
-    summation order moves it and far below the tolerance
-    ``tol = DEFAULT_TOL``.  When that interval holds none of -tol, 0 and
-    +tol, it settles every comparison the search makes.  Otherwise, in a
-    row longer than ``_MIDDLE``, the same interval is formed on its
-    ``_MIDDLE`` nearest distances, which are partitioned once, when the row
-    first gets there, and kept for the rest of its search.  Only when that
-    interval also holds one of the three is the row summed over its full
-    off-diagonal row, in index order, exactly as the one-row search sums
-    it.  The tiers change how often a row is summed in full, never a
-    decision.  The matrix is read in row blocks, so no second n x n array
-    is allocated, and the rows are split over the usable cores
-    (``distances._fill_rows``).  At most one warning is issued, counting
-    the rows that missed the target.  The result holds ``rho`` and
-    ``sigma``.
+    bit for bit: a row is bracketed on its 128 nearest distances, then on
+    its 1024 nearest, and summed in full only where neither bracket decides
+    a step of the search (the tiers of the module docstring).  The matrix
+    is read in row blocks, so no second n x n array is allocated, and the
+    rows are split over the usable cores (``distances._fill_rows``).  At
+    most one warning is issued, counting the rows that missed the target.
+    The result holds ``rho`` and ``sigma``.
     """
     d_matrix = _distance_array(d_matrix)
     n = d_matrix.shape[0]

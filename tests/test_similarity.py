@@ -661,6 +661,16 @@ class TestOutArguments:
         assert calib.rho.tobytes() == rho and calib.sigma.tobytes() == sigma
 
 
+def components_case(seed):
+    """Distance matrix, nu and q_p of components of 20 to 40 nodes, inf between them."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 41, 6)
+    d = np.full((sizes.sum(), sizes.sum()), np.inf)
+    for a, b in zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+        d[a:b, a:b] = rng.uniform(0.1, 3.0, (b - a, b - a))
+    return symmetric(d), 100.0, 16.0
+
+
 class TestSecondTier:
     """Open brackets on the nearest distances are bracketed again on more of them."""
 
@@ -668,20 +678,34 @@ class TestSecondTier:
         """Tier sizes 16 and 48; records the rows partitioned for the second tier and summed in full."""
         monkeypatch.setattr(similarity, "_NEAREST", 16)
         monkeypatch.setattr(similarity, "_MIDDLE", 48)
-        seen = {"middle": [], "full": 0}
-        nearest, full = similarity._nearest_first, similarity._Rows.full_mass
+        seen = {"middle": [], "largest": [], "full": 0}
+        tier, off_diagonal = similarity._Rows.tier, similarity._off_diagonal
 
-        def nearest_first(d, idx, k):
-            if k == similarity._MIDDLE:
-                seen["middle"] += idx.tolist()
-            return nearest(d, idx, k)
+        class Reads(np.ndarray):
+            """The distance matrix, recording the rows read from it."""
 
-        def full_mass(rows, idx, sigma, nu):
+            def __getitem__(self, rows):
+                seen["middle"] += np.asarray(rows).tolist()
+                return self.view(np.ndarray)[rows]
+
+        def second_tier(part, t, idx):
+            if t != 1:
+                return tier(part, t, idx)
+            # the second tier reads a row from d only to partition it
+            d, part.d = part.d, part.d.view(Reads)
+            try:
+                near = tier(part, t, idx)
+            finally:
+                part.d = d
+            seen["largest"] += near[:, -1].tolist()
+            return near
+
+        def full_rows(d, idx):
             seen["full"] += idx.size
-            return full(rows, idx, sigma, nu)
+            return off_diagonal(d, idx)
 
-        monkeypatch.setattr(similarity, "_nearest_first", nearest_first)
-        monkeypatch.setattr(similarity._Rows, "full_mass", full_mass)
+        monkeypatch.setattr(similarity._Rows, "tier", second_tier)
+        monkeypatch.setattr(similarity, "_off_diagonal", full_rows)
         return seen
 
     def calibrate(self, d, nu, q_p):
@@ -689,12 +713,14 @@ class TestSecondTier:
             warnings.simplefilter("ignore", CalibrationWarning)
             return calibrate_all(d, nu, q_p)
 
-    @pytest.mark.parametrize("case", range(12))
+    @pytest.mark.parametrize("case", [*range(12), "components 0", "components 1"])
     def test_small_tiers_match_row_by_row_oracle_bit_for_bit(self, case, workers, monkeypatch):
-        # two cases of every oracle_case kind; one worker, so the calls are seen here
+        # two cases of every oracle_case kind, and two of components of 20 to
+        # 40 nodes, whose rows' 48 nearest hold inf; one worker, so the calls
+        # are seen here
         workers(1)
         seen = self.record(monkeypatch)
-        d, nu, q_p = oracle_case(case)
+        d, nu, q_p = components_case(int(case[-1])) if isinstance(case, str) else oracle_case(case)
         calib = self.calibrate(d, nu, q_p)
         rho, sigma = oracle_calibrate_all(d, nu, q_p)
         assert calib.rho.tobytes() == rho.tobytes()
@@ -702,6 +728,9 @@ class TestSecondTier:
         # the second tier is entered, and each row is partitioned for it once at most
         assert seen["middle"]
         assert len(set(seen["middle"])) == len(seen["middle"]) <= d.shape[0]
+        if isinstance(case, str):
+            # the second tier's largest distance is inf
+            assert np.isinf(seen["largest"]).all()
 
     def test_fewer_full_rescans_on_sparse_graph_geodesics(self, workers, monkeypatch):
         workers(1)
@@ -872,14 +901,14 @@ class TestReachLimitedGeodesics:
         g, metric, q_p = reach_case(case)
         d0 = geodesic_distances(g, metric, 10.0).matrix
         escalating = []
-        nearest = similarity._nearest_first
+        tier = similarity._Rows.tier
 
-        def nearest_first(d, idx, k):
-            if k == similarity._MIDDLE:
-                escalating.extend(idx.tolist())
-            return nearest(d, idx, k)
+        def second_tier(part, t, idx):
+            if t == 1:
+                escalating.extend(part.index[idx].tolist())
+            return tier(part, t, idx)
 
-        monkeypatch.setattr(similarity, "_nearest_first", nearest_first)
+        monkeypatch.setattr(similarity._Rows, "tier", second_tier)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationWarning)
             calib0 = calibrate_all(d0, 100.0, q_p)
