@@ -4,10 +4,13 @@ Matrix files carry the 4-byte magic "DMGS" (a similarity matrix, the one
 kind of matrix the cache holds), a little-endian u64 node count, then n*n
 row-major float32 values: 12 + 4 n^2 bytes.  float32 is the precision the
 loss reads a similarity in, and the one a similarity is stored and held
-in.  A file of earlier versions, with a float64 payload under the same
-magic, has twice the payload bytes and fails to load.  Checkpoints ("DMGW"
-plus a version byte) store the layer specs and their weight/bias tensors.  All writes go through a
-temp file and an atomic rename, so readers never observe a partial file.
+in.  A wider matrix is narrowed to it by one rule, ``_narrow``, which
+every module that narrows a similarity shares: each entry below float32's
+smallest normal number is flushed to 0.  A file of earlier versions, with
+a float64 payload under the same magic, has twice the payload bytes and
+fails to load.  Checkpoints ("DMGW" plus a version byte) store the layer
+specs and their weight/bias tensors.  All writes go through a temp file
+and an atomic rename, so readers never observe a partial file.
 
 Each layer block of a checkpoint starts with its kind, its dims and three
 code bytes: the activation (0 linear, 2 leaky_relu), the aggregation
@@ -64,6 +67,17 @@ class ContainerFormatError(ValueError):
     """File does not conform to the expected binary layout."""
 
 
+def _narrow(P, dtype):
+    """``P`` in ``dtype``, with every entry smaller in magnitude than
+    ``dtype``'s smallest normal number flushed to 0.
+
+    A multiply or divide on subnormal operands runs over ten times slower,
+    and in float32 ``P_complete`` can hold many of them.  NaN stays NaN, and
+    widening to float64 is exact.
+    """
+    return np.multiply(P, np.abs(P) >= np.finfo(dtype).tiny, dtype=dtype, casting="same_kind")
+
+
 def atomic_write_bytes(path, *chunks):
     """Write byte chunks (any C-contiguous buffers) so the destination is either absent or complete.
 
@@ -95,13 +109,10 @@ def save_matrix(path, matrix: np.ndarray):
 
     A float32 matrix is written as it is; any other is narrowed first, its
     entries below float32's smallest normal number flushed to 0, as
-    ``precompute`` narrows a similarity (``similarity._narrow``).
+    ``precompute`` narrows a similarity (:func:`_narrow`).
     """
     matrix = np.asarray(matrix)
     if matrix.dtype != np.float32:
-        # imported here: similarity imports graph, which imports this module
-        from .similarity import _narrow
-
         matrix = _narrow(matrix, np.float32)
     matrix = np.ascontiguousarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -27,12 +27,15 @@ import mmap
 import os
 import warnings
 from dataclasses import dataclass
+from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
-from .graph import AttributedGraph, DistanceMetric
+if TYPE_CHECKING:
+    from .graph import AttributedGraph
 
 log = logging.getLogger("dmage")
 
@@ -63,24 +66,31 @@ _MIN_WORK = 1 << 21
 _CHUNKS_PER_WORKER = 8
 
 
+class DistanceMetric(str, Enum):
+    """Supported per-pair feature distances."""
+
+    EUCLIDEAN = "euclidean"
+    MANHATTAN = "manhattan"
+    COSINE = "cosine"
+
+
 class DegenerateGraphWarning(UserWarning):
     """A distance computation hit a degenerate input (e.g. edgeless graph)."""
 
 
 @dataclass(frozen=True)
 class GeodesicDistanceMatrix:
-    """Geodesic distances with the metadata of the unconnected rule.
+    """Geodesic distances over a graph's edges.
 
     ``matrix[i, j]`` is the shortest-path distance for connected pairs and
-    exactly ``lambda_ * connected_max`` for unconnected ones.  Dijkstra
-    sums each path from its own source, so ``d_ij`` and ``d_ji`` can differ
-    in the last bits (by up to 3.6e-15 on a Cora-sized cosine graph); the
-    joint similarity built from them is still exactly symmetric.
+    exactly ``lambda_`` times the largest connected distance for unconnected
+    ones (:func:`geodesic_distances`).  Dijkstra sums each path from its own
+    source, so ``d_ij`` and ``d_ji`` can differ in the last bits (by up to
+    3.6e-15 on a Cora-sized cosine graph); the joint similarity built from
+    them is still exactly symmetric.
     """
 
     matrix: np.ndarray
-    lambda_: float
-    connected_max: float
 
     @property
     def n(self) -> int:
@@ -418,7 +428,7 @@ def geodesic_distances(
     if np.isinf(dist[:1]).any():
         np.minimum(dist, lambda_ * connected_max, out=dist)
     np.fill_diagonal(dist, 0.0)
-    return GeodesicDistanceMatrix(dist, float(lambda_), connected_max)
+    return GeodesicDistanceMatrix(dist)
 
 
 def complete_graph_distances(features, metric=DistanceMetric.EUCLIDEAN) -> np.ndarray:

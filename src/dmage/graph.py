@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .container import atomic_write_text
+from .distances import DistanceMetric, _row_blocks, pairwise_distance
 
 __all__ = [
     "DistanceMetric",
@@ -34,14 +34,6 @@ __all__ = [
     "knn_graph",
     "normalize_edges",
 ]
-
-
-class DistanceMetric(str, Enum):
-    """Supported per-pair feature distances."""
-
-    EUCLIDEAN = "euclidean"
-    MANHATTAN = "manhattan"
-    COSINE = "cosine"
 
 
 class GraphFormatError(ValueError):
@@ -304,23 +296,17 @@ def knn_graph(features, k: int, metric=DistanceMetric.EUCLIDEAN) -> AttributedGr
     vice versa.  Distance ties break toward the smaller node index, so the
     result is deterministic even for degenerate (all-identical) inputs.
     """
-    from .distances import pairwise_distance  # local import to avoid a cycle
-
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    n = len(features)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features must be finite")
 
     dist = pairwise_distance(features, metric)
     np.fill_diagonal(dist, np.inf)
     # row i takes every distance below its k-th smallest, then the
     # smallest-index columns at exactly that distance until it has k
     rows, cols = [], []
-    step = max(1, (1 << 20) // n)
-    for a in range(0, n, step):
-        block = dist[a : a + step]
+    for b in _row_blocks(n, n, 1 << 20):
+        a, block = b.start, dist[b]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
         below = block < kth
         bi, bj = np.nonzero(below)

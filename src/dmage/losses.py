@@ -35,7 +35,7 @@ terms, coefficients and gradient; any other rows are float64.  The input
 matrices are not copied.  A gathered block of a float32 matrix is read as
 it is (widened for float64 rows): ``precompute`` stores every similarity in
 float32 with its float32 subnormals already flushed to 0
-(``similarity._narrow``), so under ``train`` the loss casts nothing.  A
+(``container._narrow``), so under ``train`` the loss casts nothing.  A
 block of a float64 matrix is cast, with every entry below the dtype's
 smallest normal number flushed to 0 (``_narrow``): a subnormal operand
 slows a multiply or divide over ten times, and a float32 block of
@@ -83,8 +83,9 @@ from enum import Enum
 
 import numpy as np
 
+from .container import _narrow
 from .distances import _diagonal, _feature_rows, _row_blocks
-from .similarity import SimilarityMatrix, _narrow, _t_kernel_of_squares
+from .similarity import SimilarityMatrix, _t_kernel_of_squares
 
 __all__ = [
     "BregmanKind",

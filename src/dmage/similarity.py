@@ -31,8 +31,8 @@ way the row-at-a-time search goes, and sigma is the same bit for bit.
 The kernel pass and the symmetrization can write into a given buffer
 (``out=``), the distance matrix included, so that ``precompute`` turns one
 n x n buffer from distances into the conditional similarity, whose joint
-form it writes into a float32 matrix, narrowed tile by tile (``_narrow``).
-Their bytes are the same either way.
+form it writes into a float32 matrix, narrowed tile by tile
+(``container._narrow``).  Their bytes are the same either way.
 
 The geodesics of a connected graph are computed only as far as the kernel
 reaches (``_calibrated_geodesics``): row i up to ``rho_i + x* sigma_i``,
@@ -42,8 +42,10 @@ where ``x*`` is the scaled distance at which the kernel falls to
 below the floor, and the float32 loss flushes such values to 0 anyway.
 sigma needs the distances first, so the rows are computed in rounds; rho
 and sigma are the full computation's bit for bit, and so is every distance
-within the reach.  A disconnected graph is computed in full, because the
-unconnected rule needs every connected distance.
+within the reach.  Every other graph takes the one full route,
+``distances.geodesic_distances`` and :func:`calibrate_all`: a disconnected
+graph, because the unconnected rule needs every connected distance, and a
+graph on which a sample of rows predicts no saving from the rounds.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .container import _narrow
 from .distances import (
     GeodesicDistanceMatrix,
     _edge_weight_graph,
@@ -494,25 +497,26 @@ def _limit_grid(x):
 def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
     """Geodesic distances over ``g``'s edges and their calibration: ``(d, calib, computed)``.
 
-    A disconnected graph, or one of at most ``_NEAREST + 1`` nodes, takes
-    :func:`distances.geodesic_distances` and :func:`calibrate_all`.  On a
-    connected graph each row is computed only as far as the kernel reaches:
-    its *reach* is ``rho + x* sigma``, where ``x*`` is the scaled distance at
-    which the kernel falls to ``_FLOOR``.  Every distance within a row's
-    reach has the bits of the full computation, every one beyond is inf, so
-    its conditional similarity is exactly 0 instead of below ``_FLOOR``.
-    rho and sigma are the same bit for bit.  sigma needs the distances
-    first, so the rows are computed in rounds (``distances._search_rows``):
+    There are two routes.  The full one, :func:`distances.geodesic_distances`
+    and :func:`calibrate_all`, is taken by a disconnected graph, one of at
+    most ``_NEAREST + 1`` nodes, and one whose sample (step 1) predicts no
+    saving from the rounds.  On any other graph each row is computed only
+    as far as the kernel reaches: its *reach* is ``rho + x* sigma``, where
+    ``x*`` is the scaled distance at which the kernel falls to ``_FLOOR``.
+    Every distance within a row's reach has the bits of the full
+    computation, every one beyond is inf, so its conditional similarity is
+    exactly 0 instead of below ``_FLOOR``.  rho and sigma are the same bit
+    for bit.  sigma needs the distances first, so the rows are computed in
+    rounds (``distances._search_rows``, :func:`_geodesic_rounds`):
 
     1. ``_SAMPLE`` rows, evenly spaced, are searched in full and calibrated.
        The radius of the first round is their largest ``_NEAREST``-th
        nearest distance times ``_SLACK``.  Unless that radius and their
        reaches would have the sample's searches reach less than
-       ``_ROUNDS_SHARE`` of the nodes that full searches reach, every
-       other row is searched in full too (a dense graph, or one whose
-       reach covers most nodes), and the result has the bytes of the full
-       computation: 16 rows predict the rest only roughly, and the rounds
-       search some rows twice.
+       ``_ROUNDS_SHARE`` of the nodes that full searches reach, the sample
+       is discarded and the graph takes the full route (a dense graph, or
+       one whose reach covers most nodes): 16 rows predict the rest only
+       roughly, and the rounds search some rows twice.
     2. Every other row is searched to that radius.  A row that reaches
        fewer than its ``_NEAREST`` nearest is searched again in full.
     3. The rows are calibrated by :func:`calibrate_all`'s search.  Its first
@@ -533,9 +537,20 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
     # each edge once is enough to find the components, and cheaper than graph.adjacency
     edges = g.edge_array()
     structure = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    if n - 1 <= _NEAREST or connected_components(structure, directed=False)[0] > 1:
-        return _calibrated(lambda: geodesic_distances(g, metric, lambda_).matrix, nu, q_p)
+    if n - 1 > _NEAREST and connected_components(structure, directed=False)[0] == 1:
+        rounds = _geodesic_rounds(g, metric, nu, q_p)
+        if rounds is not None:
+            return rounds
+    return _calibrated(lambda: geodesic_distances(g, metric, lambda_).matrix, nu, q_p)
 
+
+def _geodesic_rounds(g, metric, nu, q_p):
+    """The rounds of :func:`_calibrated_geodesics` on a connected graph.
+
+    Returns ``(d, calib, computed)``, or None where the sample predicts no
+    saving.
+    """
+    n = g.n
     t_start = time.perf_counter()
     calibration_s = 0.0
     graph = _edge_weight_graph(g, metric)
@@ -579,24 +594,21 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
         cost += np.searchsorted(row, first, side="right")
         cost += np.searchsorted(row, reach, side="right") if reach > first else 0
 
-    rest = np.setdiff1d(np.arange(n), sample)
     if cost >= _ROUNDS_SHARE * n * sample.size:
-        # no clear saving: every row in full, the bytes of geodesic_distances
-        search(rest, np.inf)
-        calibrate(rest)
-        extended = rest[:0]
-    else:
-        search(rest, first)
-        search(rest[reached[rest] <= _NEAREST], np.inf)
-        escalated = calibrate(rest, np.isfinite(radius[rest]))
-        search(escalated, np.inf)
-        calibrate(escalated)
-        reach = rho + x * sigma
-        extended = np.flatnonzero(reach > radius)
-        search(extended, _limit_grid(reach[extended]))
-        for rows in _row_blocks(n, n, _KERNEL_BLOCK):
-            block = dist[rows]
-            block[block > reach[rows, None]] = np.inf
+        return None
+
+    rest = np.setdiff1d(np.arange(n), sample)
+    search(rest, first)
+    search(rest[reached[rest] <= _NEAREST], np.inf)
+    escalated = calibrate(rest, np.isfinite(radius[rest]))
+    search(escalated, np.inf)
+    calibrate(escalated)
+    reach = rho + x * sigma
+    extended = np.flatnonzero(reach > radius)
+    search(extended, _limit_grid(reach[extended]))
+    for rows in _row_blocks(n, n, _KERNEL_BLOCK):
+        block = dist[rows]
+        block[block > reach[rows, None]] = np.inf
 
     _warn_outcomes(sigma, outcome, q_p)
     distances_s = time.perf_counter() - t_start - calibration_s
@@ -626,17 +638,6 @@ def conditional_similarity(
     return SimilarityMatrix(p, "conditional")
 
 
-def _narrow(P, dtype):
-    """``P`` in ``dtype``, with every entry smaller in magnitude than
-    ``dtype``'s smallest normal number flushed to 0.
-
-    A multiply or divide on subnormal operands runs over ten times slower,
-    and in float32 ``P_complete`` can hold many of them.  NaN stays NaN, and
-    widening to float64 is exact.
-    """
-    return np.multiply(P, np.abs(P) >= np.finfo(dtype).tiny, dtype=dtype, casting="same_kind")
-
-
 def _joint(a, b):
     """``a + b - 2ab`` as a new tile, the product taken as ``(2a) b``."""
     joint = np.add(a, b)
@@ -655,8 +656,8 @@ def symmetrize(p: SimilarityMatrix, out=None) -> SimilarityMatrix:
     transposed copy of the matrix is made.  The result is written into
     ``out`` when given (an array of the matrix's shape, which may be
     ``p.matrix`` itself); the bytes are the same either way.  A float32
-    ``out`` takes each float64 tile narrowed by ``_narrow``, its float32
-    subnormals flushed to 0, which is how ``precompute`` stores a
+    ``out`` takes each float64 tile narrowed by ``container._narrow``, its
+    float32 subnormals flushed to 0, which is how ``precompute`` stores a
     similarity.
     """
     if p.kind != "conditional":

@@ -379,7 +379,7 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     Returns ``(P_complete, P_prior)`` as joint :class:`SimilarityMatrix`
     holding float32 matrices, exactly symmetric: the loss reads a
     similarity in float32, so each is computed in float64 and narrowed once,
-    its float32 subnormals flushed to 0 (``similarity._narrow``).  The two
+    its float32 subnormals flushed to 0 (``container._narrow``).  The two
     similarities are cached under ``cache_dir`` (or the DMAGE_CACHE_DIR
     environment variable) under the names :func:`_cache_names` gives, and
     cache hits reload bit-identically.  Distances are not cached: a

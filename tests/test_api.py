@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -79,6 +81,11 @@ def test_kernel_and_loss_signatures():
     ]
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmage.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_scoring_imports_no_scipy_stats_or_optimize():
     # ACC matching and AUC ranks are numpy code; importing scipy.stats or
     # scipy.optimize would add about 40 MB to every dmage process
@@ -91,9 +98,51 @@ def test_scoring_imports_no_scipy_stats_or_optimize():
         "dmage.auc_ap([0.9, 0.5], [0.5, 0.1])\n"
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dmage.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_distance_metric_has_one_definition():
+    assert dmage.graph.DistanceMetric is dmage.distances.DistanceMetric
+
+
+@pytest.mark.parametrize("module", ["graph", "distances", "container", "similarity", "losses"])
+def test_module_imports_first(module):
+    # a fresh interpreter with the package's __init__ skipped, so that the
+    # module's own imports run before any other dmage module's
+    script = (
+        "import importlib, importlib.util, sys, types\n"
+        "package = types.ModuleType('dmage')\n"
+        "package.__path__ = importlib.util.find_spec('dmage').submodule_search_locations\n"
+        "sys.modules['dmage'] = package\n"
+        f"importlib.import_module('dmage.{module}')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_no_function_imports_a_dmage_module():
+    # every dmage import is at module level, so the import graph has no cycle
+    # hidden behind a function-local import
+    lazy = []
+    for path in sorted(pathlib.Path(dmage.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    lazy.append((path.stem, "." * node.level + (node.module or "")))
+                elif isinstance(node, ast.Import):
+                    lazy += [(path.stem, alias.name) for alias in node.names]
+    internal = [(where, name) for where, name in lazy if name.startswith((".", "dmage"))]
+    assert internal == []
+    # the Manhattan distance still loads scipy.spatial only when it runs
+    assert ("distances", "scipy.spatial.distance") in lazy

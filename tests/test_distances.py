@@ -174,7 +174,8 @@ class TestGeodesicDistances:
         assert got.matrix[0, 1] == 1.0
         assert got.matrix[2, 3] == 4.0
         assert got.matrix[0, 2] == 12.0  # 3 * 4
-        assert got.connected_max == 4.0
+        # every unconnected pair, in both orders, is lambda times the largest connected distance
+        assert (got.matrix[:2, 2:] == 12.0).all() and (got.matrix[2:, :2] == 12.0).all()
 
     def test_zero_weight_edge_stays_an_edge(self):
         # nodes 0 and 1 share features: their edge weighs 0 but still joins them
@@ -221,7 +222,7 @@ def old_geodesic_tail(dist, n, lambda_):
     connected_max = float(dist[finite].max()) if finite.any() else 0.0
     dist[~np.isfinite(dist)] = lambda_ * connected_max
     np.fill_diagonal(dist, 0.0)
-    return dist, connected_max
+    return dist
 
 
 def graph_with_duplicates(rng, features):
@@ -291,12 +292,11 @@ class TestEdgeWeights:
         for trial in range(30):
             g = random_graph(rng, n=int(rng.integers(1, 14)), density=float(rng.uniform(0, 0.5)))
             graph = distances._edge_weight_graph(g, "euclidean")
-            want, want_max = old_geodesic_tail(distances.dijkstra(graph, directed=True), g.n, 4.0)
+            want = old_geodesic_tail(distances.dijkstra(graph, directed=True), g.n, 4.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGraphWarning)
                 got = geodesic_distances(g, "euclidean", lambda_=4.0)
             assert got.matrix.tobytes() == want.tobytes()
-            assert got.connected_max == want_max
 
 
 class TestCompleteGraphDistances:
@@ -482,13 +482,13 @@ class TestFillRows:
                 # blocks of a single source row inside each range, too
                 monkeypatch.setattr(distances, "_DIJKSTRA_BLOCK", block)
                 dist = geodesic_distances(graph, metric, lambda_=4.0)
-                got.append((dist.matrix.tobytes(), dist.connected_max))
-            want, want_max = old_geodesic_tail(
+                got.append(dist.matrix.tobytes())
+            want = old_geodesic_tail(
                 distances.dijkstra(distances._edge_weight_graph(graph, metric), directed=True),
                 graph.n,
                 4.0,
             )
-            assert got == [(want.tobytes(), want_max)] * 4
+            assert got == [want.tobytes()] * 4
 
     def test_one_degenerate_warning_from_three_workers(self, workers):
         workers(3)
@@ -605,7 +605,7 @@ def frozen_geodesic(g, metric, lambda_):
     connected_max = float(np.where(finite, d, 0.0).max(axis=1).max(initial=0.0))
     np.copyto(d, lambda_ * connected_max, where=np.isinf(d))
     np.fill_diagonal(d, 0.0)
-    return d, connected_max
+    return d
 
 
 def feature_rows(rng, n):
@@ -664,9 +664,8 @@ class TestInPlacePassesMatchFrozenCopies:
             for g in graphs:
                 for metric in ("euclidean", "cosine"):
                     got = geodesic_distances(g, metric, lambda_=4.0)
-                    want, want_max = frozen_geodesic(g, metric, 4.0)
+                    want = frozen_geodesic(g, metric, 4.0)
                     assert got.matrix.tobytes() == want.tobytes()
-                    assert got.connected_max == want_max
 
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_edgeless_graph_warns_once(self, w, workers):
@@ -677,7 +676,7 @@ class TestInPlacePassesMatchFrozenCopies:
                 warnings.simplefilter("always")
                 got = geodesic_distances(g)
             assert [w.category for w in caught] == [DegenerateGraphWarning] * warns
-            want, _ = frozen_geodesic(g, "euclidean", 10.0)
+            want = frozen_geodesic(g, "euclidean", 10.0)
             assert got.matrix.tobytes() == want.tobytes()
         # a graph with an edge has a connected pair, however small
         g = AttributedGraph(3, normalize_edges([(0, 2)]), np.ones((3, 2)), None)

@@ -653,7 +653,7 @@ class TestOutArguments:
         # in the distance buffer itself, as precompute runs them; a
         # GeodesicDistanceMatrix gives its matrix
         work = d.copy()
-        geodesic = distances.GeodesicDistanceMatrix(work, 10.0, 3.0)
+        geodesic = distances.GeodesicDistanceMatrix(work)
         got = conditional_similarity(geodesic, 100.0, calib, out=work)
         assert got.matrix is work and work.tobytes() == cond_bytes
         got = symmetrize(got, out=work)
@@ -879,6 +879,28 @@ class TestReachLimitedGeodesics:
         # without the margin the rounds run, and search more pairs
         monkeypatch.setattr(similarity, "_ROUNDS_SHARE", 1.0)
         assert reach_limited(g, "manhattan", 4.0)[2].pairs > 1.0
+
+    def test_a_connected_graph_the_rounds_skip_takes_the_public_full_route(self, monkeypatch):
+        # a sample that predicts no saving sends a connected graph down the
+        # route of small and disconnected graphs: the public functions, once each
+        monkeypatch.setattr(similarity, "_ROUNDS_SHARE", 0.0)
+        g, metric, q_p = reach_case(1)
+        d0, calib0 = full_path(g, metric, q_p)
+        assert np.isfinite(d0).all()  # connected
+        calls = []
+        for name in ("geodesic_distances", "calibrate_all"):
+
+            def spy(*args, _name=name, _fn=getattr(similarity, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(similarity, name, spy)
+        d, calib, computed = reach_limited(g, metric, q_p)
+        assert sorted(calls) == ["calibrate_all", "geodesic_distances"]
+        assert d.tobytes() == d0.tobytes()
+        assert calib.rho.tobytes() == calib0.rho.tobytes()
+        assert calib.sigma.tobytes() == calib0.sigma.tobytes()
+        assert (computed.pairs, computed.extended, computed.full) == (1.0, 0, g.n)
 
     def searched_in_full(self, monkeypatch):
         """The sources that the rounds search without a limit, as they are searched."""
