@@ -380,19 +380,26 @@ def _edge_weights(features, edges, metric) -> np.ndarray:
     return w
 
 
+def _edge_matrix(n, edges, values) -> csr_matrix:
+    """Symmetric CSR over ``n`` nodes holding ``values[e]`` at ``(i, j)`` and ``(j, i)`` of edge row e.
+
+    ``edges`` is an ``(m, 2)`` array of distinct undirected edges in any
+    order.  Built from coordinate lists, so the result is canonical (sorted
+    indices, no duplicates) and a zero value stays a stored entry.
+    """
+    row = np.concatenate([edges[:, 0], edges[:, 1]])
+    col = np.concatenate([edges[:, 1], edges[:, 0]])
+    return csr_matrix((np.concatenate([values, values]), (row, col)), shape=(n, n))
+
+
 def _edge_weight_graph(g: AttributedGraph, metric) -> csr_matrix:
     """CSR graph whose stored entries are the metric weights of g's edges.
 
-    Zero-weight edges (identical endpoint features) must stay stored, so the
-    matrix is built from coordinate lists rather than from a dense array.
+    Zero-weight edges (identical endpoint features) stay stored entries, so
+    Dijkstra still crosses them; an edgeless graph stores nothing.
     """
     edges = g.edge_array()
-    if len(edges) == 0:
-        return csr_matrix((g.n, g.n))
-    w = _edge_weights(g.features, edges, metric)
-    row = np.concatenate([edges[:, 0], edges[:, 1]])
-    col = np.concatenate([edges[:, 1], edges[:, 0]])
-    return csr_matrix((np.concatenate([w, w]), (row, col)), shape=(g.n, g.n))
+    return _edge_matrix(g.n, edges, _edge_weights(g.features, edges, metric))
 
 
 def geodesic_distances(

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .container import atomic_write_text
-from .distances import DistanceMetric, _row_blocks, pairwise_distance
+from .distances import DistanceMetric, _edge_matrix, _row_blocks, pairwise_distance
 
 __all__ = [
     "DistanceMetric",
@@ -264,14 +264,10 @@ def adjacency_from_edges(n: int, edges) -> sp.csr_matrix:
     """Symmetric 0/1 float64 CSR over ``n`` nodes from an ``(m, 2)`` edge array.
 
     Rows may come in any order but must be distinct undirected edges; the
-    result has sorted indices and no duplicate entries.
+    result has sorted indices and no duplicate entries (``_edge_matrix``).
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    row = np.concatenate([edges[:, 0], edges[:, 1]])
-    col = np.concatenate([edges[:, 1], edges[:, 0]])
-    a = sp.csr_matrix((np.ones(row.size), (row, col)), shape=(n, n))
-    a.sort_indices()
-    return a
+    return _edge_matrix(n, edges, np.ones(len(edges)))
 
 
 def hop_neighborhoods(g: AttributedGraph) -> np.ndarray:

@@ -275,7 +275,9 @@ def aggregation_matrix(A, variant: str = "gcn", self_loops: bool = True) -> sp.c
     ``A`` is a sparse or dense symmetric adjacency and D the degree matrix
     of A + I, so every degree is at least 1.  GCN normalization with
     self-loops is the only operator; ``variant`` and ``self_loops`` accept
-    only "gcn" and True.
+    only "gcn" and True.  Each stored entry of A + I is scaled in place, by
+    d^(-1/2) of its row and then of its column, and an entry that rounds to
+    0 is dropped: the bytes of the two diagonal products, without them.
     """
     if variant != "gcn" or not self_loops:
         raise ValueError(
@@ -284,8 +286,11 @@ def aggregation_matrix(A, variant: str = "gcn", self_loops: bool = True) -> sp.c
         )
     A = sp.csr_matrix(A, dtype=np.float64)
     base = (A + sp.identity(A.shape[0], format="csr")).tocsr()
-    d_half = sp.diags(1.0 / np.sqrt(np.asarray(base.sum(axis=1)).ravel()))
-    return (d_half @ base @ d_half).tocsr()
+    d_half = 1.0 / np.sqrt(np.asarray(base.sum(axis=1)).ravel())
+    base.data *= np.repeat(d_half, np.diff(base.indptr))
+    base.data *= d_half[base.indices]
+    base.eliminate_zeros()
+    return base
 
 
 def _sorted_rows(rows, n):

@@ -625,7 +625,9 @@ def conditional_similarity(
     asymmetric, since each row carries its own rho and sigma.  The diagonal
     is zeroed by convention.  The result is written into ``out`` when given
     (a float64 array of the distances' shape, which may be the distance
-    matrix itself), in row blocks; the bytes are the same either way.
+    matrix itself), in row blocks; the bytes are the same either way.  An
+    unreached pair (normalized distance ``+inf``) is 0, the kernel's value
+    there, without evaluating it; a NaN stays NaN.
     """
     d = _distance_array(distances)
     p = np.empty(d.shape) if out is None else out
@@ -633,7 +635,15 @@ def conditional_similarity(
         block = p[rows]
         np.subtract(d[rows], calib.rho[rows, None], out=block)
         block /= calib.sigma[rows, None]
-        t_kernel(block, nu, out=block)
+        if block.max() < np.inf:
+            t_kernel(block, nu, out=block)
+        else:
+            # exp and log1p run several times slower on inf than on finite
+            # values, and a reach-limited kNN row block is mostly inf
+            reached = block != np.inf
+            k = t_kernel(block[reached], nu)
+            block.fill(0.0)
+            block[reached] = k
     np.fill_diagonal(p, 0.0)
     return SimilarityMatrix(p, "conditional")
 

@@ -21,6 +21,15 @@ def random_graph(rng, n=None, density=0.3, dims=4):
     return AttributedGraph(n, edges, features, None)
 
 
+def assert_same_csr(got, want):
+    """Two CSR matrices are equal field for field: shape, dtypes and the bytes of data, indices and indptr."""
+    assert got.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
 @functools.lru_cache(maxsize=1)
 def cora_like_graph():
     """The benchmark's Cora-shaped graph ``cora_like(1)``, from ``bench/graphs.py``."""

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from dmage import distances
 from dmage.distances import (
@@ -16,7 +17,7 @@ from dmage.distances import (
 )
 from dmage.graph import AttributedGraph, normalize_edges
 
-from conftest import random_graph
+from conftest import assert_same_csr, random_graph
 
 
 # ---------------------------------------------------------------- oracles
@@ -286,6 +287,31 @@ class TestEdgeWeights:
         for metric in ("euclidean", "manhattan", "cosine"):
             got = distances._edge_weight_graph(g, metric)
             assert got.shape == (4, 4) and got.nnz == 0
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
+    def test_matches_frozen_copy(self, metric):
+        # the construction before the shared edge builder, with its edgeless case
+        def frozen(g):
+            edges = g.edge_array()
+            if len(edges) == 0:
+                return csr_matrix((g.n, g.n))
+            w = distances._edge_weights(g.features, edges, metric)
+            row = np.concatenate([edges[:, 0], edges[:, 1]])
+            col = np.concatenate([edges[:, 1], edges[:, 0]])
+            return csr_matrix((np.concatenate([w, w]), (row, col)), shape=(g.n, g.n))
+
+        rng = np.random.default_rng(25)
+        graphs = [AttributedGraph(4, frozenset(), np.ones((4, 3)), None)]
+        for _ in range(10):
+            x = rng.standard_normal((int(rng.integers(2, 25)), 3))
+            x[rng.random(len(x)) < 0.3] = x[0]  # repeated rows: zero-weight edges
+            graphs.append(graph_with_duplicates(rng, x))
+        zero_weights = 0
+        for g in graphs:
+            got = distances._edge_weight_graph(g, metric)
+            assert_same_csr(got, frozen(g))
+            zero_weights += int((got.data == 0).sum())
+        assert metric == "cosine" or zero_weights > 0
 
     def test_unconnected_rule_matches_masked_maximum(self):
         rng = np.random.default_rng(23)

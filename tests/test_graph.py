@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from dmage.graph import (
     DistanceMetric,
     GraphFormatError,
     adjacency,
+    adjacency_from_edges,
     hop_neighborhoods,
     knn_graph,
     load_graph,
@@ -20,7 +22,7 @@ from dmage.graph import (
 from dmage.network import aggregation_matrix, default_stack
 from dmage.training import TrainConfig, _aggregation_operator, train
 
-from conftest import random_graph
+from conftest import assert_same_csr, random_graph
 
 
 def make_graph(n, edges, dims=3, labels=None):
@@ -110,6 +112,26 @@ class TestAdjacency:
     def test_degrees(self):
         g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert np.diff(adjacency(g).indptr).tolist() == [3, 1, 1, 1]
+
+    def test_matches_frozen_copy(self):
+        # the construction before the shared edge builder, with its sort_indices
+        def frozen(n, edges):
+            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            row = np.concatenate([edges[:, 0], edges[:, 1]])
+            col = np.concatenate([edges[:, 1], edges[:, 0]])
+            a = sp.csr_matrix((np.ones(row.size), (row, col)), shape=(n, n))
+            a.sort_indices()
+            return a
+
+        rng = np.random.default_rng(24)
+        cases = [(5, np.zeros((0, 2), np.int64)), (1, []), (3, [(2, 0)])]
+        for _ in range(20):
+            g = random_graph(rng, n=int(rng.integers(2, 30)), density=float(rng.uniform(0.0, 0.5)))
+            cases.append((g.n, rng.permutation(g.edge_array())))
+        for n, edges in cases:
+            got = adjacency_from_edges(n, edges)
+            assert_same_csr(got, frozen(n, edges))
+            assert got.has_canonical_format
 
 
 class TestHopNeighborhoods:

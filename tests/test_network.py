@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dmage import network
-from dmage.graph import adjacency
+from dmage.augmentation import AugmentationConfig, AugmentationWarning, augment
+from dmage.graph import adjacency, adjacency_from_edges, hop_neighborhoods
 from dmage.losses import BregmanKind, fused_loss
 from dmage.network import (
     GradientTape,
@@ -18,7 +21,7 @@ from dmage.network import (
 )
 from dmage.training import _cast
 
-from conftest import random_graph
+from conftest import assert_same_csr, random_graph
 
 
 # ---------------------------------------------------------------- oracles
@@ -218,6 +221,60 @@ class TestFcaForward:
         for density in (0.0, 0.3, 1.0):
             N = aggregation_matrix(adjacency(random_graph(rng, n=8, density=density))).toarray()
             assert np.array_equal(N, N.T)
+
+
+def frozen_aggregation_matrix(A):
+    """The operator as built before it was scaled in place: a diagonal matrix and two sparse products."""
+    A = sp.csr_matrix(A, dtype=np.float64)
+    base = (A + sp.identity(A.shape[0], format="csr")).tocsr()
+    d_half = sp.diags(1.0 / np.sqrt(np.asarray(base.sum(axis=1)).ravel()))
+    return (d_half @ base @ d_half).tocsr()
+
+
+class TestOperatorMatchesFrozenCopy:
+    """The in-place scaling gives the bytes of the two diagonal products."""
+
+    def test_random_graphs_with_isolated_nodes(self):
+        rng = np.random.default_rng(30)
+        isolated = 0
+        for trial in range(40):
+            g = random_graph(rng, n=int(rng.integers(1, 40)), density=float(rng.uniform(0.0, 0.2)))
+            A = adjacency(g)
+            isolated += int((np.diff(A.indptr) == 0).sum())
+            assert_same_csr(aggregation_matrix(A), frozen_aggregation_matrix(A))
+        assert isolated > 40
+
+    def test_augmented_edge_arrays(self):
+        # kept edges then added hop-2 pairs: rows out of sorted order
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            g = random_graph(rng, n=int(rng.integers(4, 40)), density=float(rng.uniform(0.05, 0.4)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AugmentationWarning)
+                out = augment(g, hop_neighborhoods(g), AugmentationConfig(0.3, rng_seed=trial), trial)
+            A = adjacency_from_edges(g.n, out.result)
+            assert_same_csr(aggregation_matrix(A), frozen_aggregation_matrix(A))
+
+    def test_weighted_dense_and_stored_zeros(self):
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            M = sp.random(n, n, density=float(rng.uniform(0.0, 0.5)), format="csr", random_state=trial)
+            A = (M + M.T).tocsr()
+            if trial % 2:
+                A.data[A.data < 0.5] = 0.0  # stored zeros, symmetric as the values are
+            for given in (A, A.toarray()):
+                assert_same_csr(aggregation_matrix(given), frozen_aggregation_matrix(given))
+
+    def test_entry_that_rounds_to_zero_is_dropped(self):
+        # a subnormal weight on a row of degree 5 rounds to 0 once scaled,
+        # and the sparse products do not store a zero result
+        A = np.zeros((6, 6))
+        A[0, 1:] = A[1:, 0] = 1.0
+        A[0, 1] = A[1, 0] = 5e-324
+        got = aggregation_matrix(A)
+        assert_same_csr(got, frozen_aggregation_matrix(A))
+        assert got.nnz == 6 + 8 and (got.data != 0).all()
 
 
 # ---------------------------------------------------------------- forward/backward

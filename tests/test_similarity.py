@@ -8,6 +8,7 @@ from scipy.special import gammaln
 
 from dmage.similarity import (
     SIGMA_LO,
+    CalibrationParams,
     CalibrationWarning,
     SimilarityMatrix,
     calibrate_all,
@@ -493,6 +494,27 @@ class TestRowBlocksMatchWholeArrays:
         assert n < 23 or (want == 0).sum() > n  # off-diagonal zeros are covered
         got = symmetrize(cond).matrix
         assert got.tobytes() == _oracle_symmetrize(want).tobytes()
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_unreached_pairs_and_nan_bit_for_bit(self, block, monkeypatch):
+        # unreached pairs (+inf) are written as 0 without the kernel; blocks of
+        # 64 elements hold no inf, inf alone, or inf with NaN, which is kernelled
+        if block is not None:
+            monkeypatch.setattr(similarity, "_KERNEL_BLOCK", block)
+        n = 40
+        rng = np.random.default_rng(12)
+        d = np.abs(rng.standard_normal((n, n))) * 3.0
+        d[8:][rng.random((n - 8, n)) < 0.7] = np.inf
+        d[20:24, 5] = np.nan
+        np.fill_diagonal(d, 0.0)
+        calib = CalibrationParams(rng.random(n) * 0.5, rng.random(n) + 0.5)
+        want = _oracle_conditional(d, 100.0, calib.rho, calib.sigma)
+        got = conditional_similarity(d, 100.0, calib).matrix
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).sum() == 4 and (got[8:] == 0).mean() > 0.6
+        out = d.copy()
+        conditional_similarity(out, 100.0, calib, out=out)
+        assert out.tobytes() == want.tobytes()
 
     def test_t_kernel_in_place_matches_whole_array(self):
         d = np.abs(np.random.default_rng(1).standard_normal((5, 7))) * 4.0
