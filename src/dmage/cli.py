@@ -4,7 +4,10 @@ Each run reads a flat JSON config (training keys plus ``edge_path`` /
 ``feature_path`` / ``label_path`` data keys), writes its artifacts into the
 --out directory, and finishes with a ``manifest.json`` capturing the
 resolved config, input file hashes, output paths, and stage timings.  A
-manifest can itself be passed back as --config to reproduce the run.
+manifest can itself be passed back as --config to reproduce the run;
+--seed and --seeds are recorded as ``seed`` and ``eval_seeds``, while
+--embeddings and ablate's two grids, which have no config key, are given
+again.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -88,12 +91,14 @@ def _load_config_file(path):
 
 
 def _resolve_config(args):
-    """Merge config file, preset, and --seed into (TrainConfig, data, extras)."""
+    """Merge config file, preset, --seed and --seeds into (TrainConfig, data, extras)."""
     raw = _load_config_file(args.config) if args.config else {}
     if args.preset:
         raw = {**raw, **PRESETS[args.preset]}
     if args.seed is not None:
         raw["seed"] = args.seed
+    if getattr(args, "seeds", None) is not None:  # eval and ablate only
+        raw["eval_seeds"] = args.seeds
     data = {k: raw.pop(k) for k in list(raw) if k in DATA_KEYS}
     extras = {k: raw.pop(k) for k in list(raw) if k in EVAL_KEYS}
     try:
@@ -226,8 +231,8 @@ def _eval_restarts(extras):
     return restarts
 
 
-def _eval_seeds(args, extras, default):
-    seeds = args.seeds if args.seeds is not None else extras.get("eval_seeds", default)
+def _eval_seeds(extras, default):
+    seeds = extras.get("eval_seeds", default)
     if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
         raise ConfigError(
             "eval_seeds (or --seeds) must be a non-empty list of non-negative integers, "
@@ -258,7 +263,7 @@ def _rows_by_node_id(path, ids, Z):
 def cmd_eval(args):
     cfg, data, extras = _resolve_config(args)
     restarts = _eval_restarts(extras)
-    seeds = _eval_seeds(args, extras, list(range(20)))
+    seeds = _eval_seeds(extras, list(range(20)))
     out_dir = args.out
     t0 = time.perf_counter()
 
@@ -336,7 +341,7 @@ def _ablate_variants(cfg, args):
 def cmd_ablate(args):
     cfg, data, extras = _resolve_config(args)
     restarts = _eval_restarts(extras)
-    seeds = _eval_seeds(args, extras, [0, 1, 2])
+    seeds = _eval_seeds(extras, [0, 1, 2])
     try:
         variants = _ablate_variants(cfg, args)
     except ValueError as e:  # a grid value TrainConfig refuses

@@ -333,20 +333,19 @@ def _aggregate_rows(N, rows):
 
 
 def _receptive_fields(specs, N, rows):
-    """For output rows ``rows``: the rows each layer reads, and each fca layer's operator.
+    """For output rows ``rows``: the rows layer 0 reads, and each fca layer's operator.
 
-    ``fields[l]`` is the sorted node array whose rows layer ``l`` takes as
-    input and, unless it is an fca layer, computes (None: every node).
+    Returns ``(inputs, operators)``: ``inputs`` is the sorted node array
+    whose rows of ``X`` layer 0 takes (None: every node), and
+    ``operators[l]`` is fca layer ``l``'s operator (None for an fc layer).
     Walking back from the output, an fc layer reads the rows it writes and
     an fca layer reads the support of its operator's rows.
     """
-    fields = [None] * len(specs)
     operators = [None] * len(specs)
     for l in range(len(specs) - 1, -1, -1):
         if specs[l].kind == "fca":
             operators[l], rows = _aggregate_rows(N, rows)
-        fields[l] = rows
-    return fields, operators
+    return rows, operators
 
 
 def forward(X, N, params: NetworkParams, tape: GradientTape | None = None, rows=None):
@@ -375,9 +374,9 @@ def forward(X, N, params: NetworkParams, tape: GradientTape | None = None, rows=
     dtype = params.weights[0].dtype
     if N is not None:
         N = N.astype(dtype, copy=False)
-    fields, operators = _receptive_fields(params.specs, N, _sorted_rows(rows, Z.shape[0]))
-    if fields[0] is not None:
-        Z = Z[fields[0]]
+    inputs, operators = _receptive_fields(params.specs, N, _sorted_rows(rows, Z.shape[0]))
+    if inputs is not None:
+        Z = Z[inputs]
     Z = Z.astype(dtype, copy=False)
     if tape is not None:
         tape.params = params

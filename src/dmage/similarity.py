@@ -462,7 +462,8 @@ class _Computed:
     The seconds of the distances and of the calibration; ``pairs``, the
     share of the n x n pairs the distance searches reached, counted once per
     search; ``extended``, the rows searched again out to their reach;
-    ``full``, the rows searched without a limit.
+    ``full``, the rows searched without a limit; ``knn_s``, the seconds of
+    the kNN graph the distances run over, when one was built for them.
     """
 
     distances_s: float
@@ -470,6 +471,7 @@ class _Computed:
     pairs: float
     extended: int
     full: int
+    knn_s: float | None = None
 
 
 def _calibrated(distances_of, nu, q_p):

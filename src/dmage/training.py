@@ -328,8 +328,9 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
     whose matrix is not in [0, 1] is a cache miss, logged, and is computed
     again; a computed matrix that is not raises ``ValueError``.  ``path``
     None caches nothing.  A computed matrix gets one info line: the seconds
-    of each stage, the share of pairs whose distances were computed, and
-    the rows searched again out to their reach and searched in full.
+    of each stage (the kNN graph's too, when one was built), the share of
+    pairs whose distances were computed, and the rows searched again out to
+    their reach and searched in full.
     """
     what = f"{tag} similarity"
     if path is not None and os.path.exists(path):
@@ -363,11 +364,12 @@ def _similarity(path, calibrated, cfg: TrainConfig, tag):
         save_matrix(path, joint)
         write = time.perf_counter() - t2
         log.info("cache write: %s", path)
+    knn = "" if computed.knn_s is None else f"kNN graph {computed.knn_s:.3f} s, "
     log.info(
-        "%s, up to %d workers: distances %.3f s, calibration %.3f s, "
+        "%s, up to %d workers: %sdistances %.3f s, calibration %.3f s, "
         "kernel+symmetrize %.3f s, cache write %.3f s; "
         "pairs computed %.1f%%, rows extended %d, rows in full %d",
-        what, distances._usable_cores(), computed.distances_s, computed.calibration_s,
+        what, distances._usable_cores(), knn, computed.distances_s, computed.calibration_s,
         t1 - t0, write, 100.0 * computed.pairs, computed.extended, computed.full,
     )
     return SimilarityMatrix(joint, "joint")
@@ -411,7 +413,11 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     if cfg.knn_k > 0:
         # the name does not depend on the kNN graph, so it is built on a miss only
         def complete_calibrated():
-            return geodesics(knn_graph(g.features, cfg.knn_k, cfg.metric))
+            t0 = time.perf_counter()
+            graph = knn_graph(g.features, cfg.knn_k, cfg.metric)
+            knn_s = time.perf_counter() - t0
+            d, calib, computed = geodesics(graph)
+            return d, calib, dataclasses.replace(computed, knn_s=knn_s)
     else:
         def complete_calibrated():
             return _calibrated(

@@ -394,6 +394,52 @@ class TestAblateCommand:
         assert "q_p=16" not in variants  # matches the base config
 
 
+def replay(tmp_path, command, cfg, seeds):
+    """Run ``command`` with ``--seeds``, then from its manifest without it.
+
+    Returns the seeds the manifest recorded and the two --out directories.
+    """
+    first, second = str(tmp_path / "first"), str(tmp_path / "replay")
+    assert run(*command, "--config", cfg, "--out", first, "--seeds", seeds) == EXIT_OK
+    manifest = os.path.join(first, "manifest.json")
+    with open(manifest) as f:
+        recorded = json.load(f)["config"]["eval_seeds"]
+    assert run(*command, "--config", manifest, "--out", second) == EXIT_OK
+    return recorded, first, second
+
+
+def read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as f:
+        return f.read()
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize(
+        "task, seeds", [("cluster", [3, 4]), ("linkpred", [1])], ids=["cluster", "linkpred"]
+    )
+    def test_eval_replays_its_seeds(self, tmp_path, toy_dataset, task, seeds):
+        emb = tmp_path / "emb.tsv"  # linkpred trains its own
+        emb.write_text("".join(embedding_lines(toy_dataset["graph"])))
+        command = ["eval", "--task", task, "--embeddings", str(emb)]
+        cfg = write_config(tmp_path, toy_dataset, epochs=3)
+        recorded, first, second = replay(tmp_path, command, cfg, ",".join(map(str, seeds)))
+        assert recorded == seeds
+        report = read_bytes(first, f"{task}_report.json")
+        assert [r["seed"] for r in json.loads(report)["rows"]] == seeds
+        assert read_bytes(second, f"{task}_report.json") == report
+
+    def test_ablate_replays_its_seeds(self, tmp_path, toy_dataset):
+        cfg = write_config(tmp_path, toy_dataset, epochs=3)
+        recorded, first, second = replay(tmp_path, ["ablate"], cfg, "1")
+        assert recorded == [1]
+        tables = []
+        for out in (first, second):
+            lines = read_bytes(out, "ablation.tsv").decode().splitlines()
+            assert lines[0].split("\t")[-1] == "seconds"
+            tables.append([line.split("\t")[:-1] for line in lines])
+        assert tables[1] == tables[0]
+
+
 class TestErrorExits:
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "none.json"),

@@ -246,20 +246,24 @@ class TestPrecompute:
         assert len(files[0]) == 2
         assert files[1] == files[0] and files[2] == files[0]
 
-    def test_one_timing_line_per_computed_matrix(self, tmp_path, caplog, workers):
+    @pytest.mark.parametrize("knn_k", [0, 4], ids=["complete", "knn"])
+    def test_one_timing_line_per_computed_matrix(self, tmp_path, caplog, workers, knn_k):
         workers(3)
         g = small_graph()
+        cfg = TrainConfig(knn_k=knn_k)
         with caplog.at_level(logging.INFO, logger="dmage"):
-            precompute(g, TrainConfig(), cache_dir=str(tmp_path))
+            precompute(g, cfg, cache_dir=str(tmp_path))
         lines = [r.message for r in caplog.records if "similarity, up to" in r.message]
         assert [line.split()[0] for line in lines] == ["complete", "prior"]
         for line in lines:
-            assert "similarity, up to 3 workers: distances " in line
+            # the kNN graph is built for the complete similarity only
+            knn = r"kNN graph \d+\.\d{3} s, " if knn_k and line.startswith("complete") else ""
+            assert re.search(f"similarity, up to 3 workers: {knn}distances ", line)
             for stage in ("calibration", "kernel+symmetrize", "cache write"):
                 assert f", {stage} " in line
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="dmage"):
-            precompute(g, TrainConfig(), cache_dir=str(tmp_path))
+            precompute(g, cfg, cache_dir=str(tmp_path))
         assert not [r for r in caplog.records if "similarity, up to" in r.message]
 
     @pytest.mark.parametrize("bad", [np.nan, 2.0], ids=["nan", "two"])
