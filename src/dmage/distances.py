@@ -12,11 +12,14 @@ by tile pair, each pair's distance computed once, above the diagonal, and
 mirrored; the unconnected rule is applied in place, only to a
 disconnected graph.
 
-Every Dijkstra search runs through ``_search_rows``, which can stop each
-source's search at a distance of its own (scipy's ``limit=``) with the
-bits of an unlimited search inside it.  :func:`geodesic_distances` searches
-every row in full; ``similarity._calibrated_geodesics`` stops the rows of a
-connected graph where the similarity kernel falls below a floor.
+Every Dijkstra search runs through ``_search_rows``, which searches each
+block of sources, in order of their limits, as far as the block's largest
+(scipy's ``limit=``), with the bits of an unlimited search inside it.
+:func:`geodesic_distances` searches every row in full;
+``similarity._calibrated_geodesics`` stops the rows of a connected graph
+where the similarity kernel falls below a floor, and clamps each row at
+that distance, its reach: the result is the full geodesic matrix with
+every entry beyond its row's reach replaced by the reach, and no inf.
 """
 
 from __future__ import annotations
@@ -282,37 +285,37 @@ def _shared_array(shape, dtype):
 
 
 def _search_rows(graph, dist, sources, limit):
-    """Dijkstra from each of ``sources`` into its row of ``dist``, as far as its ``limit``.
+    """Dijkstra from each of ``sources`` into its row of ``dist``, at least as far as its ``limit``.
 
     ``graph`` is a weight graph of :func:`_edge_weight_graph`, and ``dist`` an
-    n x n array that forked workers write (:func:`_shared_array`).  Row ``s``
-    gets the distance from ``s`` to each node at most ``limit`` away, with
-    the bits of a search without a limit: Dijkstra settles nodes in order of
-    distance, and no path through a node beyond the limit can shorten a path
-    to one within it.  Nodes beyond the limit, or unreachable, are inf; a
-    limit of inf searches the whole component.  The sources are taken in
-    order of limit and split over the usable cores (:func:`_fill_rows`);
-    those of one chunk that share a limit run in one call, scipy's
-    ``limit=``.  Returns, per source, how many nodes its search reached
-    (itself included) and its largest finite distance.
+    n x n array that forked workers write (:func:`_shared_array`).  The
+    sources are taken in order of limit and split over the usable cores
+    (:func:`_fill_rows`); each row block of a chunk runs in one call,
+    scipy's ``limit=``, at the block's largest limit.  Row ``s`` gets the
+    distance from ``s`` to each node at most that far away, with the bits of
+    a search without a limit: Dijkstra settles nodes in order of distance,
+    and no path through a node beyond the limit can shorten a path to one
+    within it.  Nodes beyond it, or unreachable, are inf; a limit of inf
+    searches the whole component.  Within its own ``limit`` a row is the
+    same however the rows are split; beyond it, up to its block's limit, it
+    depends on the split.  Returns, per source, how many nodes its search
+    reached up to its block's limit (itself included) and its largest
+    finite distance.
     """
     n = graph.shape[0]
     order = np.argsort(limit, kind="stable")
     sources, limit = sources[order], limit[order]
 
     def fill(rows, reached, top):
-        # the sources of the chunk that share a limit are contiguous
-        part = limit[rows]
-        cuts = [rows.start, *(rows.start + 1 + np.flatnonzero(part[1:] != part[:-1])), rows.stop]
-        for a, b in zip(cuts, cuts[1:]):
-            for block in _row_blocks(b, n, _DIJKSTRA_BLOCK, a):
-                # the weight graph stores both directions of every edge
-                d = dijkstra(graph, directed=True, indices=sources[block], limit=limit[a])
-                dist[sources[block]] = d
-                finite = np.isfinite(d)
-                reached[block] = finite.sum(axis=1)
-                # no distance is negative, so 0 stands in for the infinite ones
-                top[block] = np.where(finite, d, 0.0).max(axis=1)
+        for block in _row_blocks(rows.stop, n, _DIJKSTRA_BLOCK, rows.start):
+            # the weight graph stores both directions of every edge, and
+            # the block's last limit is its largest
+            d = dijkstra(graph, directed=True, indices=sources[block], limit=limit[block][-1])
+            dist[sources[block]] = d
+            finite = np.isfinite(d)
+            reached[block] = finite.sum(axis=1)
+            # no distance is negative, so 0 stands in for the infinite ones
+            top[block] = np.where(finite, d, 0.0).max(axis=1)
 
     # each source's search passes at most every node and every stored edge
     reached, top = _fill_rows(sources.size, n + graph.nnz, fill, ((), np.int64), ((), np.float64))

@@ -38,12 +38,13 @@ The geodesics of a connected graph are computed only as far as the kernel
 reaches (``_calibrated_geodesics``): row i up to ``rho_i + x* sigma_i``,
 where ``x*`` is the scaled distance at which the kernel falls to
 ``_FLOOR``, a quarter of float32's smallest normal (``x* = 21.9`` at
-``nu = 100``).  Beyond it the conditional similarity is 0 rather than
-below the floor, and the float32 loss flushes such values to 0 anyway.
-sigma needs the distances first, so the rows are computed in rounds; rho
-and sigma are the full computation's bit for bit, and so is every distance
-within the reach.  Every other graph takes the one full route,
-``distances.geodesic_distances`` and :func:`calibrate_all`: a disconnected
+``nu = 100``).  Each distance beyond it is replaced by the reach, so its
+conditional similarity is ``t_kernel(x*)``, about ``_FLOOR``, not 0 and
+not the smaller value of the full computation; float32 storage flushes
+both to 0.  sigma needs the distances first, so the rows are computed in
+rounds; rho and sigma are the full computation's bit for bit, and so is
+every distance within the reach.  Every other graph takes the one full
+route, ``distances.geodesic_distances`` and :func:`calibrate_all`: a disconnected
 graph, because the unconnected rule needs every connected distance, and a
 graph on which a sample of rows predicts no saving from the rounds.
 """
@@ -96,10 +97,11 @@ _MARGIN = 1e-9
 _BLOCK = 1 << 20
 # matrix elements per row block of the kernel pass
 _KERNEL_BLOCK = 1 << 16
-# a conditional similarity of a connected geodesic graph below this is not
-# computed, and is 0: a quarter of float32's smallest normal, so that the
-# loss, which reads the similarities in float32 and flushes subnormals to 0,
-# reads nearly every entry as it would read the full computation's
+# a connected geodesic graph's rows are computed only until the kernel falls
+# to this, and each conditional similarity below it becomes t_kernel(x*),
+# about this: a quarter of float32's smallest normal, so that float32
+# storage, which flushes subnormals to 0, keeps nearly every entry of the
+# full computation's
 _FLOOR = float(np.finfo(np.float32).tiny) / 4
 # rows searched in full first, to choose the radius of the other rows' first
 # search: their largest _NEAREST-th nearest distance, widened by _SLACK
@@ -490,12 +492,6 @@ def _kernel_reach(nu):
     return math.sqrt(nu * math.expm1(2.0 * log_ratio / (nu + 1.0)))
 
 
-def _limit_grid(x):
-    """``x`` rounded up to 8 significant bits (at most 0.8% up), so few distinct values remain."""
-    mantissa, exponent = np.frexp(x)
-    return np.ldexp(np.ceil(mantissa * 256.0) / 256.0, exponent)
-
-
 def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
     """Geodesic distances over ``g``'s edges and their calibration: ``(d, calib, computed)``.
 
@@ -506,10 +502,11 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
     as far as the kernel reaches: its *reach* is ``rho + x* sigma``, where
     ``x*`` is the scaled distance at which the kernel falls to ``_FLOOR``.
     Every distance within a row's reach has the bits of the full
-    computation, every one beyond is inf, so its conditional similarity is
-    exactly 0 instead of below ``_FLOOR``.  rho and sigma are the same bit
-    for bit.  sigma needs the distances first, so the rows are computed in
-    rounds (``distances._search_rows``, :func:`_geodesic_rounds`):
+    computation, every one beyond is the reach, so its conditional
+    similarity is ``t_kernel(x*)`` instead of below ``_FLOOR``.  rho and
+    sigma are the same bit for bit.  sigma needs the distances first, so
+    the rows are computed in rounds (``distances._search_rows``,
+    :func:`_geodesic_rounds`):
 
     1. ``_SAMPLE`` rows, evenly spaced, are searched in full and calibrated.
        The radius of the first round is their largest ``_NEAREST``-th
@@ -527,13 +524,15 @@ def _calibrated_geodesics(g, metric, lambda_, nu, q_p):
        comparisons.  A row whose search would go on to a second tier or its
        full row is searched in full and calibrated again on it.
     4. A row whose reach lies beyond its radius is searched again to its
-       reach (rounded up a little, so that rows share searches); a row that
-       reached every node is complete.
+       reach; a row that reached every node is complete.
 
-    After the rounds, the distances outside each row's reach are set to
-    inf, so the result does not depend on the rounds' radii.  The joint
-    similarity differs from the full computation's only where a conditional
-    lies below ``_FLOOR``, and by less than ``2 * _FLOOR``.
+    After the rounds, each row is clamped at its reach, so the result is
+    ``np.minimum(d_full, reach[:, None])`` for the full distances
+    ``d_full``, whatever the rounds' radii and however the rows were split.
+    The joint similarity differs from the full computation's only where a
+    conditional lies below ``_FLOOR``, and by at most twice the conditional
+    at the reach, ``t_kernel(x*)`` up to the rounding of ``(reach - rho) /
+    sigma``.
     """
     n = g.n
     # each edge once is enough to find the components, and cheaper than graph.adjacency
@@ -550,7 +549,10 @@ def _geodesic_rounds(g, metric, nu, q_p):
     """The rounds of :func:`_calibrated_geodesics` on a connected graph.
 
     Returns ``(d, calib, computed)``, or None where the sample predicts no
-    saving.
+    saving.  ``d`` is the full geodesic matrix clamped at each row's reach,
+    with no inf in it.  A search of ``_search_rows`` can run past a row's
+    limit, to its block's, so ``reached`` and the ``pairs`` it gives count
+    those nodes too; the clamp leaves nothing of them.
     """
     n = g.n
     t_start = time.perf_counter()
@@ -607,10 +609,8 @@ def _geodesic_rounds(g, metric, nu, q_p):
     calibrate(escalated)
     reach = rho + x * sigma
     extended = np.flatnonzero(reach > radius)
-    search(extended, _limit_grid(reach[extended]))
-    for rows in _row_blocks(n, n, _KERNEL_BLOCK):
-        block = dist[rows]
-        block[block > reach[rows, None]] = np.inf
+    search(extended, reach[extended])
+    np.minimum(dist, reach[:, None], out=dist)
 
     _warn_outcomes(sigma, outcome, q_p)
     distances_s = time.perf_counter() - t_start - calibration_s
@@ -628,8 +628,9 @@ def conditional_similarity(
     is zeroed by convention.  The result is written into ``out`` when given
     (a float64 array of the distances' shape, which may be the distance
     matrix itself), in row blocks; the bytes are the same either way.  An
-    unreached pair (normalized distance ``+inf``) is 0, the kernel's value
-    there, without evaluating it; a NaN stays NaN.
+    infinite distance gives 0, the kernel's limit, and a NaN stays NaN.  A
+    reach-limited matrix (``_calibrated_geodesics``) holds no inf: beyond a
+    row's reach it holds the reach, whose conditional is ``t_kernel(x*)``.
     """
     d = _distance_array(distances)
     p = np.empty(d.shape) if out is None else out
@@ -637,15 +638,7 @@ def conditional_similarity(
         block = p[rows]
         np.subtract(d[rows], calib.rho[rows, None], out=block)
         block /= calib.sigma[rows, None]
-        if block.max() < np.inf:
-            t_kernel(block, nu, out=block)
-        else:
-            # exp and log1p run several times slower on inf than on finite
-            # values, and a reach-limited kNN row block is mostly inf
-            reached = block != np.inf
-            k = t_kernel(block[reached], nu)
-            block.fill(0.0)
-            block[reached] = k
+        t_kernel(block, nu, out=block)
     np.fill_diagonal(p, 0.0)
     return SimilarityMatrix(p, "conditional")
 

@@ -5,9 +5,10 @@ similarity matrices — one over the priori edge set, one over the complete
 (or k-NN substituted) graph — and caches both on disk under the names that
 ``_cache_names`` alone derives from a content hash of what each reads.  The
 geodesics of a connected graph, such as the kNN graph, are computed only as
-far as the input kernel reaches above ``similarity._FLOOR``.  Each
-similarity is computed in float64 and stored, cached and held in float32,
-the precision the loss reads it in, narrowed once as it is symmetrized.
+far as the input kernel reaches above ``similarity._FLOOR``, and clamped
+there.  Each similarity is computed in float64 and stored, cached and held
+in float32, the precision the loss reads it in, narrowed once as it is
+symmetrized.
 ``train`` then runs the epoch/batch loop: augment edges, forward each sorted
 batch's nodes through the network (computing only their receptive field),
 evaluate the fused loss on those rows, and update parameters with Adam.
@@ -389,12 +390,13 @@ def precompute(g: AttributedGraph, cfg: TrainConfig, cache_dir=None):
     are calibrated, takes the kernel, whose joint form is written into the
     float32 matrix.  The geodesics of a connected graph (the kNN graph, say)
     are computed only within each row's reach, where the kernel is above
-    ``similarity._FLOOR``, and the conditional similarity is 0 beyond it
-    (``similarity._calibrated_geodesics``); rho and sigma are the full
-    computation's.  A loaded similarity is checked to lie in [0, 1] (one
-    minimum and one maximum, which a NaN fails); one that does not is a
-    logged cache miss and is computed again, and a computed one that does
-    not raises ``ValueError`` naming the matrix.  With ``hard_similarity``
+    ``similarity._FLOOR``, and each distance beyond it is replaced by the
+    reach (``similarity._calibrated_geodesics``), whose conditional
+    similarity, ``t_kernel(x*)``, float32 storage flushes to 0; rho and
+    sigma are the full computation's.  A loaded similarity is checked to
+    lie in [0, 1] (one minimum and one maximum, which a NaN fails); one
+    that does not is a logged cache miss and is computed again, and a
+    computed one that does not raises ``ValueError`` naming the matrix.  With ``hard_similarity``
     the priori matrix is the 0/1 adjacency instead of the geodesic
     similarity.  A graph of fewer than 3 nodes raises ``ValueError``.
     """

@@ -30,6 +30,12 @@ def assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), field
 
 
+def pytest_configure(config):
+    # a CalibrationWarning that a test does not assert or filter fails it;
+    # the benchmark's tests keep their own filters
+    config.addinivalue_line("filterwarnings", "error::dmage.similarity.CalibrationWarning")
+
+
 @functools.lru_cache(maxsize=1)
 def cora_like_graph():
     """The benchmark's Cora-shaped graph ``cora_like(1)``, from ``bench/graphs.py``."""

@@ -20,9 +20,19 @@ from dmage.graph import (
     normalize_edges,
 )
 from dmage.network import aggregation_matrix, default_stack
+from dmage.similarity import CalibrationWarning
 from dmage.training import TrainConfig, _aggregation_operator, train
 
 from conftest import assert_same_csr, random_graph
+
+# The priori graph of a 4-node graph with an isolated node: the unconnected
+# distances leave no row able to reach the compactness target, and every
+# sigma ends at 2**64.  This is the open isolated-node prior defect (ROADMAP),
+# whose fix stops this warning.
+ISOLATED_PRIOR_MISS = (
+    r"missed on 4 of 4 rows: 0 unreachable from below \(sigma=0\.0001\), "
+    r"4 unreachable from above, .* max 1\.84467e\+19"
+)
 
 
 def make_graph(n, edges, dims=3, labels=None):
@@ -315,7 +325,8 @@ class TestLoadGraph:
         g = load_graph(e, f)
         assert g.n == 4
         assert g.edges == frozenset({(0, 1), (1, 2)})
-        result = train(g, TrainConfig(epochs=2))
+        with pytest.warns(CalibrationWarning, match=ISOLATED_PRIOR_MISS):
+            result = train(g, TrainConfig(epochs=2))
         assert result.embeddings.shape[0] == 4
         assert np.isfinite(result.embeddings).all()
 
@@ -325,7 +336,8 @@ class TestLoadGraph:
         g = load_graph(e, f)
         assert g.n == 4
         assert g.edges == frozenset({(0, 1), (1, 3)})
-        result = train(g, TrainConfig(epochs=2))
+        with pytest.warns(CalibrationWarning, match=ISOLATED_PRIOR_MISS):
+            result = train(g, TrainConfig(epochs=2))
         assert result.embeddings.shape[0] == 4
         assert np.isfinite(result.embeddings).all()
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -497,8 +498,8 @@ class TestRowBlocksMatchWholeArrays:
 
     @pytest.mark.parametrize("block", [None, 64])
     def test_unreached_pairs_and_nan_bit_for_bit(self, block, monkeypatch):
-        # unreached pairs (+inf) are written as 0 without the kernel; blocks of
-        # 64 elements hold no inf, inf alone, or inf with NaN, which is kernelled
+        # unreached pairs (+inf) go through the kernel to 0; blocks of 64
+        # elements hold no inf, inf alone, or inf with NaN
         if block is not None:
             monkeypatch.setattr(similarity, "_KERNEL_BLOCK", block)
         n = 40
@@ -803,19 +804,23 @@ def joint_of(d, calib, nu=100.0):
     return symmetrize(conditional_similarity(d, nu, calib)).matrix
 
 
-def within_reach(d0, calib0, nu=100.0):
-    """Where the full computation's distances lie within their row's reach."""
+def assert_clamped_at_the_reach(d, calib, d0, calib0, nu=100.0):
+    """``d`` is the full distances ``d0`` clamped at each row's reach, and so is its joint form.
+
+    The joint form is that of the clamped matrix, byte for byte, and differs
+    from the full computation's by at most twice the largest conditional at
+    the reach: ``t_kernel(x*)`` up to the rounding of ``(reach - rho) /
+    sigma``, which moves it by about 1e-14 of itself.
+    """
     reach = calib0.rho + similarity._kernel_reach(nu) * calib0.sigma
-    return d0 <= reach[:, None]
-
-
-def joint_within_reach(d0, calib0, nu=100.0):
-    """The full computation's joint form with each conditional beyond its row's reach set to 0."""
-    cond = conditional_similarity(d0, nu, calib0).matrix
-    beyond = ~within_reach(d0, calib0, nu)
-    assert (cond[beyond] < similarity._FLOOR).all()
-    cond[beyond] = 0.0
-    return symmetrize(SimilarityMatrix(cond, "conditional")).matrix
+    clamped = np.minimum(d0, reach[:, None])
+    assert d.tobytes() == clamped.tobytes()
+    assert np.isfinite(d).all() and (d0 > reach[:, None]).any()
+    p = joint_of(d, calib, nu)
+    assert p.tobytes() == joint_of(clamped, calib0, nu).tobytes()
+    at_reach = t_kernel((reach - calib0.rho) / calib0.sigma, nu).max()
+    assert at_reach == pytest.approx(t_kernel(similarity._kernel_reach(nu), nu), rel=1e-12)
+    assert 0.0 < np.abs(p - joint_of(d0, calib0, nu)).max() <= 2.0 * at_reach
 
 
 class TestReachLimitedGeodesics:
@@ -848,16 +853,8 @@ class TestReachLimitedGeodesics:
         assert calib.rho.tobytes() == calib0.rho.tobytes()
         assert calib.sigma.tobytes() == calib0.sigma.tobytes()
         # every distance within a row's reach has the full computation's bits,
-        # and every one beyond it is inf
-        inside = within_reach(d0, calib0)
-        assert np.isfinite(d).tolist() == inside.tolist()
-        assert d[inside].tobytes() == d0[inside].tobytes()
-        assert not inside.all()
-        # the joint form is the full one with each conditional beyond the
-        # reach set to 0, and differs from it by less than twice the floor
-        p = joint_of(d, calib)
-        assert p.tobytes() == joint_within_reach(d0, calib0).tobytes()
-        assert 0.0 < np.abs(p - joint_of(d0, calib0)).max() < 2.0 * similarity._FLOOR
+        # and every one beyond it is the reach
+        assert_clamped_at_the_reach(d, calib, d0, calib0)
 
     def test_disconnected_knn_graph_and_isolated_nodes_take_the_full_path(self):
         from dmage.graph import AttributedGraph, knn_graph
@@ -963,7 +960,7 @@ class TestReachLimitedGeodesics:
         assert computed.full == len(full) < g.n
         assert calib.rho.tobytes() == calib0.rho.tobytes()
         assert calib.sigma.tobytes() == calib0.sigma.tobytes()
-        assert joint_of(d, calib).tobytes() == joint_within_reach(d0, calib0).tobytes()
+        assert_clamped_at_the_reach(d, calib, d0, calib0)
 
     def test_rows_short_of_their_nearest_are_searched_in_full(self, workers, monkeypatch):
         # a first radius below most rows' 128th nearest distance
@@ -979,4 +976,62 @@ class TestReachLimitedGeodesics:
         assert short and short <= set(full)
         assert calib.rho.tobytes() == calib0.rho.tobytes()
         assert calib.sigma.tobytes() == calib0.sigma.tobytes()
-        assert joint_of(d, calib).tobytes() == joint_within_reach(d0, calib0).tobytes()
+        assert_clamped_at_the_reach(d, calib, d0, calib0)
+
+    def test_a_block_of_mixed_limits_searches_to_its_largest(self, workers, monkeypatch):
+        # blocks of 50 rows, each holding rows of many limits
+        from dmage.graph import knn_graph
+
+        g = knn_graph(np.random.default_rng(3).standard_normal((400, 3)), 5, "euclidean")
+        graph = distances._edge_weight_graph(g, "euclidean")
+        d0 = distances._shared_array((g.n, g.n), np.float64)
+        distances._search_rows(graph, d0, np.arange(g.n), np.full(g.n, np.inf))
+        rng = np.random.default_rng(4)
+        sources = rng.permutation(g.n)
+        # each row's limit lies at one of its own distances, none in full
+        limit = np.sort(d0[sources], axis=1)[np.arange(g.n), rng.integers(1, g.n - 1, g.n)]
+        inside = d0[sources] <= limit[:, None]
+        monkeypatch.setattr(distances, "_DIJKSTRA_BLOCK", 50 * g.n)
+        got = []
+        for w in (1, 2, 3):
+            workers(w)
+            d = distances._shared_array((g.n, g.n), np.float64)
+            reached, _ = distances._search_rows(graph, d, sources, limit)
+            rows = d[sources]
+            # within its own limit a row keeps the bits of the unlimited search,
+            # and every distance found past it, up to its block's, does too
+            assert rows[inside].tobytes() == d0[sources][inside].tobytes()
+            found = np.isfinite(rows)
+            assert rows[found].tobytes() == d0[sources][found].tobytes()
+            assert (found & ~inside).any()
+            assert (reached == found.sum(axis=1)).all()
+            got.append(np.minimum(rows, limit[:, None]).tobytes())
+        assert got[0] == np.minimum(d0[sources], limit[:, None]).tobytes()
+        assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_a_cold_precompute_passes_no_inf_to_the_kernel(tmp_path, monkeypatch, caplog):
+    # the kNN graph takes the rounds, the priori graph the full route
+    from dmage.cli import PRESETS
+    from dmage import training
+
+    cfg = TrainConfig.from_dict({**PRESETS["paper_clustering"], "seed": 0})
+    inputs, kernels = [], []
+    conditional, kernel = training.conditional_similarity, similarity.t_kernel
+
+    def conditional_spy(d, *args, **kwargs):
+        inputs.append(bool(np.isinf(d).any()))
+        return conditional(d, *args, **kwargs)
+
+    def kernel_spy(d, *args, **kwargs):
+        kernels.append(bool(np.isinf(d).any()))
+        return kernel(d, *args, **kwargs)
+
+    monkeypatch.setattr(training, "conditional_similarity", conditional_spy)
+    monkeypatch.setattr(similarity, "t_kernel", kernel_spy)
+    with caplog.at_level("INFO", logger="dmage"), warnings.catch_warnings():
+        # the priori graph's isolated rows miss the target
+        warnings.simplefilter("ignore", CalibrationWarning)
+        precompute(cora_shaped(900), cfg, cache_dir=str(tmp_path))
+    assert inputs == [False, False] and kernels and not any(kernels)
+    assert re.search(r"complete similarity, .*rows extended [1-9]", caplog.text)
